@@ -112,12 +112,10 @@ def _index_list(text: str) -> tuple:
 
 
 def _tolerances(args) -> Tolerances:
-    base = DEFAULT_TOLERANCES
-    return Tolerances(
-        li=getattr(args, "tol_li", None) or base.li,
-        orth=getattr(args, "tol_orth", None) or base.orth,
-        deg=getattr(args, "tol_deg", None) or base.deg,
-    )
+    flags = {name: getattr(args, f"tol_{name}", None)
+             for name in ("li", "orth", "deg")}
+    return Tolerances(**{name: value for name, value in flags.items()
+                         if value is not None})
 
 
 def _add_tolerance_flags(p):

@@ -7,7 +7,10 @@ can be overridden per call or through CLI flags.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
+
+from .errors import InvalidStateError
 
 
 @dataclass(frozen=True)
@@ -20,6 +23,13 @@ class Tolerances:
     deg: float = 1e-7         # degeneracy grouping width for spectra/coefficients
     recon: float = 1e-8       # decomposition reconstruction ceiling
     zero_coeff: float = 1e-12  # coefficients at or below this count as zero
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidStateError(
+                    f"tolerance {f.name} must be finite and > 0, got {value!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -452,77 +452,68 @@ def _as_sum(state) -> SumState:
 class MoverUnitary:
     """Unitary sending one wavefunction to another, identity elsewhere.
 
-    The correction U - 1 has rank 2 and lives on span{phi1, phi1_perp}, so
-    the operator is stored through its four states and certified on that
-    2-dimensional coordinate representation; application and moved inner
-    products expand the rank-2 correction against cached brackets.
+    With alpha = <phi2|phi1> and beta = sqrt(1 - |alpha|^2), the unit states
+    phi1_perp = (conj(alpha) phi1 - phi2) / beta and
+    phi2_perp = (phi1 - alpha phi2) / beta complete orthonormal pairs, and
+    U - 1 = |phi1><phi2 - phi1| + |phi1_perp><phi2_perp - phi1_perp|.
+    Everything lives in the two-state frame (phi1, phi2): a state enters only
+    through its brackets <phi1|s> and <phi2|s>, and the perpendicular states
+    are coordinate columns, never materialized.
     """
 
     phi1: SumState
     phi2: SumState
-    phi1_perp: SumState
-    phi2_perp: SumState
     alpha: complex
     beta: float
     identity: bool = False
 
     @cached_property
-    def _brackets(self) -> dict:
-        if self.identity:
-            return {}
-        return {
-            "n11": inner(self.phi1, self.phi1),
-            "n12": inner(self.phi1, self.phi1_perp),
-            "n22": inner(self.phi1_perp, self.phi1_perp),
-        }
+    def _gram(self) -> np.ndarray:
+        """G[i, j] = <phi_i | phi_j> from the stored states."""
+        g21 = inner(self.phi2, self.phi1)
+        return np.array([[inner(self.phi1, self.phi1), g21.conjugate()],
+                         [g21, inner(self.phi2, self.phi2)]])
 
-    def _correction_coeffs(self, state) -> tuple:
-        c1 = inner(self.phi2, state) - inner(self.phi1, state)
-        c2 = inner(self.phi2_perp, state) - inner(self.phi1_perp, state)
-        return c1, c2
+    @cached_property
+    def _frame(self) -> tuple:
+        """(E, C): columns of E are phi1 and phi1_perp in frame coordinates,
+        and (U - 1) s = (phi1, phi2) C (<phi1|s>, <phi2|s>)."""
+        a, b = complex(self.alpha), self.beta
+        e = np.array([[1.0, a.conjugate() / b], [0.0, -1.0 / b]])
+        f = np.array([[0.0, 1.0 / b], [1.0, -a / b]])  # phi2, phi2_perp
+        return e, e @ (f - e).conj().T
+
+    def _brackets(self, state) -> np.ndarray:
+        return np.array([inner(self.phi1, state), inner(self.phi2, state)])
 
     def apply(self, state):
-        """U state, materialized (term count grows by the correction's)."""
+        """U state, materialized (term count grows by the frame's)."""
         if self.identity:
             return state
         s = _as_sum(state)
-        c1, c2 = self._correction_coeffs(s)
-        terms = s.terms + _scaled_terms(c1, self.phi1) \
-            + _scaled_terms(c2, self.phi1_perp)
+        x = self._frame[1] @ self._brackets(s)
+        terms = s.terms + _scaled_terms(x[0], self.phi1) \
+            + _scaled_terms(x[1], self.phi2)
         return SumState(self.phi1.space, terms)
 
     def moved_inner(self, a, b) -> complex:
-        """<U a | U b> with the rank-2 correction expanded term by term."""
+        """<U a | U b> with the rank-2 correction expanded in the frame."""
         if self.identity:
             return inner(a, b)
-        br = self._brackets
-        ca1, ca2 = self._correction_coeffs(a)
-        cb1, cb2 = self._correction_coeffs(b)
-        val = inner(a, b)
-        val += cb1 * inner(a, self.phi1) + cb2 * inner(a, self.phi1_perp)
-        val += ca1.conjugate() * inner(self.phi1, b) \
-            + ca2.conjugate() * inner(self.phi1_perp, b)
-        val += ca1.conjugate() * cb1 * br["n11"]
-        val += ca1.conjugate() * cb2 * br["n12"]
-        val += ca2.conjugate() * cb1 * br["n12"].conjugate()
-        val += ca2.conjugate() * cb2 * br["n22"]
-        return complex(val)
+        c = self._frame[1]
+        ba, bb = self._brackets(a), self._brackets(b)
+        xa, xb = c @ ba, c @ bb
+        return complex(inner(a, b) + np.vdot(ba, xb) + np.vdot(xa, bb)
+                       + np.vdot(xa, self._gram @ xb))
 
     def minus_identity_matrix(self) -> np.ndarray:
         """U - 1 on the orthonormal pair (phi1, phi1_perp), built honestly
-        from inner products of the stored states."""
+        from the Gram of the stored states."""
         if self.identity:
             return np.zeros((2, 2), dtype=np.complex128)
-        basis = (self.phi1, self.phi1_perp)
-        out = np.empty((2, 2), dtype=np.complex128)
-        for j, ej in enumerate(basis):
-            c1, c2 = self._correction_coeffs(ej)
-            for i, ei in enumerate(basis):
-                br = self._brackets
-                pieces = c1 * (br["n11"] if i == 0 else br["n12"].conjugate())
-                pieces += c2 * (br["n12"] if i == 0 else br["n22"])
-                out[i, j] = pieces
-        return out
+        e, c = self._frame
+        g = self._gram
+        return e.conj().T @ g @ c @ g @ e
 
     def trace_norm_minus_identity(self) -> float:
         return float(np.linalg.svd(self.minus_identity_matrix(),
@@ -584,18 +575,14 @@ def structure_mover(phi1, phi2,
     alpha = inner(s2, s1)
     dist = math.sqrt(max(2.0 - 2.0 * alpha.real, 0.0))
     if dist <= tolerances.norm:
-        mover = MoverUnitary(s1, s2, s1, s2, 1.0 + 0j, 0.0, identity=True)
+        mover = MoverUnitary(s1, s2, 1.0 + 0j, 0.0, identity=True)
         return TensorStructurePair(mover, space)
     beta_sq = max(1.0 - abs(alpha) ** 2, 0.0)
     if beta_sq <= 1e-10:
         raise InvalidStateError(
             "states are collinear up to phase; no rank-2 mover exists")
     beta = math.sqrt(beta_sq)
-    phi2_perp = SumState(space, _scaled_terms(1.0 / beta, s1)
-                         + _scaled_terms(-alpha / beta, s2))
-    phi1_perp = SumState(space, _scaled_terms(alpha.conjugate() / beta, s1)
-                         + _scaled_terms(-1.0 / beta, s2))
-    mover = MoverUnitary(s1, s2, phi1_perp, phi2_perp, alpha, beta)
+    mover = MoverUnitary(s1, s2, alpha, beta)
 
     if abs(abs(alpha) ** 2 + beta ** 2 - 1.0) > 1e-10:
         raise VerificationError("mover phase convention broke |a|^2 + |b|^2 = 1")

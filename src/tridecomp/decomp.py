@@ -24,9 +24,11 @@ from .errors import CapacityError, DimensionMismatchError, InvalidStateError
 from .spectral import triortho_necessary_test
 from .states import (
     DenseState,
+    FactorPack,
     ProductSpace,
     ProductTerm,
     SumState,
+    _factor_overlap,
     as_dense,
     densify,
     inner,
@@ -176,6 +178,23 @@ def linear_independence(vectors, tol: float, dim: int = None):
     return smin, smin > tol
 
 
+def _factor_independence(pack: FactorPack, tol: float, dim: int) -> tuple:
+    """(sigma_min or a lower bound on it, method) for one factor's components.
+
+    Split the packed matrix M as its shared columns S plus the columns only
+    one term touches; then M M^H = S S^H + diag(||p_k||^2), so by Weyl
+    sigma_min(M) >= min_k ||p_k||.  That O(nnz) bound certifies independence
+    when it clears ``tol``; otherwise the exact SVD decides.
+    """
+    fmat = pack[1]
+    if fmat.shape[0] <= dim:
+        bound = float(pack.private_norms().min())
+        if bound > tol:
+            return bound, "private_support"
+    sv, _ = linear_independence(list(fmat), tol, dim=dim)
+    return sv, "svd"
+
+
 # ---------------------------------------------------------------------------
 # Product-sum decompositions
 
@@ -190,6 +209,7 @@ class TriCertificate:
     reconstruction_error: float
     min_coefficient: float
     min_singular_values: tuple
+    li_method: tuple
     max_offdiag_overlaps: tuple
     max_pairwise_overlaps: tuple
     li_factors: tuple
@@ -203,6 +223,7 @@ class TriCertificate:
             "reconstruction_error": self.reconstruction_error,
             "min_coefficient": self.min_coefficient,
             "min_singular_values": list(self.min_singular_values),
+            "li_method": list(self.li_method),
             "max_offdiag_overlaps": list(self.max_offdiag_overlaps),
             "max_pairwise_overlaps": list(self.max_pairwise_overlaps),
             "li_factors": list(self.li_factors) if self.li_factors else None,
@@ -308,12 +329,16 @@ def reconstruction_error(d: TriDecomposition, psi) -> float:
     the three inner products, which cancels exactly when the decomposition's
     terms are the state's own.
     """
-    dec = d.to_sum_state()
+    return _residual(d.to_sum_state(), psi)
+
+
+def _residual(dec: SumState, psi) -> float:
+    """|| psi - dec ||; ``dec`` keeps its packs for the caller's other steps."""
     if isinstance(psi, DenseState):
-        if d.space.dim > DENSIFY_CEILING:
+        if dec.space.dim > DENSIFY_CEILING:
             raise CapacityError(
                 "decomposition space too large to compare against a dense state")
-        dims = tuple(max(x, y) for x, y in zip(psi.space.dims, d.space.dims))
+        dims = tuple(max(x, y) for x, y in zip(psi.space.dims, dec.space.dims))
         big = ProductSpace(dims)
         a = np.zeros(dims, dtype=np.complex128)
         a[tuple(slice(0, s) for s in psi.space.dims)] = psi.tensor
@@ -326,16 +351,6 @@ def reconstruction_error(d: TriDecomposition, psi) -> float:
     raise InvalidStateError("target must be a state")
 
 
-def _component_gram(d: TriDecomposition, i: int) -> np.ndarray:
-    vecs = [t.factors[i] for t in d.terms]
-    g = np.empty((len(vecs), len(vecs)), dtype=np.complex128)
-    for a in range(len(vecs)):
-        for b in range(a, len(vecs)):
-            g[a, b] = sv_inner(vecs[a], vecs[b])
-            g[b, a] = g[a, b].conjugate()
-    return g
-
-
 def verify_tridecomposition(d: TriDecomposition, psi,
                             tolerances: Tolerances = DEFAULT_TOLERANCES
                             ) -> TriCertificate:
@@ -345,15 +360,14 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     ``psi`` for its variant, up to re-ordering and phase changes.
     """
     tol_echo = tolerances.as_dict()
-    grams = [_component_gram(d, i) for i in range(3)] if d.terms else []
-    min_sv, max_off, max_pair = [], [], []
-    for i in range(3):
-        if not d.terms:
-            break
-        sv, _ = linear_independence([t.factors[i] for t in d.terms],
-                                    tolerances.li, dim=d.space.dims[i])
+    dec = d.to_sum_state()
+    packs = dec._packed if d.terms else ()
+    min_sv, li_method, max_off, max_pair = [], [], [], []
+    for pack, dim in zip(packs, d.space.dims):
+        sv, method = _factor_independence(pack, tolerances.li, dim)
         min_sv.append(sv)
-        g = grams[i]
+        li_method.append(method)
+        g = _factor_overlap(pack, pack)
         off = np.abs(g - np.diag(np.diag(g)))
         max_off.append(float(np.max(np.abs(g - np.eye(len(g))))))
         max_pair.append(float(off.max()) if len(g) > 1 else 0.0)
@@ -366,6 +380,7 @@ def verify_tridecomposition(d: TriDecomposition, psi,
             reconstruction_error=recon,
             min_coefficient=min_coeff,
             min_singular_values=tuple(min_sv),
+            li_method=tuple(li_method),
             max_offdiag_overlaps=tuple(max_off),
             max_pairwise_overlaps=tuple(max_pair),
             li_factors=li_factors,
@@ -377,7 +392,7 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     min_coeff = min(abs(t.coeff) for t in d.terms)
     if min_coeff <= tolerances.zero_coeff:
         return certificate("zero_coefficient", math.nan, min_coeff)
-    recon = reconstruction_error(d, psi)
+    recon = _residual(dec, psi)
     if recon > tolerances.recon:
         return certificate("reconstruction", recon, min_coeff)
 

@@ -11,6 +11,14 @@ State schema (``"schema": "tridecomp/1"``):
 Decompositions mirror the state schema with variant, certificate, and
 tolerance echo fields.  Documents may carry a free-form ``provenance`` block
 naming the generator and its parameters.
+
+A certificate's ``li_method`` gives, per factor, how its entry of
+``min_singular_values`` was obtained: ``"svd"`` is the exact smallest
+singular value of the component matrix, while ``"private_support"`` is a
+lower bound on it, min_k ||p_k|| over the parts of the components on basis
+indices no other component touches.  Either way the entry exceeding the
+``li`` tolerance certifies independence.  The field is additive under
+``tridecomp/1``; documents without it are read as ``"svd"`` throughout.
 """
 
 from __future__ import annotations
@@ -140,6 +148,8 @@ def decomposition_from_json(doc) -> TriDecomposition:
             reconstruction_error=cert["reconstruction_error"],
             min_coefficient=cert["min_coefficient"],
             min_singular_values=tuple(cert["min_singular_values"]),
+            li_method=tuple(cert.get("li_method")
+                            or ("svd",) * len(cert["min_singular_values"])),
             max_offdiag_overlaps=tuple(cert["max_offdiag_overlaps"]),
             max_pairwise_overlaps=tuple(cert["max_pairwise_overlaps"]),
             li_factors=(tuple(cert["li_factors"])

@@ -153,6 +153,32 @@ class ProductTerm:
                     f"factor {i} of a product term has norm {n!r}, expected 1")
 
 
+class FactorPack(tuple):
+    """(sorted touched indices, terms-by-touched matrix) of one factor.
+
+    ``owner[c]`` is the only term touching column ``c``, or -1 when several
+    terms share it.  A column private on both sides of an overlap adds one
+    entry, so only the shared columns need a dense product.  A single term
+    has no cross entries to skip, so ``has_private`` is False for it.
+    """
+
+    def __new__(cls, touched, fmat, owner: list):
+        pack = super().__new__(cls, (touched, fmat))
+        pack.has_private = len(fmat) > 1 and max(owner, default=-1) >= 0
+        pack.owner = np.asarray(owner, dtype=np.intp)
+        pack.owner.flags.writeable = False
+        return pack
+
+    def private_norms(self) -> np.ndarray:
+        """||p_k|| per term: the norm of its part on its private columns."""
+        fmat = self[1]
+        cols = np.nonzero(self.owner >= 0)[0]
+        rows = self.owner[cols]
+        sq = np.bincount(rows, weights=np.abs(fmat[rows, cols]) ** 2,
+                         minlength=fmat.shape[0])
+        return np.sqrt(sq)
+
+
 @dataclass(frozen=True, eq=False)
 class SumState:
     """Sparse sum of product terms; never forces the ambient dense tensor."""
@@ -178,18 +204,22 @@ class SumState:
 
     @cached_property
     def _packed(self) -> tuple:
-        """Per factor: (sorted touched indices, terms-by-touched matrix)."""
+        """One ``FactorPack`` per factor."""
         packs = []
         for i in range(self.space.nfactors):
             touched = sorted({idx for t in self.terms for idx, _ in t.factors[i]})
             pos = {idx: p for p, idx in enumerate(touched)}
             fmat = np.zeros((len(self.terms), max(len(touched), 1)),
                             dtype=np.complex128)
+            owner = [None] * len(touched)  # the one term touching it, or -1
             for r, t in enumerate(self.terms):
                 for idx, amp in t.factors[i]:
-                    fmat[r, pos[idx]] = amp
+                    p = pos[idx]
+                    fmat[r, p] = amp
+                    owner[p] = r if owner[p] is None else -1
             fmat.flags.writeable = False
-            packs.append((np.asarray(touched, dtype=np.intp), fmat))
+            packs.append(FactorPack(np.asarray(touched, dtype=np.intp), fmat,
+                                    owner))
         return tuple(packs)
 
 
@@ -203,7 +233,15 @@ def _factor_overlap(pack_a, pack_b) -> np.ndarray:
                                     return_indices=True)
     if common.size == 0:
         return np.zeros((fa.shape[0], fb.shape[0]), dtype=np.complex128)
-    return fa[:, ca].conj() @ fb[:, cb].T
+    if not (pack_a.has_private and pack_b.has_private):
+        return fa[:, ca].conj() @ fb[:, cb].T
+    ra, rb = pack_a.owner[ca], pack_b.owner[cb]
+    both = (ra >= 0) & (rb >= 0)
+    shared = ~both
+    out = fa[:, ca[shared]].conj() @ fb[:, cb[shared]].T
+    ra, rb = ra[both], rb[both]
+    np.add.at(out, (ra, rb), fa[ra, ca[both]].conj() * fb[rb, cb[both]])
+    return out
 
 
 def term_gram(a: SumState, b: SumState) -> np.ndarray:

@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from tridecomp.cli import main
+from tridecomp.config import Tolerances
+from tridecomp.errors import InvalidStateError
 from tridecomp.serialize import dump, load, state_from_json
 
 
@@ -171,6 +174,29 @@ class TestExitCodes:
                            "--theta", "1.5")
         assert code == 2
         assert "theta too large" in err
+
+
+class TestToleranceFlags:
+    @pytest.mark.parametrize("value", ["0", "nan", "-0.5", "inf"])
+    def test_invalid_li_exits_one(self, tmp_path, capsys, value):
+        state = tmp_path / "product.json"
+        dump({"schema": "tridecomp/1", "dims": [2, 2, 2], "format": "dense",
+              "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}, str(state))
+        code, _, err = run(capsys, "extract", "--in", str(state),
+                           "--tol-li", value)
+        assert code == 1
+        assert "tolerance li" in err
+
+    def test_negative_degeneracy_width_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "campaign", "closure", "--tol-deg", "-1")
+        assert code == 1
+        assert "tolerance deg" in err
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Tolerances)])
+    def test_every_field_validated(self, name):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidStateError, match=name):
+                Tolerances(**{name: bad})
 
 
 class TestCampaignCommand:

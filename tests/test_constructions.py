@@ -34,6 +34,7 @@ from tridecomp.states import (
     norm,
     partial_trace,
     sparse_vector,
+    sv_dense,
 )
 
 from conftest import random_triortho
@@ -191,6 +192,16 @@ class TestInstabilityPair:
         assert pair.decomposition1.certificate.passed
         assert pair.decomposition2.certificate.passed
 
+    def test_independence_bound_is_sin_theta(self, desk_pair):
+        _, pair = desk_pair
+        cert1 = pair.decomposition1.certificate
+        cert2 = pair.decomposition2.certificate
+        assert cert1.li_method == cert2.li_method == ("private_support",) * 3
+        assert cert1.min_singular_values == pytest.approx((1.0,) * 3,
+                                                          abs=1e-12)
+        for sv in cert2.min_singular_values:
+            assert sv == pytest.approx(math.sin(pair.theta), abs=1e-12)
+
     def test_component_overlap_is_cos_theta(self, desk_pair):
         _, pair = desk_pair
         k = 0
@@ -269,6 +280,55 @@ class TestMover:
         flipped = DenseState(psi.space, -psi.amplitudes)
         with pytest.raises(InvalidStateError):
             structure_mover(psi, flipped)
+
+    def test_frame_matches_materialized_perps(self, rng):
+        amp = np.zeros(8, dtype=complex)
+        amp[0] = 1.0
+        pair = instability_pair(DenseState(ProductSpace((2, 2, 2)), amp,
+                                           normalized=True), 0.9)
+        mover = structure_mover(pair.phi1, pair.phi2).mover
+        space = mover.phi1.space
+
+        def dense(s):
+            mats = [np.array([sv_dense(t.factors[i], d) for t in s.terms])
+                    for i, d in enumerate(space.dims)]
+            return np.einsum("k,ka,kb,kc->abc", s.coeffs, *mats,
+                             optimize=True).ravel()
+
+        p1, p2 = dense(mover.phi1), dense(mover.phi2)
+        alpha = np.vdot(p2, p1)
+        beta = math.sqrt(1.0 - abs(alpha) ** 2)
+        p1_perp = (alpha.conjugate() * p1 - p2) / beta
+        p2_perp = (p1 - alpha * p2) / beta
+
+        def moved(v):
+            return (v + p1 * (np.vdot(p2, v) - np.vdot(p1, v))
+                    + p1_perp * (np.vdot(p2_perp, v) - np.vdot(p1_perp, v)))
+
+        def probe():
+            terms = tuple(ProductTerm(
+                rng.standard_normal() + 1j * rng.standard_normal(),
+                tuple(sparse_vector({int(j): 1.0}) for j in
+                      rng.integers(0, 12, size=3)))
+                for _ in range(3))
+            return SumState(space, terms)
+
+        a, b = probe(), probe()
+        ua, ub = moved(dense(a)), moved(dense(b))
+        assert np.max(np.abs(densify(mover.apply(a)).amplitudes - ua)) < 1e-12
+        for x, y, want in ((a, b, np.vdot(ua, ub)),
+                           (a, mover.phi2, np.vdot(ua, p1)),
+                           (mover.phi1, b, np.vdot(moved(p1), ub))):
+            assert abs(mover.moved_inner(x, y) - want) < 1e-12
+        basis = (p1, p1_perp)
+        want = np.array([[np.vdot(ei, moved(ej) - ej) for ej in basis]
+                         for ei in basis])
+        m = mover.minus_identity_matrix()
+        assert np.max(np.abs(m - want)) < 1e-12
+        u = m + np.eye(2)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+        dist = np.linalg.norm(p1 - p2)
+        assert abs(mover.trace_norm_minus_identity() - 2.0 * dist) < 1e-10
 
     def test_apply_sends_phi2_to_phi1(self):
         a = haar_random_state(ProductSpace((2, 2)), 11)

@@ -11,6 +11,7 @@ from tridecomp.decomp import (
     TriDecomposition,
     Undetermined,
     Variant,
+    _factor_independence,
     _resolve_degenerate_block,
     canonical_phase,
     decompositions_equivalent,
@@ -146,6 +147,52 @@ class TestLinearIndependence:
         vecs = [(((0, 1.0 + 0j),)), (((5, 1.0 + 0j),))]
         sv, ok = linear_independence(vecs, 1e-8, dim=10)
         assert ok and sv == pytest.approx(1.0)
+
+
+class TestPrivateSupportBound:
+    def test_bound_below_svd(self, rng):
+        d = 12
+        for _ in range(40):
+            k = int(rng.integers(2, 7))
+            terms = []
+            for _ in range(k):
+                size = int(rng.integers(1, 5))
+                support = rng.choice(d, size=size, replace=False)
+                v = np.zeros(d, dtype=complex)
+                v[support] = random_unit(rng, size)
+                terms.append(ProductTerm(1.0, (sparse_vector(v),) * 3))
+            pack = SumState(ProductSpace((d, d, d)), tuple(terms))._packed[0]
+            fmat = pack[1]
+            if fmat.shape[0] > fmat.shape[1]:
+                continue
+            smin = np.linalg.svd(fmat, compute_uv=False)[-1]
+            assert pack.private_norms().min() <= smin + 1e-12
+
+    def test_term_without_private_index_falls_back(self):
+        e = np.eye(3, dtype=complex)
+        first = ((e[0] + e[2]) / math.sqrt(2), e[1], (e[0] + e[1]) / math.sqrt(2))
+        space = ProductSpace((3, 3, 3))
+        terms = tuple(
+            ProductTerm(c, (sparse_vector(first[k]), sparse_vector(e[k]),
+                            sparse_vector(e[k])))
+            for k, c in enumerate((0.8, 0.6, 0.4)))
+        d = TriDecomposition(space, terms, Variant.LI_ALL)
+        cert = verify_tridecomposition(d, densify(SumState(space, terms)))
+        assert cert.passed
+        assert cert.li_method == ("svd", "private_support", "private_support")
+        exact, _ = linear_independence(list(first), 1e-8)
+        assert cert.min_singular_values[0] == pytest.approx(exact, abs=1e-14)
+        assert cert.min_singular_values[1:] == (1.0, 1.0)
+
+    def test_more_terms_than_dimensions_stay_dependent(self):
+        pack = SumState(ProductSpace((2, 2)), tuple(
+            ProductTerm(1.0, (((k, 1.0),), ((0, 1.0),))) for k in range(2))
+        )._packed[1]
+        assert _factor_independence(pack, 1e-8, 2) == (0.0, "svd")
+        pack = SumState(ProductSpace((4, 2)), tuple(
+            ProductTerm(1.0, (((k, 1.0),), ((0, 1.0),))) for k in range(3))
+        )._packed[0]
+        assert _factor_independence(pack, 1e-8, 2) == (0.0, "svd")
 
 
 class TestVerify:

@@ -84,6 +84,18 @@ class TestDecompositionRoundTrip:
         target = densify(d.to_sum_state())
         assert verify_tridecomposition(back, target).passed
 
+    def test_li_method_round_trip_and_default(self):
+        d = random_triortho(74, dims=(3, 4, 5), k=2)
+        cert = verify_tridecomposition(d, densify(d.to_sum_state()))
+        from dataclasses import replace
+        doc = decomposition_to_json(replace(d, certificate=cert))
+        assert doc["certificate"]["li_method"] == list(cert.li_method)
+        assert decomposition_from_json(doc).certificate.li_method == \
+            cert.li_method
+        del doc["certificate"]["li_method"]
+        assert decomposition_from_json(doc).certificate.li_method == \
+            ("svd",) * 3
+
     def test_rejects_non_decomposition(self):
         psi = haar_random_state(ProductSpace((2, 2)), 3)
         with pytest.raises(SchemaError):

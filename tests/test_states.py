@@ -14,6 +14,7 @@ from tridecomp.states import (
     ProductSpace,
     ProductTerm,
     SumState,
+    _factor_overlap,
     aligned_density_matrices,
     densify,
     haar_random_state,
@@ -118,6 +119,72 @@ class TestInner:
         for _ in range(50):
             a, b = random_sum_state(rng, k=3), random_sum_state(rng, k=4)
             assert abs(inner(a, b)) <= norm(a) * norm(b) + 1e-10
+
+
+def dense_overlap(pack_a, pack_b):
+    """Reference for ``_factor_overlap``: one product over the common columns."""
+    (ia, fa), (ib, fb) = pack_a, pack_b
+    _, ca, cb = np.intersect1d(ia, ib, return_indices=True)
+    return fa[:, ca].conj() @ fb[:, cb].T
+
+
+def supported_sum_state(rng, supports, dims):
+    """Random SumState whose factor-0 components live on ``supports``."""
+    terms = []
+    for support in supports:
+        v = np.zeros(dims[0], dtype=complex)
+        v[list(support)] = random_unit(rng, len(support))
+        terms.append(ProductTerm(
+            rng.standard_normal() + 1j * rng.standard_normal(),
+            (sparse_vector(v),) + tuple(sparse_vector(random_unit(rng, d))
+                                        for d in dims[1:])))
+    return SumState(ProductSpace(dims), tuple(terms))
+
+
+class TestFactorOverlap:
+    DIMS = (20, 3, 3)
+    SUPPORTS = {
+        # every index shared by at least two terms
+        "none": [(0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 3)],
+        # a shared core plus one private index per term (the tilted shape)
+        "some": [(0, 1, 2, 10), (0, 1, 2, 11), (0, 1, 2, 12), (3, 13, 14)],
+        # private here where "some" shares and shared where "some" is private
+        "crossed": [(0, 10, 11), (1, 10, 11), (12,), (3, 13)],
+        # disjoint supports
+        "all": [(10,), (11, 15), (12, 16, 17), (13,)],
+    }
+
+    def test_private_columns_recorded(self, rng):
+        for kind, supports in self.SUPPORTS.items():
+            pack = supported_sum_state(rng, supports, self.DIMS)._packed[0]
+            touched, _ = pack
+            users = {int(c): [k for k, s in enumerate(supports) if c in s]
+                     for c in touched}
+            expected = [u[0] if len(u) == 1 else -1 for u in users.values()]
+            assert pack.owner.tolist() == expected, kind
+            assert pack.has_private == (kind != "none")
+
+    def test_matches_single_product(self, rng):
+        for _ in range(5):
+            states = [supported_sum_state(rng, s, self.DIMS)
+                      for s in self.SUPPORTS.values()]
+            for a in states:
+                for b in states:
+                    for i in range(3):
+                        got = _factor_overlap(a._packed[i], b._packed[i])
+                        want = dense_overlap(a._packed[i], b._packed[i])
+                        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_instability_pair_factors(self):
+        from tridecomp.constructions import instability_pair
+        pair = instability_pair(haar_random_state(SPACE3, 13), 0.9)
+        for a, b in ((pair.phi1, pair.phi2), (pair.phi2, pair.phi1),
+                     (pair.phi2, pair.phi2)):
+            for i in range(3):
+                assert a._packed[i].has_private and b._packed[i].has_private
+                got = _factor_overlap(a._packed[i], b._packed[i])
+                want = dense_overlap(a._packed[i], b._packed[i])
+                assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestNorm:
