@@ -41,6 +41,7 @@ from .states import (
     partial_trace,
     sparse_vector,
     sparsify,
+    sv_dense,
     trace_norm,
 )
 
@@ -188,16 +189,8 @@ def example32(theta: float,
     rho_psi = partial_trace(base.psi_theta, (0, 1))
 
     def products(d: TriDecomposition):
-        out = []
-        for t in d.terms:
-            v1 = np.zeros(2, dtype=np.complex128)
-            v2 = np.zeros(2, dtype=np.complex128)
-            for i, a in t.factors[0]:
-                v1[i] = a
-            for i, a in t.factors[1]:
-                v2[i] = a
-            out.append((v1, v2))
-        return tuple(out)
+        return tuple((sv_dense(t.factors[0], 2), sv_dense(t.factors[1], 2))
+                     for t in d.terms)
 
     phi_products = products(base.phi_decomposition)
     psi_products = products(base.psi_decomposition)
@@ -679,9 +672,7 @@ def non_triortho_perturb(psi, epsilon: float,
     eta_p = math.sqrt(epsilon)
 
     def dense_factors(term):
-        return [np.asarray([dict(term.factors[i]).get(j, 0.0)
-                            for j in range(dims[i])], dtype=np.complex128)
-                for i in range(3)]
+        return [sv_dense(f, dim) for f, dim in zip(term.factors, dims)]
 
     amp = np.zeros(dims, dtype=np.complex128)
     if d.nterms == 1:

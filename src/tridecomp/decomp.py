@@ -36,6 +36,7 @@ from .states import (
     sparse_vector,
     sv_inner,
     sv_scale,
+    term_gram,
 )
 
 
@@ -466,20 +467,15 @@ def decompositions_equivalent(d1: TriDecomposition, d2: TriDecomposition,
     mags2 = np.array([abs(t.coeff) for t in t2])
     if np.max(np.abs(mags1 - mags2)) > tol:
         return False
+    overlaps = np.abs(term_gram(SumState(d1.space, t1),
+                                SumState(d2.space, t2)))
     i = 0
     while i < len(t1):
         j = i + 1
         while j < len(t1) and mags1[j - 1] - mags1[j] <= tolerances.deg:
             j += 1
         group1, group2 = t1[i:j], t2[i:j]
-        ov = np.empty((len(group1), len(group2)))
-        for a, ta in enumerate(group1):
-            for b, tb in enumerate(group2):
-                prod = 1.0 + 0j
-                for fa, fb in zip(ta.factors, tb.factors):
-                    prod *= sv_inner(fa, fb)
-                ov[a, b] = abs(prod)
-        rows, cols = linear_sum_assignment(-ov)
+        rows, cols = linear_sum_assignment(-overlaps[i:j, i:j])
         for a, b in zip(rows, cols):
             ta, tb = group1[a], group2[b]
             if abs(abs(ta.coeff) - abs(tb.coeff)) > tol:

@@ -23,6 +23,7 @@ from .states import (
     ProductSpace,
     ProductTerm,
     SumState,
+    _factor_overlap,
     aligned_density_matrices,
     norm,
     partial_trace,
@@ -78,14 +79,13 @@ class ProductMatchReport:
 
 
 def _check_orthonormal_factors(phi: SumState, tol: float):
-    for i in range(phi.space.nfactors):
-        vecs = [t.factors[i] for t in phi.terms]
-        for a in range(len(vecs)):
-            for b in range(a + 1, len(vecs)):
-                if abs(sv_inner(vecs[a], vecs[b])) >= tol:
-                    raise PreconditionError(
-                        f"precondition failed: factor {i} sequence of the "
-                        "product sum is not orthonormal")
+    for i, pack in enumerate(phi._packed):
+        off = np.abs(_factor_overlap(pack, pack))
+        np.fill_diagonal(off, 0.0)
+        if (off >= tol).any():
+            raise PreconditionError(
+                f"precondition failed: factor {i} sequence of the "
+                "product sum is not orthonormal")
 
 
 def match_single_product(psi: SumState, phi: SumState, eps: float,

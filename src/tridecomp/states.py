@@ -400,16 +400,12 @@ def partial_trace(s, keep) -> DensityMatrix:
     factor, recorded in the result's ``basis``.
     """
     if isinstance(s, DenseState):
+        # rho = M M^H for the matricization M of the kept factors: one GEMM
         keep = _normalize_keep(keep, s.space.nfactors)
-        nf = s.space.nfactors
-        tensor = s.tensor
-        ket_ids = list(range(nf))
-        bra_ids = [i if i not in keep else nf + i for i in range(nf)]
-        out_ids = [i for i in keep] + [nf + i for i in keep]
-        reduced = np.einsum(tensor, ket_ids, tensor.conj(), bra_ids, out_ids)
+        traced = tuple(i for i in range(s.space.nfactors) if i not in keep)
         dims = tuple(s.space.dims[i] for i in keep)
-        dk = math.prod(dims)
-        return DensityMatrix(reduced.reshape(dk, dk), dims, keep)
+        mat = s.tensor.transpose(keep + traced).reshape(math.prod(dims), -1)
+        return DensityMatrix(mat @ mat.conj().T, dims, keep)
     if isinstance(s, SumState):
         keep = _normalize_keep(keep, s.space.nfactors)
         traced = [i for i in range(s.space.nfactors) if i not in keep]

@@ -15,8 +15,17 @@ from tridecomp.constructions import (
     schmidt_rotation,
     structure_mover,
 )
-from tridecomp.decomp import extract_triortho, ordered_triortho
-from tridecomp.errors import InvalidStateError, PreconditionError
+from tridecomp.decomp import (
+    TriDecomposition,
+    Variant,
+    extract_triortho,
+    ordered_triortho,
+)
+from tridecomp.errors import (
+    DimensionMismatchError,
+    InvalidStateError,
+    PreconditionError,
+)
 from tridecomp.spectral import (
     entropy,
     entropy_decomposition_bound,
@@ -420,3 +429,16 @@ class TestPerturbation:
         base = random_triortho(46, dims=(4, 4, 4), k=2)
         pert = non_triortho_perturb(ordered_triortho(base), 0.1)
         assert norm(pert) == pytest.approx(1.0, abs=1e-12)
+
+    def test_component_index_beyond_factor_dimension(self):
+        # an index the factor cannot hold is an error, not a silent drop
+        e = np.eye(3, dtype=complex)
+        terms = (
+            ProductTerm(math.sqrt(0.7), (sparse_vector(e[0]),) * 3),
+            ProductTerm(math.sqrt(0.3), (sparse_vector(e[1]),
+                                         sparse_vector(e[1]), ((5, 1.0),))),
+        )
+        base = TriDecomposition(ProductSpace((3, 3, 3)), terms,
+                                Variant.ORTHONORMAL)
+        with pytest.raises(DimensionMismatchError, match="index 5"):
+            non_triortho_perturb(base, 0.1)

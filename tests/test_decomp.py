@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from tridecomp.constructions import example31, isolation_witness_3
+from tridecomp.constructions import (
+    example31,
+    isolation_witness_3,
+    non_triortho_perturb,
+)
 from tridecomp.decomp import (
     NotTriorthogonal,
     OrderedTriortho,
@@ -454,6 +458,31 @@ class TestExtraction:
         d2 = TriDecomposition(d.space, tuple(rederived), Variant.LI_ALL)
         assert verify_tridecomposition(d2, fam.phi_theta).passed
         assert decompositions_equivalent(d, d2, 1e-7)
+
+
+def _verdict_class_state(kind):
+    """12^3 states of the four verdict classes the extraction benchmark runs,
+    with the decomposition extraction must recover (None: not triorthogonal)."""
+    if kind == "haar":
+        return haar_random_state(ProductSpace((12, 12, 12)), 71), None
+    d = random_triortho(70, dims=(12, 12, 12), k=8, tie=(kind == "tie"))
+    if kind == "perturbed":
+        return non_triortho_perturb(d, 0.1), None
+    return densify(d.to_sum_state()), d
+
+
+class TestExtractionVerdictClasses:
+    @pytest.mark.parametrize("kind", ["triortho", "tie", "haar", "perturbed"])
+    def test_verdict(self, kind):
+        psi, expected = _verdict_class_state(kind)
+        out = extract_triortho(psi)
+        if expected is None:
+            assert isinstance(out, NotTriorthogonal)
+            assert "spectra" in out.reason
+        else:
+            assert isinstance(out, OrderedTriortho)
+            assert out.decomposition.certificate.passed
+            assert decompositions_equivalent(out.decomposition, expected, 1e-7)
 
 
 class TestOrderedForm:

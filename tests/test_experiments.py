@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,27 @@ class TestClosure:
         assert last["component_distance"] < 1e-3
 
 
+PIN_FILE = Path(__file__).parent / "data" / "campaign_pin.json"
+
+
+def assert_matches_pin(fresh, pinned, path):
+    """Floats within 1e-12 absolute; everything else exactly, types included."""
+    if isinstance(pinned, float):
+        assert isinstance(fresh, float), path
+        assert fresh == pytest.approx(pinned, rel=0.0, abs=1e-12), path
+    elif isinstance(pinned, dict):
+        assert isinstance(fresh, dict) and fresh.keys() == pinned.keys(), path
+        for key in pinned:
+            assert_matches_pin(fresh[key], pinned[key], f"{path}/{key}")
+    elif isinstance(pinned, list):
+        fresh = list(fresh) if isinstance(fresh, tuple) else fresh
+        assert isinstance(fresh, list) and len(fresh) == len(pinned), path
+        for i, (f, p) in enumerate(zip(fresh, pinned)):
+            assert_matches_pin(f, p, f"{path}[{i}]")
+    else:
+        assert type(fresh) is type(pinned) and fresh == pinned, path
+
+
 class TestReportPlumbing:
     def test_determinism_byte_identical(self):
         cfg = TrialConfig(seed=33, trials=12, dims=(5, 5, 5), selector="all")
@@ -110,6 +132,19 @@ class TestReportPlumbing:
         b = run_stability_campaign(cfg)
         assert json.dumps(a.to_json(), sort_keys=True) == \
             json.dumps(b.to_json(), sort_keys=True)
+
+    def test_reports_match_recorded_values(self):
+        # Recorded when partial traces were einsum contractions.  A faster
+        # reduction may sum in another order, so floats are pinned to 1e-12
+        # absolute; verdicts, flags and every other field match exactly.
+        pinned = json.loads(PIN_FILE.read_text())
+        fresh = {}
+        for seed in (1, 2):
+            cfg = TrialConfig(seed=seed, trials=4, dims=(4, 4, 4))
+            fresh[f"isolation/{seed}"] = run_isolation_scan(cfg).to_json()
+            fresh[f"closure/{seed}"] = run_closure_test(cfg).to_json()
+        fresh["instability"] = run_instability_sweep((0.3, 0.1)).to_json()
+        assert_matches_pin(fresh, pinned, "")
 
     def test_environment_block(self):
         rep = run_instability_sweep((0.3, 0.1))

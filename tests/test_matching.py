@@ -119,6 +119,17 @@ class TestSingleProductMatch:
         with pytest.raises(PreconditionError, match="orthonormal"):
             match_single_product(psi, phi, eps=0.2, eps_prime=0.01)
 
+    def test_orthonormality_failure_names_its_factor(self, rng):
+        v1, w1 = random_orthonormal(rng, 3, 2).T
+        v2 = random_unit(rng, 3)
+        psi = single_product(0.9, v1, v2)
+        phi = SumState(psi.space, (
+            ProductTerm(0.9, (sparse_vector(v1), sparse_vector(v2))),
+            ProductTerm(0.01, (sparse_vector(w1), sparse_vector(v2))),
+        ))
+        with pytest.raises(PreconditionError, match="factor 1 sequence"):
+            match_single_product(psi, phi, eps=0.2, eps_prime=0.01)
+
     def test_second_part_skipped_when_states_far(self, rng):
         # reduced states can agree while the global states stay far apart
         d = 4

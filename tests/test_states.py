@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -255,6 +256,50 @@ class TestPartialTrace:
             m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
             reduced = partial_trace_matrix(m, (3, 4), (1,))
             assert trace_norm(reduced) <= trace_norm(m) + 1e-10
+
+
+def einsum_reduction(tensor, keep):
+    """Reference reduction: contract every traced index of psi with psi*."""
+    nf = tensor.ndim
+    bra = [i if i not in keep else nf + i for i in range(nf)]
+    out = list(keep) + [nf + i for i in keep]
+    reduced = np.einsum(tensor, list(range(nf)), tensor.conj(), bra, out)
+    dk = math.prod(tensor.shape[i] for i in keep)
+    return reduced.reshape(dk, dk)
+
+
+KEEP_CASES = [(dims, keep)
+              for dims in ((2, 3), (3, 4, 5), (2, 3, 2, 3))
+              for r in range(1, len(dims))
+              for keep in itertools.combinations(range(len(dims)), r)]
+
+
+class TestDensePartialTraceKernel:
+    @pytest.mark.parametrize("dims,keep", KEEP_CASES)
+    def test_matches_einsum_reference(self, dims, keep):
+        psi = haar_random_state(ProductSpace(dims), 17 + len(keep))
+        rho = partial_trace(psi, keep)
+        assert rho.dims == tuple(dims[i] for i in keep)
+        assert rho.kept_factors == keep
+        ref = einsum_reduction(psi.tensor, keep)
+        assert np.max(np.abs(rho.matrix - ref)) <= 1e-14
+
+    def test_keep_order_does_not_matter(self):
+        psi = haar_random_state(ProductSpace((2, 3, 2, 3)), 4)
+        a, b = partial_trace(psi, (2, 0)), partial_trace(psi, (0, 2))
+        assert a.kept_factors == b.kept_factors == (0, 2)
+        assert np.array_equal(a.matrix, b.matrix)
+
+    def test_subnormalized_trace_is_squared_norm(self, rng):
+        dims = (3, 4, 5)
+        z = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        psi = DenseState(ProductSpace(dims), 0.6 * z / np.linalg.norm(z))
+        assert not psi.normalized
+        for keep in ((0,), (0, 2), (1, 2)):
+            rho = partial_trace(psi, keep)
+            assert rho.trace == pytest.approx(norm(psi) ** 2, abs=1e-14)
+            ref = einsum_reduction(psi.tensor, keep)
+            assert np.max(np.abs(rho.matrix - ref)) <= 1e-14
 
 
 class TestProjectFactor:
