@@ -11,7 +11,6 @@ treat bound violations as defects:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -56,6 +55,7 @@ from .serialize import (
     decomposition_from_json,
     decomposition_to_json,
     dump,
+    dumps,
     load,
     state_from_json,
     state_to_json,
@@ -135,8 +135,7 @@ def _emit(doc: dict, args) -> int:
     if getattr(args, "out", None):
         dump(doc, args.out)
     else:
-        json.dump(doc, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        sys.stdout.write(dumps(doc))
     return 0
 
 

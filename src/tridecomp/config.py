@@ -1,4 +1,5 @@
-"""Numerical tolerances and capacity limits.
+"""Numerical tolerances, capacity limits and the JSON view of report
+dataclasses.
 
 All arithmetic is IEEE-754 binary64 complex.  The defaults sit well above
 machine noise and well below every gap the verified bounds rely on; each one
@@ -39,3 +40,15 @@ DEFAULT_TOLERANCES = Tolerances()
 
 # Largest product dimension a SumState may be densified into.
 DENSIFY_CEILING = 1 << 22
+
+
+def json_fields(report) -> dict:
+    """A report dataclass as a JSON object: its fields in declaration order,
+    nested dataclasses as objects and tuples as lists."""
+    def lists(value):
+        if isinstance(value, (tuple, list)):
+            return [lists(v) for v in value]
+        if isinstance(value, dict):
+            return {k: lists(v) for k, v in value.items()}
+        return value
+    return lists(asdict(report))

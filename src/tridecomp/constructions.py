@@ -35,6 +35,7 @@ from .states import (
     ProductTerm,
     SumState,
     _factor_overlap,
+    combine,
     densify,
     inner,
     norm,
@@ -64,7 +65,7 @@ def _verified(d: TriDecomposition, target, tolerances) -> TriDecomposition:
     if not cert.passed:
         raise VerificationError(
             f"generator self-check failed: {cert.failed_condition}")
-    return TriDecomposition(d.space, d.terms, d.variant, certificate=cert)
+    return TriDecomposition(d.space, d.to_sum_state(), d.variant, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +116,11 @@ def example31(theta: float,
         ProductTerm(_INV_SQRT2, (sparse_vector(tilted),
                                  sparse_vector(e1), sparse_vector(e0))),
     )
-    phi_state = densify(SumState(space, phi_terms))
-    psi_state = densify(SumState(space, psi_terms))
-    d_phi = _verified(TriDecomposition(space, phi_terms, Variant.LI_ALL),
+    phi_sum, psi_sum = SumState(space, phi_terms), SumState(space, psi_terms)
+    phi_state, psi_state = densify(phi_sum), densify(psi_sum)
+    d_phi = _verified(TriDecomposition(space, phi_sum, Variant.LI_ALL),
                       phi_state, tolerances)
-    d_psi = _verified(TriDecomposition(space, psi_terms, Variant.LI_ALL),
+    d_psi = _verified(TriDecomposition(space, psi_sum, Variant.LI_ALL),
                       psi_state, tolerances)
     return Example31Result(theta, psi, phi_state, psi_state, d_phi, d_psi)
 
@@ -305,7 +306,8 @@ def _truncation_size(psi: DenseState, epsilon: float) -> int:
 
 
 def _flat_expansion_entries(psi: DenseState, n: int, zero_tol: float = 1e-12):
-    """Coefficient tensors of the truncation in the u- and v-product bases."""
+    """Multi-indices (one row per term) and coefficients of the truncation
+    in the u- and v-product bases, and the v-basis columns."""
     dims = psi.space.dims
     a = np.zeros((n, n, n), dtype=np.complex128)
     sl = tuple(slice(0, min(n, d)) for d in dims)
@@ -313,41 +315,60 @@ def _flat_expansion_entries(psi: DenseState, n: int, zero_tol: float = 1e-12):
     a /= np.linalg.norm(a)
     cols = dft_basis(n)
     b = np.einsum("ai,bj,ck,abc->ijk", cols.conj(), cols.conj(), cols.conj(), a)
-    entries_u = [(tuple(int(x) for x in idx), complex(a[idx]))
-                 for idx in zip(*np.nonzero(np.abs(a) > zero_tol))]
-    entries_v = [(tuple(int(x) for x in idx), complex(b[idx]))
-                 for idx in zip(*np.nonzero(np.abs(b) > zero_tol))]
-    return entries_u, entries_v, cols
+    multi_u = np.argwhere(np.abs(a) > zero_tol)
+    multi_v = np.argwhere(np.abs(b) > zero_tol)
+    return ((multi_u, a[tuple(multi_u.T)]), (multi_v, b[tuple(multi_v.T)]),
+            cols)
 
 
-def _perturbed_sum(entries, cols, n, theta, space) -> tuple:
-    """Perturb each product component by theta into a fresh direction."""
+def _perturbed_sum(expansion, cols, n, theta, space) -> tuple:
+    """Perturb each product component by theta into a fresh direction.
+
+    Term j (from 1) gets basis direction n + j on every factor, next to its
+    chosen basis vector (``cols is None``) or flat-basis column scaled by
+    cos(theta).  Both expansions are built straight into rows.
+    """
+    multi, coeffs = expansion
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    terms = []
-    for j, (multi, coeff) in enumerate(entries, start=1):
-        fresh = n + j
-        facs = []
-        for i in range(3):
-            if cols is None:
-                base = ((multi[i], cos_t + 0j),)
-            else:
-                col = cols[:, multi[i]]
-                base = tuple((r, cos_t * col[r]) for r in range(n))
-            facs.append(base + ((fresh, sin_t + 0j),))
-        terms.append(ProductTerm(coeff, tuple(facs)))
-    state = SumState(space, tuple(terms))
+    nterms = len(coeffs)
+    fresh = n + 1 + np.arange(nterms)
+    rows = []
+    for i in range(3):
+        if cols is None:
+            base_idx = multi[:, i:i + 1]
+            base_amp = np.full((nterms, 1), cos_t)
+        else:
+            base_idx = np.broadcast_to(np.arange(n), (nterms, n))
+            base_amp = cos_t * cols[:, multi[:, i]].T
+        width = base_idx.shape[1] + 1
+        rows.append((np.arange(nterms + 1) * width,
+                     np.column_stack([base_idx, fresh]).ravel(),
+                     np.column_stack([base_amp, np.full(nterms, sin_t)]).ravel()))
+    state = SumState.from_rows(space, coeffs, rows)
     nrm = norm(state)
-    state = SumState(space, tuple(ProductTerm(t.coeff / nrm, t.factors)
-                                  for t in terms))
-    return state, tuple(multi for multi, _ in entries)
+    # divide the real and imaginary parts exactly; numpy's complex division
+    # multiplies by a reciprocal
+    scaled = (state.coeffs.view(np.float64) / nrm).view(np.complex128)
+    return state.with_coeffs(scaled), tuple(map(tuple, multi.tolist()))
+
+
+def _basis_overlap_min(state: SumState, indices: tuple) -> float:
+    """min over terms k and factors i of |component_k^i at indices[k][i]|."""
+    chosen = np.asarray(indices, dtype=np.intp)
+    terms = np.arange(state.nterms)
+    out = math.inf
+    for i, (touched, fmat) in enumerate(state._packed):
+        col = np.searchsorted(touched, chosen[:, i]).clip(max=touched.size - 1)
+        amps = np.where(touched[col] == chosen[:, i],
+                        np.abs(fmat[terms, col]), 0.0)
+        out = min(out, float(amps.min()))
+    return out
 
 
 def _pair_metrics(psi, phi1, phi2, indices1, theta):
     d1 = math.sqrt(max(2.0 - 2.0 * inner(psi, phi1).real, 0.0))
     d2 = math.sqrt(max(2.0 - 2.0 * inner(psi, phi2).real, 0.0))
-    basis_min = min(
-        abs(dict(t.factors[i]).get(indices1[k][i], 0.0))
-        for k, t in enumerate(phi1.terms) for i in range(3))
+    basis_min = _basis_overlap_min(phi1, indices1)
     cross = max(
         float(np.max(np.abs(_factor_overlap(phi1._packed[i], phi2._packed[i]))))
         for i in range(3))
@@ -379,17 +400,18 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
     n = n0
     while 1.0 / math.sqrt(n) >= epsilon / 2.0:
         n += 1
-    entries_u, entries_v, cols = _flat_expansion_entries(psi, n)
-    if len(entries_u) + len(entries_v) > term_ceiling:
+    expansion_u, expansion_v, cols = _flat_expansion_entries(psi, n)
+    sizes = (len(expansion_u[1]), len(expansion_v[1]))
+    if sum(sizes) > term_ceiling:
         raise CapacityError(
-            f"expansion would carry {len(entries_u) + len(entries_v)} terms; "
+            f"expansion would carry {sum(sizes)} terms; "
             "raise term_ceiling to proceed")
-    ambient = n + max(len(entries_u), len(entries_v)) + 1
+    ambient = n + max(sizes) + 1
     space = ProductSpace((ambient,) * 3)
 
     def build(theta_val):
-        phi1, idx1 = _perturbed_sum(entries_u, None, n, theta_val, space)
-        phi2, idx2 = _perturbed_sum(entries_v, cols, n, theta_val, space)
+        phi1, idx1 = _perturbed_sum(expansion_u, None, n, theta_val, space)
+        phi2, idx2 = _perturbed_sum(expansion_v, cols, n, theta_val, space)
         return phi1, phi2, idx1, idx2
 
     if theta is None:
@@ -421,9 +443,9 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
 
     d1_final, d2_final, basis_min, cross = _pair_metrics(psi, phi1, phi2,
                                                          idx1, theta)
-    dec1 = _verified(TriDecomposition(space, phi1.terms, Variant.LI_ALL),
+    dec1 = _verified(TriDecomposition(space, phi1, Variant.LI_ALL),
                      phi1, tolerances)
-    dec2 = _verified(TriDecomposition(space, phi2.terms, Variant.LI_ALL),
+    dec2 = _verified(TriDecomposition(space, phi2, Variant.LI_ALL),
                      phi2, tolerances)
     return InstabilityPair(epsilon, theta, n, space, phi1, phi2, dec1, dec2,
                            idx1, idx2, (d1_final, d2_final), basis_min, cross)
@@ -431,10 +453,6 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
 
 # ---------------------------------------------------------------------------
 # Moving one tensor product structure onto another
-
-
-def _scaled_terms(coeff: complex, state: SumState) -> tuple:
-    return tuple(ProductTerm(coeff * t.coeff, t.factors) for t in state.terms)
 
 
 def _as_sum(state) -> SumState:
@@ -485,9 +503,8 @@ class MoverUnitary:
             return state
         s = _as_sum(state)
         x = self._frame[1] @ self._brackets(s)
-        terms = s.terms + _scaled_terms(x[0], self.phi1) \
-            + _scaled_terms(x[1], self.phi2)
-        return SumState(self.phi1.space, terms)
+        return combine(self.phi1.space, (1.0, x[0], x[1]),
+                       (s, self.phi1, self.phi2))
 
     def moved_inner(self, a, b) -> complex:
         """<U a | U b> with the rank-2 correction expanded in the frame."""
@@ -563,8 +580,7 @@ def structure_mover(phi1, phi2,
         raise InvalidStateError("states live on different factor counts")
     dims = tuple(max(a, b) for a, b in zip(s1.space.dims, s2.space.dims))
     space = ProductSpace(dims)
-    s1 = SumState(space, s1.terms)
-    s2 = SumState(space, s2.terms)
+    s1, s2 = s1.embedded(space), s2.embedded(space)
     alpha = inner(s2, s1)
     dist = math.sqrt(max(2.0 - 2.0 * alpha.real, 0.0))
     if dist <= tolerances.norm:

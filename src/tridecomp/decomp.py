@@ -15,11 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances
+from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances, json_fields
 from .errors import CapacityError, DimensionMismatchError, InvalidStateError
 from .spectral import triortho_necessary_test
 from .states import (
@@ -217,24 +218,18 @@ class TriCertificate:
     tolerances: dict
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "variant": self.variant,
-            "failed_condition": self.failed_condition,
-            "reconstruction_error": self.reconstruction_error,
-            "min_coefficient": self.min_coefficient,
-            "min_singular_values": list(self.min_singular_values),
-            "li_method": list(self.li_method),
-            "max_offdiag_overlaps": list(self.max_offdiag_overlaps),
-            "max_pairwise_overlaps": list(self.max_pairwise_overlaps),
-            "li_factors": list(self.li_factors) if self.li_factors else None,
-            "tolerances": dict(self.tolerances),
-        }
+        return json_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
 class TriDecomposition:
-    """Finite sum of weighted three-factor product terms."""
+    """Finite sum of weighted three-factor product terms.
+
+    ``terms`` is given either as ``ProductTerm`` objects or as the SumState
+    they sum to; a decomposition built from a state shares it, so
+    ``to_sum_state()`` returns that object and its packs are computed once.
+    From terms, the state is built (and validated) on first use.
+    """
 
     space: ProductSpace
     terms: tuple           # ProductTerm per term, components unit per factor
@@ -244,12 +239,24 @@ class TriDecomposition:
     def __post_init__(self):
         if self.space.nfactors != 3:
             raise InvalidStateError("decompositions are defined on 3 factors")
-        terms = tuple(self.terms)
-        for t in terms:
-            if not isinstance(t, ProductTerm) or len(t.factors) != 3:
-                raise InvalidStateError("terms must be 3-factor ProductTerms")
-        object.__setattr__(self, "terms", terms)
+        if isinstance(self.terms, SumState):
+            if self.terms.space != self.space:
+                raise DimensionMismatchError(
+                    "the state's space differs from the decomposition's")
+            self.__dict__["_state"] = self.terms
+            object.__setattr__(self, "terms", self.terms.terms)
+        else:
+            terms = tuple(self.terms)
+            for t in terms:
+                if not isinstance(t, ProductTerm) or len(t.factors) != 3:
+                    raise InvalidStateError(
+                        "terms must be 3-factor ProductTerms")
+            object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "variant", Variant(self.variant))
+
+    @cached_property
+    def _state(self) -> SumState:
+        return SumState(self.space, self.terms)
 
     @property
     def nterms(self) -> int:
@@ -257,13 +264,13 @@ class TriDecomposition:
 
     @property
     def coefficients(self) -> np.ndarray:
-        return np.array([t.coeff for t in self.terms], dtype=np.complex128)
+        return self._state.coeffs.copy()
 
     def to_sum_state(self) -> SumState:
-        return SumState(self.space, self.terms)
+        return self._state
 
     def term_state(self, k: int) -> SumState:
-        return SumState(self.space, (self.terms[k],))
+        return self._state.take([k])
 
 
 @dataclass(frozen=True)
@@ -292,10 +299,11 @@ def ordered_triortho(d: TriDecomposition,
     """Sort terms by descending |a| and group them into degeneracy blocks."""
     if d.variant is not Variant.ORTHONORMAL:
         raise InvalidStateError("ordering is defined for orthonormal decompositions")
-    order = sorted(range(d.nterms), key=lambda k: -abs(d.terms[k].coeff))
-    terms = tuple(d.terms[k] for k in order)
-    sorted_d = replace(d, terms=terms)
-    mags = [abs(t.coeff) for t in terms]
+    mags = [abs(c) for c in d.coefficients.tolist()]
+    order = sorted(range(d.nterms), key=lambda k: -mags[k])
+    mags = [mags[k] for k in order]
+    sorted_d = TriDecomposition(d.space, d.to_sum_state().take(order),
+                                d.variant, d.certificate)
     blocks = []
     i = 0
     while i < len(mags):
@@ -309,8 +317,8 @@ def ordered_triortho(d: TriDecomposition,
 
 def truncate_terms(d: TriDecomposition, delta: float) -> TriDecomposition:
     """Drop terms with |a_k| <= delta (preprocessing for near-infinite sums)."""
-    kept = tuple(t for t in d.terms if abs(t.coeff) > delta)
-    return replace(d, terms=kept, certificate=None)
+    kept = [k for k, c in enumerate(d.coefficients.tolist()) if abs(c) > delta]
+    return TriDecomposition(d.space, d.to_sum_state().take(kept), d.variant)
 
 
 def term_distance(a_coeff, a_factors, b_coeff, b_factors) -> float:
@@ -343,7 +351,7 @@ def _residual(dec: SumState, psi) -> float:
         big = ProductSpace(dims)
         a = np.zeros(dims, dtype=np.complex128)
         a[tuple(slice(0, s) for s in psi.space.dims)] = psi.tensor
-        b = densify(SumState(big, dec.terms)).tensor
+        b = densify(dec.embedded(big)).tensor
         return float(np.linalg.norm(a - b))
     if isinstance(psi, SumState):
         val = (inner(psi, psi).real - 2.0 * inner(psi, dec).real
@@ -362,16 +370,18 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     """
     tol_echo = tolerances.as_dict()
     dec = d.to_sum_state()
-    packs = dec._packed if d.terms else ()
+    packs = dec._packed if d.nterms else ()
     min_sv, li_method, max_off, max_pair = [], [], [], []
     for pack, dim in zip(packs, d.space.dims):
         sv, method = _factor_independence(pack, tolerances.li, dim)
         min_sv.append(sv)
         li_method.append(method)
         g = _factor_overlap(pack, pack)
-        off = np.abs(g - np.diag(np.diag(g)))
-        max_off.append(float(np.max(np.abs(g - np.eye(len(g))))))
-        max_pair.append(float(off.max()) if len(g) > 1 else 0.0)
+        off = np.abs(g)
+        np.fill_diagonal(off, 0.0)
+        pair = float(off.max())
+        max_off.append(max(pair, float(np.abs(np.diagonal(g) - 1.0).max())))
+        max_pair.append(pair)
 
     def certificate(failed, recon, min_coeff, li_factors=None):
         return TriCertificate(
@@ -388,9 +398,9 @@ def verify_tridecomposition(d: TriDecomposition, psi,
             tolerances=tol_echo,
         )
 
-    if not d.terms:
+    if not d.nterms:
         return certificate("no_terms", math.inf, 0.0)
-    min_coeff = min(abs(t.coeff) for t in d.terms)
+    min_coeff = min(abs(c) for c in dec.coeffs.tolist())
     if min_coeff <= tolerances.zero_coeff:
         return certificate("zero_coefficient", math.nan, min_coeff)
     recon = _residual(dec, psi)
@@ -461,14 +471,18 @@ def decompositions_equivalent(d1: TriDecomposition, d2: TriDecomposition,
         return False
     if d1.nterms == 0:
         return True
-    t1 = sorted(d1.terms, key=lambda t: -abs(t.coeff))
-    t2 = sorted(d2.terms, key=lambda t: -abs(t.coeff))
+
+    def by_magnitude(d):
+        order = sorted(range(d.nterms), key=lambda k: -abs(d.terms[k].coeff))
+        return d.to_sum_state().take(order)
+
+    s1, s2 = by_magnitude(d1), by_magnitude(d2)
+    t1, t2 = s1.terms, s2.terms
     mags1 = np.array([abs(t.coeff) for t in t1])
     mags2 = np.array([abs(t.coeff) for t in t2])
     if np.max(np.abs(mags1 - mags2)) > tol:
         return False
-    overlaps = np.abs(term_gram(SumState(d1.space, t1),
-                                SumState(d2.space, t2)))
+    overlaps = np.abs(term_gram(s1, s2))
     i = 0
     while i < len(t1):
         j = i + 1
@@ -621,5 +635,6 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES,
     if not cert.passed:
         return NotTriorthogonal(
             f"assembled candidate fails {cert.failed_condition}")
-    return ordered_triortho(replace(candidate, certificate=cert),
-                            tolerances.deg)
+    certified = TriDecomposition(candidate.space, candidate.to_sum_state(),
+                                 candidate.variant, cert)
+    return ordered_triortho(certified, tolerances.deg)

@@ -44,6 +44,7 @@ from .states import (
     ProductTerm,
     SumState,
     densify,
+    distance,
     norm,
     partial_trace,
     sparse_vector,
@@ -195,11 +196,6 @@ def _random_triortho(rng, dims, k: int, tie: bool = False) -> TriDecomposition:
     return TriDecomposition(ProductSpace(dims), terms, Variant.ORTHONORMAL)
 
 
-def _state_distance(a: SumState, b: SumState) -> float:
-    neg = tuple(ProductTerm(-t.coeff, t.factors) for t in b.terms)
-    return norm(SumState(a.space, a.terms + neg))
-
-
 # ---------------------------------------------------------------------------
 # Instability sweep
 
@@ -337,7 +333,7 @@ def _component_match_trial(rng, dims, trial, tolerances) -> dict:
                                         for f in range(3)))
                       for i in range(k))
         cand = TriDecomposition(d_psi.space, terms, Variant.ORTHONORMAL)
-        dist = _state_distance(psi_state, cand.to_sum_state())
+        dist = distance(psi_state, cand.to_sum_state())
         if dist < 0.9 * bound:
             phi_dec = cand
             break
@@ -556,7 +552,7 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
             "equivalent_to_member": bool(equivalent),
             "component_distance": comp_dist,
             "coefficient_distance": coeff_dist,
-            "distance_to_limit": _state_distance(dn.to_sum_state(),
+            "distance_to_limit": distance(dn.to_sum_state(),
                                                  limit_dec.to_sum_state()),
             "pass": bool(ok_extract and equivalent and monotone),
         })

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, json_fields
 from .decomp import OrderedTriortho, TriDecomposition, Variant, term_distance
 from .errors import PreconditionError, VerificationError
 from .states import (
@@ -25,16 +25,12 @@ from .states import (
     SumState,
     _factor_overlap,
     aligned_density_matrices,
+    distance,
     norm,
     partial_trace,
     sv_inner,
     trace_norm,
 )
-
-
-def _distance(a: SumState, b: SumState) -> float:
-    neg = tuple(ProductTerm(-t.coeff, t.factors) for t in b.terms)
-    return norm(SumState(a.space, a.terms + neg))
 
 
 def _require(condition: bool, inequality: str):
@@ -61,21 +57,7 @@ class ProductMatchReport:
     holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "matched_index": self.matched_index,
-            "eps": self.eps,
-            "eps_prime": self.eps_prime,
-            "trace_norm_gap": self.trace_norm_gap,
-            "coeff_sq_gap": self.coeff_sq_gap,
-            "max_other_coeff_sq": self.max_other_coeff_sq,
-            "unique": self.unique,
-            "state_distance": self.state_distance,
-            "second_part": self.second_part,
-            "second_part_skipped": self.second_part_skipped,
-            "term_distance": self.term_distance,
-            "overlaps": list(self.overlaps),
-            "holds": self.holds,
-        }
+        return json_fields(self)
 
 
 def _check_orthonormal_factors(phi: SumState, tol: float):
@@ -102,9 +84,9 @@ def match_single_product(psi: SumState, phi: SumState, eps: float,
     """
     if psi.space.nfactors != 2 or phi.space.nfactors != 2:
         raise PreconditionError("precondition failed: two-factor states required")
-    if len(psi.terms) != 1:
+    if psi.nterms != 1:
         raise PreconditionError("precondition failed: psi must be a single product")
-    if not phi.terms:
+    if not phi.nterms:
         raise PreconditionError("precondition failed: phi has no terms")
     _check_orthonormal_factors(phi, max(10 * tolerances.orth, 1e-7))
 
@@ -125,9 +107,9 @@ def match_single_product(psi: SumState, phi: SumState, eps: float,
     other_gaps = np.abs(abs(a) ** 2 - others)
     unique = bool((other_gaps >= eps_prime).all()) if others.size else True
 
-    distance = _distance(psi, phi)
+    state_dist = distance(psi, phi)
     second, skipped = True, ""
-    if not distance < eps_prime:
+    if not state_dist < eps_prime:
         second, skipped = False, "||psi - phi|| < eps_prime"
     elif not (math.sqrt(eps_prime) <= abs(a) * eps / 3.0 < 1.0):
         second, skipped = False, "sqrt(eps_prime) <= |a|*eps/3 < 1"
@@ -141,7 +123,7 @@ def match_single_product(psi: SumState, phi: SumState, eps: float,
         ov2 = abs(sv_inner(pt.factors[1], mt.factors[1]))
         holds = holds and tdist < eps and ov1 > 1.0 - eps and ov2 > 1.0 - eps
     return ProductMatchReport(m, eps, eps_prime, gap, coeff_gap, max_other,
-                              unique, distance, second, skipped, tdist,
+                              unique, state_dist, second, skipped, tdist,
                               (ov1, ov2), holds)
 
 
@@ -161,18 +143,7 @@ class PairRecord:
     holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "block": self.block,
-            "index": self.index,
-            "matched": self.matched,
-            "coeff_sq_gap": self.coeff_sq_gap,
-            "coeff_bound": self.coeff_bound,
-            "overlaps": list(self.overlaps),
-            "overlap_floor": self.overlap_floor,
-            "term_distance": self.term_distance,
-            "term_bound": self.term_bound,
-            "holds": self.holds,
-        }
+        return json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -189,16 +160,7 @@ class MatchReport:
     all_bounds_hold: bool
 
     def to_json(self) -> dict:
-        return {
-            "pairing": [list(p) for p in self.pairing],
-            "records": [r.to_json() for r in self.records],
-            "level": self.level,
-            "eps": self.eps,
-            "eps_prime": self.eps_prime,
-            "state_distance": self.state_distance,
-            "distance_bound": self.distance_bound,
-            "all_bounds_hold": self.all_bounds_hold,
-        }
+        return json_fields(self)
 
 
 def _projected_pair(space2: ProductSpace, keep: tuple, term: ProductTerm,
@@ -246,9 +208,9 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
         _require(abs(n - 1.0) <= tolerances.norm, f"{name} is a wavefunction")
 
     a_level = psi.blocks[level - 1].magnitude
-    distance = _distance(psi_state, phi_state)
+    state_dist = distance(psi_state, phi_state)
     bound = a_level ** 2 * eps ** 2 / 18.0
-    _require(distance < bound, "||psi - phi|| < |a_L|^2 * eps^2 / 18")
+    _require(state_dist < bound, "||psi - phi|| < |a_L|^2 * eps^2 / 18")
     eps_prime = a_level ** 2 * eps ** 2 / 9.0
 
     dims = dpsi.space.dims
@@ -298,5 +260,5 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
             pairing.append((bi + 1, k, kp))
             records.append(rec)
     return MatchReport(tuple(pairing), tuple(records), level, eps, eps_prime,
-                       distance, bound,
+                       state_dist, bound,
                        all(r.holds for r in records))

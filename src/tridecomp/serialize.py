@@ -12,6 +12,12 @@ Decompositions mirror the state schema with variant, certificate, and
 tolerance echo fields.  Documents may carry a free-form ``provenance`` block
 naming the generator and its parameters.
 
+Every document is written by one writer, ``dumps``: compact JSON with no
+whitespace between tokens, then a newline.  Readers accept any whitespace,
+so indented files load unchanged.  Product-sum documents are read into and
+written from a state's arrays (``SumState.rows``) without building a
+``ProductTerm``.
+
 A certificate's ``li_method`` gives, per factor, how its entry of
 ``min_singular_values`` was obtained: ``"svd"`` is the exact smallest
 singular value of the component matrix, while ``"private_support"`` is a
@@ -24,36 +30,66 @@ indices no other component touches.  Either way the entry exceeding the
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from .decomp import OrderedTriortho, TriCertificate, TriDecomposition, Variant
-from .errors import SchemaError
-from .states import DenseState, ProductSpace, ProductTerm, SumState
+from .errors import DimensionMismatchError, SchemaError
+from .states import DenseState, ProductSpace, SumState
 
 SCHEMA = "tridecomp/1"
 REPORT_SCHEMA = "tridecomp-report/1"
 
 
-def _c2j(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(z: np.ndarray) -> list:
+    """[[re, im], ...] for a complex vector."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return z.view(np.float64).reshape(-1, 2).tolist()
 
 
-def _j2c(v) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise SchemaError(f"expected a [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+def _complex_array(pairs) -> np.ndarray:
+    """Complex vector from [[re, im], ...]; every item must be a pair."""
+    if len(pairs) == 0:
+        return np.zeros(0, dtype=np.complex128)
+    arr = np.array(pairs, dtype=np.float64)
+    if arr.shape != (len(pairs), 2):
+        raise SchemaError(f"expected [re, im] pairs, got shape {arr.shape}")
+    return arr.view(np.complex128).ravel()
 
 
-def _factors_to_json(factors) -> list:
-    return [[[int(i), _c2j(a)] for i, a in f] for f in factors]
+def _terms_to_json(state: SumState, key: str) -> list:
+    factors = []
+    for indptr, indices, data in state.rows:
+        entries = list(map(list, zip(indices.tolist(), _pairs(data))))
+        ends = indptr.tolist()
+        factors.append([entries[lo:hi] for lo, hi in zip(ends, ends[1:])])
+    return [{"coeff": c, key: list(f)}
+            for c, f in zip(_pairs(state.coeffs), zip(*factors))]
 
 
-def _factors_from_json(doc) -> tuple:
-    if not isinstance(doc, list):
-        raise SchemaError("factors must be a list")
-    return tuple(tuple((int(i), _j2c(a)) for i, a in f) for f in doc)
+def _terms_from_json(space: ProductSpace, terms, key: str) -> SumState:
+    """Flatten the nested term lists into CSR rows and build the state."""
+    if not isinstance(terms, list):
+        raise SchemaError("terms must be a list")
+    per_term = [t[key] for t in terms]
+    for facs in per_term:
+        if not isinstance(facs, list):
+            raise SchemaError(f"{key} must be a list")
+        if len(facs) != space.nfactors:
+            raise DimensionMismatchError(
+                "term factor count does not match the space")
+    rows = []
+    for i in range(space.nfactors):
+        facs = [f[i] for f in per_term]
+        entries = list(chain.from_iterable(facs))
+        if set(map(len, entries)) - {2}:
+            raise SchemaError("factor entries must be [index, [re, im]] pairs")
+        idx, amps = zip(*entries) if entries else ((), ())
+        rows.append((np.cumsum([0] + [len(f) for f in facs]),
+                     np.array(idx, dtype=np.intp), _complex_array(amps)))
+    return SumState.from_rows(space, _complex_array([t["coeff"] for t in terms]),
+                              rows)
 
 
 def state_to_json(state, provenance: dict = None) -> dict:
@@ -62,7 +98,7 @@ def state_to_json(state, provenance: dict = None) -> dict:
             "schema": SCHEMA,
             "dims": list(state.space.dims),
             "format": "dense",
-            "amplitudes": [_c2j(z) for z in state.amplitudes],
+            "amplitudes": _pairs(state.amplitudes),
             "normalized": bool(state.normalized),
         }
     elif isinstance(state, SumState):
@@ -70,9 +106,7 @@ def state_to_json(state, provenance: dict = None) -> dict:
             "schema": SCHEMA,
             "dims": list(state.space.dims),
             "format": "product_sum",
-            "terms": [{"coeff": _c2j(t.coeff),
-                       "factors": _factors_to_json(t.factors)}
-                      for t in state.terms],
+            "terms": _terms_to_json(state, "factors"),
         }
     else:
         raise SchemaError(f"cannot serialize {type(state).__name__}")
@@ -91,15 +125,11 @@ def state_from_json(doc):
         space = ProductSpace(tuple(int(d) for d in doc["dims"]))
         fmt = doc["format"]
         if fmt == "dense":
-            amps = np.array([_j2c(v) for v in doc["amplitudes"]])
-            return DenseState(space, amps,
+            return DenseState(space, _complex_array(doc["amplitudes"]),
                               normalized=doc.get("normalized"))
         if fmt == "product_sum":
-            terms = tuple(ProductTerm(_j2c(t["coeff"]),
-                                      _factors_from_json(t["factors"]))
-                          for t in doc["terms"])
-            return SumState(space, terms)
-    except (KeyError, TypeError, ValueError) as exc:
+            return _terms_from_json(space, doc["terms"], "factors")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed state document: {exc}") from exc
     raise SchemaError(f"unknown state format {doc.get('format')!r}")
 
@@ -117,9 +147,7 @@ def decomposition_to_json(d, provenance: dict = None) -> dict:
         "kind": "tridecomposition",
         "dims": list(d.space.dims),
         "variant": d.variant.value,
-        "terms": [{"coeff": _c2j(t.coeff),
-                   "components": _factors_to_json(t.factors)}
-                  for t in d.terms],
+        "terms": _terms_to_json(d.to_sum_state(), "components"),
         "certificate": d.certificate.to_json() if d.certificate else None,
         "tolerances": (d.certificate.tolerances if d.certificate else None),
     }
@@ -137,9 +165,7 @@ def decomposition_from_json(doc) -> TriDecomposition:
         raise SchemaError("not a tridecomposition document")
     try:
         space = ProductSpace(tuple(int(x) for x in doc["dims"]))
-        terms = tuple(ProductTerm(_j2c(t["coeff"]),
-                                  _factors_from_json(t["components"]))
-                      for t in doc["terms"])
+        state = _terms_from_json(space, doc["terms"], "components")
         cert = doc.get("certificate")
         certificate = TriCertificate(
             passed=cert["passed"],
@@ -156,16 +182,24 @@ def decomposition_from_json(doc) -> TriDecomposition:
                         if cert.get("li_factors") else None),
             tolerances=dict(cert["tolerances"]),
         ) if cert else None
-        return TriDecomposition(space, terms, Variant(doc["variant"]),
+        return TriDecomposition(space, state, Variant(doc["variant"]),
                                 certificate=certificate)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed decomposition document: {exc}") from exc
+
+
+def dumps(doc: dict) -> str:
+    """The document writer: compact JSON and a newline.
+
+    Documents are trees of fresh lists and dicts, so the encoder's cycle
+    check, a lookup per container, is skipped.
+    """
+    return json.dumps(doc, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def dump(doc: dict, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(dumps(doc))
 
 
 def load(path: str) -> dict:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,9 +150,116 @@ class ProductTerm:
             raise InvalidStateError("coefficient must be finite")
         for i, f in enumerate(facs):
             n = sv_norm(f)
-            if abs(n - 1.0) > DEFAULT_TOLERANCES.norm:
+            if not abs(n - 1.0) <= DEFAULT_TOLERANCES.norm:  # NaN fails too
                 raise InvalidStateError(
                     f"factor {i} of a product term has norm {n!r}, expected 1")
+
+
+class _TermView(ProductTerm):
+    """Term ``k`` of a validated SumState.  Its factors are read from the
+    state's rows on first use and are not validated again."""
+
+    def __init__(self, rows: tuple, k: int, coeff: complex):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "_row", (rows, k))
+
+    @cached_property
+    def factors(self) -> tuple:
+        rows, k = self._row
+        out = []
+        for indptr, indices, data in rows:
+            lo, hi = indptr[k], indptr[k + 1]
+            out.append(tuple(zip(indices[lo:hi].tolist(), data[lo:hi].tolist())))
+        return tuple(out)
+
+
+class Rows(NamedTuple):
+    """One factor of a SumState as CSR rows.
+
+    Row k is term k's unit vector on the factor: basis indices
+    ``indices[indptr[k]:indptr[k + 1]]``, strictly increasing, with their
+    amplitudes at the same positions of ``data``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def entry_terms(self) -> np.ndarray:
+        """The term (row) of every entry."""
+        return np.arange(self.indptr.size - 1).repeat(
+            self.indptr[1:] - self.indptr[:-1])
+
+
+def _frozen_rows(indptr, indices, data) -> Rows:
+    for arr in (indptr, indices, data):
+        arr.setflags(write=False)
+    return Rows(indptr, indices, data)
+
+
+def _canonical_rows(i: int, dim: int, nterms: int, indptr, indices,
+                    data) -> Rows:
+    """Validate factor ``i`` of every term at once.
+
+    Amplitudes must be finite and indices lie in [0, dim).  Repeated indices
+    of a row are merged and zero amplitudes dropped, as ``sparse_vector``
+    does, and every row must then have unit norm.
+    """
+    indptr = np.array(indptr, dtype=np.intp)
+    indices = np.array(indices, dtype=np.intp)
+    data = np.array(data, dtype=np.complex128)
+    if (indptr.shape != (nterms + 1,) or indices.ndim != 1
+            or data.shape != indices.shape or indptr[0] != 0
+            or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0)):
+        raise InvalidStateError(
+            f"factor {i} is not a set of CSR rows for {nterms} terms")
+    if not np.isfinite(data).all():
+        raise InvalidStateError(f"factor {i} amplitudes must be finite")
+    outside = (indices < 0) | (indices >= dim)
+    if outside.any():
+        raise DimensionMismatchError(
+            f"component index {indices[outside][0]} does not fit factor {i} "
+            f"of dimension {dim}")
+    rows = Rows(indptr, indices, data)
+    term = rows.entry_terms()
+    key = term * dim + indices
+    if np.any(np.diff(key) <= 0):  # a row out of order or repeating an index
+        order = np.argsort(key, kind="stable")
+        key, slot = np.unique(key[order], return_inverse=True)
+        data = np.zeros(key.size, dtype=np.complex128)
+        np.add.at(data, slot, rows.data[order])  # in input order
+        term, indices = key // dim, key % dim
+    nonzero = data != 0
+    if not nonzero.all():
+        term, indices, data = term[nonzero], indices[nonzero], data[nonzero]
+    if indices.size != indptr[-1]:
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(term, minlength=nterms))))
+    norms = np.sqrt(np.bincount(term, weights=np.abs(data) ** 2,
+                                minlength=nterms))
+    off = ~(np.abs(norms - 1.0) <= DEFAULT_TOLERANCES.norm)
+    if off.any():
+        k = int(np.argmax(off))
+        raise InvalidStateError(
+            f"factor {i} of term {k} has norm {norms[k]!r}, expected 1")
+    return _frozen_rows(indptr, indices, data)
+
+
+def _take_rows(rows: Rows, order: np.ndarray) -> Rows:
+    starts = rows.indptr[order]
+    lengths = rows.indptr[order + 1] - starts
+    indptr = np.zeros(order.size + 1, dtype=np.intp)
+    lengths.cumsum(out=indptr[1:])
+    pos = (starts - indptr[:-1]).repeat(lengths) + np.arange(indptr[-1])
+    return _frozen_rows(indptr, rows.indices[pos], rows.data[pos])
+
+
+def _concat_rows(parts) -> Rows:
+    offsets = accumulate((p.indices.size for p in parts), initial=0)
+    indptr = np.concatenate([p.indptr[:-1] + o for p, o in zip(parts, offsets)]
+                            + [[sum(p.indices.size for p in parts)]])
+    return _frozen_rows(indptr, np.concatenate([p.indices for p in parts]),
+                        np.concatenate([p.data for p in parts]))
 
 
 class FactorPack(tuple):
@@ -162,11 +271,33 @@ class FactorPack(tuple):
     has no cross entries to skip, so ``has_private`` is False for it.
     """
 
-    def __new__(cls, touched, fmat, owner: list):
+    def __new__(cls, rows: Rows):
+        if rows.indptr.size == 2:  # one term: its sorted row is the pack
+            touched, fmat = rows.indices, rows.data[None, :]
+            owner = np.zeros(touched.size, dtype=np.intp)
+            has_private = False
+        else:
+            term = rows.entry_terms()
+            touched = np.sort(rows.indices)
+            if touched.size:
+                first = np.empty(touched.size, dtype=bool)
+                first[0] = True
+                np.not_equal(touched[1:], touched[:-1], out=first[1:])
+                touched = touched[first]
+            col = touched.searchsorted(rows.indices)
+            fmat = np.zeros((rows.indptr.size - 1, max(touched.size, 1)),
+                            dtype=np.complex128)
+            fmat[term, col] = rows.data
+            fmat.setflags(write=False)
+            private = np.bincount(col, minlength=touched.size) == 1
+            last = np.empty(touched.size, dtype=np.intp)
+            last[col] = term  # the owner, where a column has one term
+            owner = np.where(private, last, -1)
+            has_private = bool(private.any())
+        owner.setflags(write=False)
         pack = super().__new__(cls, (touched, fmat))
-        pack.has_private = len(fmat) > 1 and max(owner, default=-1) >= 0
-        pack.owner = np.asarray(owner, dtype=np.intp)
-        pack.owner.flags.writeable = False
+        pack.owner = owner
+        pack.has_private = has_private
         return pack
 
     def private_norms(self) -> np.ndarray:
@@ -179,48 +310,158 @@ class FactorPack(tuple):
         return np.sqrt(sq)
 
 
-@dataclass(frozen=True, eq=False)
 class SumState:
-    """Sparse sum of product terms; never forces the ambient dense tensor."""
+    """Weighted sum of product terms; never forces the ambient dense tensor.
 
-    space: ProductSpace
-    terms: tuple
+    The terms are held as arrays, the array view of a CP (Kruskal) sum
+    (Kolda and Bader, SIAM Review 51 (2009), section 3): ``coeffs`` has one
+    entry per term and ``rows[i]`` holds every term's unit vector on factor
+    i as CSR ``Rows``.  Both are validated once, at construction, and are
+    read-only.  ``terms`` gives the same terms as ``ProductTerm`` objects,
+    built on first use.
+    """
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __init__(self, space: ProductSpace, terms):
+        terms = tuple(terms)
         for t in terms:
             if not isinstance(t, ProductTerm):
                 raise InvalidStateError("SumState terms must be ProductTerm")
-            if len(t.factors) != self.space.nfactors:
+            if len(t.factors) != space.nfactors:
                 raise DimensionMismatchError(
                     "term factor count does not match the space")
-        object.__setattr__(self, "terms", terms)
+        # ProductTerm has validated everything but the indices' range.  The
+        # factors are flattened factor-major into one array each, which the
+        # rows of every factor then view.
+        nterms = len(terms)
+        facs = [t.factors[i] for i in range(space.nfactors) for t in terms]
+        ends = list(accumulate(map(len, facs), initial=0))
+        idx = [j for f in facs for j, _ in f]
+        for i, dim in enumerate(space.dims):
+            part = idx[ends[i * nterms]:ends[(i + 1) * nterms]]
+            if part and (min(part) < 0 or max(part) >= dim):
+                bad = next(j for j in part if not 0 <= j < dim)
+                raise DimensionMismatchError(
+                    f"component index {bad} does not fit factor {i} "
+                    f"of dimension {dim}")
+        indptr = np.array(ends, dtype=np.intp)
+        flat = _frozen_rows(indptr, np.array(idx, dtype=np.intp), np.array(
+            [a for f in facs for _, a in f], dtype=np.complex128))
+        rows = []
+        for i in range(space.nfactors):
+            lo, hi = ends[i * nterms], ends[(i + 1) * nterms]
+            ptr = indptr[i * nterms:(i + 1) * nterms + 1] - lo
+            ptr.setflags(write=False)
+            rows.append(Rows(ptr, flat.indices[lo:hi], flat.data[lo:hi]))
+        self._store(space, np.array([t.coeff for t in terms],
+                                    dtype=np.complex128), rows)
+        self.__dict__["terms"] = terms
+
+    @classmethod
+    def from_rows(cls, space: ProductSpace, coeffs, rows) -> SumState:
+        """Build from a coefficient vector and one (indptr, indices, data)
+        triple of CSR rows per factor, validated as ``_canonical_rows``
+        describes."""
+        coeffs = np.array(coeffs, dtype=np.complex128)
+        if coeffs.ndim != 1:
+            raise InvalidStateError("coefficients must form a vector")
+        if not np.isfinite(coeffs).all():
+            raise InvalidStateError("coefficient must be finite")
+        rows = tuple(rows)
+        if len(rows) != space.nfactors:
+            raise DimensionMismatchError(
+                f"{len(rows)} factors of rows for a space of "
+                f"{space.nfactors} factors")
+        return cls._trusted(space, coeffs, [
+            _canonical_rows(i, dim, coeffs.size, *r)
+            for i, (dim, r) in enumerate(zip(space.dims, rows))])
+
+    @classmethod
+    def _trusted(cls, space: ProductSpace, coeffs: np.ndarray,
+                 rows) -> SumState:
+        """Wrap arrays already valid for ``space`` (validated, or derived
+        from a validated state) without checking them again."""
+        state = object.__new__(cls)
+        state._store(space, coeffs, rows)
+        return state
+
+    def _store(self, space, coeffs, rows):
+        coeffs.setflags(write=False)
+        self.__dict__.update(space=space, coeffs=coeffs, rows=tuple(rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SumState is immutable")
+
+    def __repr__(self) -> str:
+        return f"SumState(dims={self.space.dims}, nterms={self.nterms})"
+
+    @property
+    def nterms(self) -> int:
+        return self.coeffs.size
 
     @cached_property
-    def coeffs(self) -> np.ndarray:
-        out = np.array([t.coeff for t in self.terms], dtype=np.complex128)
-        out.flags.writeable = False
-        return out
+    def terms(self) -> tuple:
+        """The terms as ``ProductTerm`` objects, read from the rows."""
+        return tuple(_TermView(self.rows, k, c)
+                     for k, c in enumerate(self.coeffs.tolist()))
+
+    @cached_property
+    def _self_inner(self) -> complex:
+        """<self|self>, which norms, residuals and the mover all ask for."""
+        return _sum_inner(self, self)
 
     @cached_property
     def _packed(self) -> tuple:
         """One ``FactorPack`` per factor."""
-        packs = []
-        for i in range(self.space.nfactors):
-            touched = sorted({idx for t in self.terms for idx, _ in t.factors[i]})
-            pos = {idx: p for p, idx in enumerate(touched)}
-            fmat = np.zeros((len(self.terms), max(len(touched), 1)),
-                            dtype=np.complex128)
-            owner = [None] * len(touched)  # the one term touching it, or -1
-            for r, t in enumerate(self.terms):
-                for idx, amp in t.factors[i]:
-                    p = pos[idx]
-                    fmat[r, p] = amp
-                    owner[p] = r if owner[p] is None else -1
-            fmat.flags.writeable = False
-            packs.append(FactorPack(np.asarray(touched, dtype=np.intp), fmat,
-                                    owner))
-        return tuple(packs)
+        return tuple(FactorPack(r) for r in self.rows)
+
+    def take(self, order) -> SumState:
+        """The terms at positions ``order``, in that order."""
+        order = np.asarray(order, dtype=np.intp)
+        if order.size == self.nterms and (order == np.arange(order.size)).all():
+            return self
+        return SumState._trusted(self.space, self.coeffs[order],
+                                 [_take_rows(r, order) for r in self.rows])
+
+    def with_coeffs(self, coeffs) -> SumState:
+        """The same product vectors (and packs) under new coefficients."""
+        coeffs = np.array(coeffs, dtype=np.complex128)
+        if coeffs.shape != self.coeffs.shape or not np.isfinite(coeffs).all():
+            raise InvalidStateError(
+                f"need {self.nterms} finite coefficients")
+        state = SumState._trusted(self.space, coeffs, self.rows)
+        if "_packed" in self.__dict__:
+            state.__dict__["_packed"] = self._packed
+        return state
+
+    def embedded(self, space: ProductSpace) -> SumState:
+        """The same state in ``space``, whose dims must hold this state's."""
+        if space == self.space:
+            return self
+        if space.nfactors != self.space.nfactors or any(
+                d < e for d, e in zip(space.dims, self.space.dims)):
+            raise DimensionMismatchError(
+                f"cannot embed dims {self.space.dims} into {space.dims}")
+        return SumState._trusted(space, self.coeffs, self.rows)
+
+
+def combine(space: ProductSpace, weights, states) -> SumState:
+    """sum_j weights[j] * states[j] as one SumState on ``space``.
+
+    The terms are concatenated in order, so no product vector is touched.
+    """
+    states = [s.embedded(space) for s in states]
+    coeffs = np.concatenate([w * s.coeffs for w, s in zip(weights, states)])
+    rows = [_concat_rows([s.rows[i] for s in states])
+            for i in range(space.nfactors)]
+    return SumState._trusted(space, coeffs, rows)
+
+
+def distance(a: SumState, b: SumState) -> float:
+    """||a - b|| for two SumStates, from the Gram of their joined terms."""
+    _check_same_nfactors(a, b)
+    space = ProductSpace(tuple(max(x, y)
+                               for x, y in zip(a.space.dims, b.space.dims)))
+    return norm(combine(space, (1.0, -1.0), (a, b)))
 
 
 def _factor_overlap(pack_a, pack_b) -> np.ndarray:
@@ -262,22 +503,32 @@ def _embedded_tensor(state: DenseState, dims: tuple) -> np.ndarray:
     return out
 
 
+def _dense_factor(s: SumState, i: int, dim: int) -> np.ndarray:
+    """Terms-by-``dim`` matrix of factor ``i``; indices at or beyond ``dim``
+    (zero padding of a smaller dense operand) are left out."""
+    term, indices, data = s.rows[i].entry_terms(), s.rows[i].indices, \
+        s.rows[i].data
+    if dim < s.space.dims[i]:
+        inside = indices < dim
+        term, indices, data = term[inside], indices[inside], data[inside]
+    out = np.zeros((s.nterms, dim), dtype=np.complex128)
+    out[term, indices] = data
+    return out
+
+
 def _dense_term_brackets(state: DenseState, s: SumState) -> np.ndarray:
     """<dense | term_l> for every term of ``s`` (coefficients excluded)."""
     dims = state.space.dims
-    tensor_c = state.tensor.conj()
-    mats = []
+    operands = [state.tensor.conj(), list(range(len(dims)))]
     for i, d in enumerate(dims):
-        idx, fmat = s._packed[i]
-        inside = idx < d
-        vmat = np.zeros((len(s.terms), d), dtype=np.complex128)
-        if idx.size:
-            vmat[:, idx[inside]] = fmat[:, inside]
-        mats.append(vmat)
-    operands = [tensor_c, list(range(len(dims)))]
-    for i, vmat in enumerate(mats):
-        operands.extend([vmat, [len(dims), i]])
+        operands.extend([_dense_factor(s, i, d), [len(dims), i]])
     return np.einsum(*operands, [len(dims)])
+
+
+def _sum_inner(a: SumState, b: SumState) -> complex:
+    if not a.nterms or not b.nterms:
+        return 0j
+    return complex(a.coeffs.conj() @ term_gram(a, b) @ b.coeffs)
 
 
 def inner(a, b) -> complex:
@@ -292,12 +543,9 @@ def inner(a, b) -> complex:
         dims = tuple(max(x, y) for x, y in zip(a.space.dims, b.space.dims))
         return complex(np.vdot(_embedded_tensor(a, dims), _embedded_tensor(b, dims)))
     if isinstance(a, SumState) and isinstance(b, SumState):
-        if not a.terms or not b.terms:
-            return 0j
-        gram = term_gram(a, b)
-        return complex(a.coeffs.conj() @ gram @ b.coeffs)
+        return a._self_inner if a is b else _sum_inner(a, b)
     if isinstance(a, DenseState) and isinstance(b, SumState):
-        if not b.terms:
+        if not b.nterms:
             return 0j
         return complex(_dense_term_brackets(a, b) @ b.coeffs)
     if isinstance(a, SumState) and isinstance(b, DenseState):
@@ -409,7 +657,7 @@ def partial_trace(s, keep) -> DensityMatrix:
     if isinstance(s, SumState):
         keep = _normalize_keep(keep, s.space.nfactors)
         traced = [i for i in range(s.space.nfactors) if i not in keep]
-        nterms = len(s.terms)
+        nterms = s.nterms
         if nterms == 0:
             raise InvalidStateError("cannot reduce the zero state")
         mix = np.outer(s.coeffs, s.coeffs.conj())
@@ -531,21 +779,20 @@ def densify(s: SumState, ceiling: int = DENSIFY_CEILING) -> DenseState:
         raise CapacityError(
             f"dense dimension {s.space.dim} exceeds the ceiling {ceiling}")
     out = np.zeros(s.space.dims, dtype=np.complex128)
-    for t in s.terms:
-        vecs = [sv_dense(f, d) for f, d in zip(t.factors, s.space.dims)]
-        out += t.coeff * reduce(np.multiply.outer, vecs)
+    mats = [_dense_factor(s, i, d) for i, d in enumerate(s.space.dims)]
+    for k, coeff in enumerate(s.coeffs.tolist()):
+        out += coeff * reduce(np.multiply.outer, [m[k] for m in mats])
     return DenseState(s.space, out.ravel(), normalized=None)
 
 
 def sparsify(s: DenseState, tol: float = 0.0) -> SumState:
     """Basis-aligned SumState: one term per amplitude with |amp| > tol."""
-    flat = s.amplitudes
-    terms = []
-    for pos in np.nonzero(np.abs(flat) > tol)[0]:
-        multi = np.unravel_index(int(pos), s.space.dims)
-        factors = tuple(((int(n), 1.0 + 0j),) for n in multi)
-        terms.append(ProductTerm(complex(flat[pos]), factors))
-    return SumState(s.space, tuple(terms))
+    pos = np.nonzero(np.abs(s.amplitudes) > tol)[0]
+    ones = np.ones(pos.size, dtype=np.complex128)
+    steps = np.arange(pos.size + 1)
+    rows = [_frozen_rows(steps, multi, ones.copy())
+            for multi in np.unravel_index(pos, s.space.dims)]
+    return SumState._trusted(s.space, s.amplitudes[pos], rows)
 
 
 def as_dense(s, ceiling: int = DENSIFY_CEILING) -> DenseState:

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +235,34 @@ class TestInfo:
         doc = json.loads(out)
         assert doc["state_schema"] == "tridecomp/1"
         assert doc["tolerances"]["deg"] == 1e-7
+
+
+class TestDocuments:
+    DATA = Path(__file__).parent / "data"
+
+    def test_verify_indented_files_from_earlier_versions(self, capsys):
+        code, out, _ = run(
+            capsys, "verify",
+            "--decomposition", str(self.DATA / "indented_decomposition.json"),
+            "--state", str(self.DATA / "indented_product_sum.json"))
+        assert code == 0
+        assert json.loads(out)["passed"]
+
+    def test_verify_rejects_index_beyond_factor_dimension(self, tmp_path,
+                                                          capsys):
+        doc = load(str(self.DATA / "indented_product_sum.json"))
+        doc["terms"][0]["factors"][2][-1][0] = 5  # factor 2 has dimension 4
+        state = tmp_path / "state.json"
+        dump(doc, str(state))
+        code, _, err = run(
+            capsys, "verify",
+            "--decomposition", str(self.DATA / "indented_decomposition.json"),
+            "--state", str(state))
+        assert code == 1
+        assert "index 5" in err
+
+    def test_output_is_compact_json(self, capsys):
+        code, out, _ = run(capsys, "info")
+        assert code == 0
+        assert out.endswith("}\n") and out.count("\n") == 1
+        assert json.loads(out)["state_schema"] == "tridecomp/1"

@@ -235,3 +235,33 @@ class TestComponentMatch:
         assert rep.all_bounds_hold
         matched = [r.matched for r in rep.records]
         assert len(set(matched)) == len(matched)
+
+
+class TestReportJson:
+    def test_match_report_keys_and_lists(self):
+        d = random_triortho(34, dims=(5, 5, 5), k=3)
+        po = ordered_triortho(d)
+        rep = match_components(po, d, level=po.nblocks, eps=0.2)
+        doc = rep.to_json()
+        assert list(doc) == ["pairing", "records", "level", "eps",
+                             "eps_prime", "state_distance", "distance_bound",
+                             "all_bounds_hold"]
+        assert doc["pairing"] == [list(p) for p in rep.pairing]
+        assert list(doc["records"][0]) == [
+            "block", "index", "matched", "coeff_sq_gap", "coeff_bound",
+            "overlaps", "overlap_floor", "term_distance", "term_bound", "holds"]
+        for rec, want in zip(doc["records"], rep.records):
+            assert rec == want.to_json()
+            assert rec["overlaps"] == list(want.overlaps)
+        assert doc["state_distance"] == rep.state_distance
+
+    def test_product_match_report_keys_and_lists(self, rng):
+        v1, v2 = random_unit(rng, 4), random_unit(rng, 4)
+        psi = single_product(0.9, v1, v2)
+        doc = match_single_product(psi, psi, eps=0.2, eps_prime=0.003).to_json()
+        assert list(doc) == [
+            "matched_index", "eps", "eps_prime", "trace_norm_gap",
+            "coeff_sq_gap", "max_other_coeff_sq", "unique", "state_distance",
+            "second_part", "second_part_skipped", "term_distance", "overlaps",
+            "holds"]
+        assert isinstance(doc["overlaps"], list) and len(doc["overlaps"]) == 2

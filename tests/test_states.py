@@ -476,3 +476,164 @@ class TestDensityMatrixInvariants:
         a, b = aligned_density_matrices(r1, r2)
         assert a.shape == (2, 2) and b.shape == (2, 2)
         assert trace_norm(a - b) == pytest.approx(2.0, abs=1e-12)
+
+
+def rows_of(terms, i):
+    """Factor ``i`` of ``terms`` as (indptr, indices, data) lists."""
+    facs = [t.factors[i] for t in terms]
+    indptr = np.cumsum([0] + [len(f) for f in facs])
+    return (indptr, [j for f in facs for j, _ in f],
+            [a for f in facs for _, a in f])
+
+
+def from_terms_via_rows(space, terms):
+    return SumState.from_rows(space, [t.coeff for t in terms],
+                              [rows_of(terms, i) for i in range(space.nfactors)])
+
+
+class TestArrayBackedSumState:
+    DIMS = (20, 3, 4)
+
+    def random_terms(self, rng, supports):
+        """Unnormalized random terms whose factor-0 vectors live on
+        ``supports``; the other factors are dense."""
+        terms = []
+        for support in supports:
+            v = np.zeros(self.DIMS[0], dtype=complex)
+            v[list(support)] = random_unit(rng, len(support))
+            terms.append(ProductTerm(
+                3.0 * (rng.standard_normal() + 1j * rng.standard_normal()),
+                (sparse_vector(v),) + tuple(sparse_vector(random_unit(rng, d))
+                                            for d in self.DIMS[1:])))
+        return tuple(terms)
+
+    CASES = {
+        "single": [(4, 7)],
+        "shared": [(0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 3)],
+        "tilted": [(0, 1, 2, 10), (0, 1, 2, 11), (0, 1, 2, 12)],
+        "disjoint": [(10,), (11, 15), (12, 16, 17), (13,)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_from_rows_agrees_with_terms(self, rng, case):
+        from tridecomp.serialize import state_to_json
+
+        space = ProductSpace(self.DIMS)
+        for _ in range(3):
+            terms = self.random_terms(rng, self.CASES[case])
+            a = SumState(space, terms)
+            b = from_terms_via_rows(space, terms)
+            assert np.array_equal(a.coeffs, b.coeffs)
+            for pa, pb in zip(a._packed, b._packed):
+                assert np.array_equal(pa[0], pb[0])
+                assert np.array_equal(pa[1], pb[1])
+                assert np.array_equal(pa.owner, pb.owner)
+                assert pa.has_private == pb.has_private
+            other = random_sum_state(rng, self.DIMS, k=3)
+            assert abs(inner(a, a) - inner(b, b)) <= 1e-15 * abs(inner(a, a))
+            assert abs(inner(other, a) - inner(other, b)) <= 1e-15
+            assert state_to_json(a) == state_to_json(b)
+
+    def test_rows_out_of_order_are_sorted(self, rng):
+        space = ProductSpace(self.DIMS)
+        terms = self.random_terms(rng, self.CASES["shared"])
+        rows = [rows_of(terms, i) for i in range(3)]
+        indptr, idx, amps = rows[0]
+        for lo, hi in zip(indptr, indptr[1:]):
+            idx[lo:hi], amps[lo:hi] = idx[lo:hi][::-1], amps[lo:hi][::-1]
+        shuffled = SumState.from_rows(space, [t.coeff for t in terms], rows)
+        for k, t in enumerate(terms):
+            assert shuffled.terms[k].factors == t.factors
+
+    def test_duplicates_merge_and_zeros_drop(self):
+        space = ProductSpace((4, 2))
+        pairs = [(2, 0.6), (0, 0.0), (2, 0.2j), (3, 0.0), (1, 0.5), (2, 0.1),
+                 (3, 0.5)]
+        amps = [0.6, 0.0, 0.2j, 0.0, 0.5, 0.1, 0.5]
+        norm_sq = abs(0.7 + 0.2j) ** 2 + 0.5
+        amps = [a / math.sqrt(norm_sq) for a in amps]
+        s = SumState.from_rows(space, [1.0], [
+            ([0, 7], [j for j, _ in pairs], amps), ([0, 1], [1], [1.0])])
+        want = sparse_vector(zip((j for j, _ in pairs), amps))
+        assert s.terms[0].factors[0] == want
+        assert s.rows[0].indices.tolist() == [1, 2, 3]
+        assert s.rows[0].indptr.tolist() == [0, 3]
+
+    def test_errors_match_product_terms(self):
+        space = ProductSpace((3, 3))
+        good = ([0, 1], [0], [1.0])
+        with pytest.raises(InvalidStateError):  # non-unit row
+            SumState.from_rows(space, [1.0], [([0, 1], [0], [0.5]), good])
+        with pytest.raises(InvalidStateError):  # row emptied by zeros
+            SumState.from_rows(space, [1.0], [([0, 1], [0], [0.0]), good])
+        with pytest.raises(InvalidStateError):
+            SumState.from_rows(space, [math.nan], [good, good])
+        with pytest.raises(InvalidStateError):
+            SumState.from_rows(space, [1.0], [([0, 1], [0], [math.nan]), good])
+        with pytest.raises(InvalidStateError):
+            ProductTerm(math.nan, (((0, 1.0),), ((0, 1.0),)))
+        with pytest.raises(InvalidStateError):  # a NaN norm passed before
+            ProductTerm(1.0, (((0, math.nan),), ((0, 1.0),)))
+        with pytest.raises(DimensionMismatchError):  # one row set per factor
+            SumState.from_rows(space, [1.0], [good])
+        with pytest.raises(InvalidStateError):  # indptr not for one term
+            SumState.from_rows(space, [1.0], [([0, 1, 1], [0], [1.0]), good])
+
+    @pytest.mark.parametrize("index", [3, 5, -1])
+    def test_index_beyond_factor_dimension(self, index):
+        # a 3^3 state with a factor-2 index 5 used to give inner(dense, sum)
+        # = 0j while densify raised; it is now rejected at construction
+        space = ProductSpace((3, 3, 3))
+        term = ProductTerm(1.0, (((0, 1.0),), ((0, 1.0),), ((index, 1.0),)))
+        with pytest.raises(DimensionMismatchError, match=f"index {index}"):
+            SumState(space, (term,))
+        with pytest.raises(DimensionMismatchError, match=f"index {index}"):
+            from_terms_via_rows(space, (term,))
+
+    def test_take_embedded_and_with_coeffs(self, rng):
+        s = random_sum_state(rng, (3, 4, 5), k=4)
+        order = [2, 0, 3]
+        picked = s.take(order)
+        assert np.array_equal(picked.coeffs, s.coeffs[order])
+        for k, j in enumerate(order):
+            assert picked.terms[k].factors == s.terms[j].factors
+        big = s.embedded(ProductSpace((5, 4, 6)))
+        assert big.space.dims == (5, 4, 6)
+        assert np.allclose(densify(big).tensor[:3, :, :5], densify(s).tensor,
+                           atol=1e-15)
+        with pytest.raises(DimensionMismatchError):
+            s.embedded(ProductSpace((2, 4, 5)))
+        _ = s._packed
+        scaled = s.with_coeffs(2.0 * s.coeffs)
+        assert scaled._packed is s._packed
+        assert norm(scaled) == pytest.approx(2.0 * norm(s), rel=1e-14)
+        with pytest.raises(InvalidStateError):
+            s.with_coeffs(s.coeffs[:2])
+
+    def test_distance_matches_dense_oracle(self, rng):
+        from tridecomp.states import distance
+
+        a = random_sum_state(rng, (3, 4, 5), k=3)
+        b = random_sum_state(rng, (3, 4, 5), k=2)
+        want = np.linalg.norm(densify(a).amplitudes - densify(b).amplitudes)
+        assert distance(a, b) == pytest.approx(want, abs=1e-12)
+        assert distance(a, a) <= 1e-7
+
+    def test_immutable(self, rng):
+        s = random_sum_state(rng)
+        with pytest.raises(AttributeError):
+            s.coeffs = None
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 1.0
+        with pytest.raises(ValueError):
+            s.rows[0].data[0] = 1.0
+
+    def test_decomposition_shares_its_state(self):
+        from tridecomp.constructions import instability_pair
+
+        pair = instability_pair(haar_random_state(SPACE3, 13), 0.9)
+        for d, s in ((pair.decomposition1, pair.phi1),
+                     (pair.decomposition2, pair.phi2)):
+            assert d.to_sum_state() is s
+            assert d.to_sum_state()._packed is s._packed
+            assert d.nterms == s.nterms
