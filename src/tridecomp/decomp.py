@@ -626,11 +626,11 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES,
             triples.extend(resolved)
         i = j
 
-    terms = tuple(
-        ProductTerm(c, (sparse_vector(lv), sparse_vector(mv), sparse_vector(rv)))
-        for c, lv, mv, rv in triples)
+    coeffs, *comps = zip(*triples)
+    assembled = SumState.from_columns(psi_d.space, coeffs,
+                                      [np.column_stack(c) for c in comps])
     candidate = canonical_phase(
-        TriDecomposition(psi_d.space, terms, Variant.ORTHONORMAL))
+        TriDecomposition(psi_d.space, assembled, Variant.ORTHONORMAL))
     cert = verify_tridecomposition(candidate, psi_d, tolerances)
     if not cert.passed:
         return NotTriorthogonal(

@@ -41,13 +41,10 @@ from .spectral import entropy, reduced_spectra, triortho_necessary_test
 from .states import (
     DenseState,
     ProductSpace,
-    ProductTerm,
     SumState,
     densify,
     distance,
-    norm,
     partial_trace,
-    sparse_vector,
     sv_dense,
 )
 
@@ -189,11 +186,15 @@ def _random_triortho(rng, dims, k: int, tie: bool = False) -> TriDecomposition:
         mags = mags / np.linalg.norm(mags)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k))
     comps = [_random_orthonormal(rng, d, k) for d in dims]
-    terms = tuple(
-        ProductTerm(mags[i] * phases[i],
-                    tuple(sparse_vector(c[:, i]) for c in comps))
-        for i in range(k))
-    return TriDecomposition(ProductSpace(dims), terms, Variant.ORTHONORMAL)
+    return _orthonormal_decomposition(ProductSpace(dims), mags * phases, comps)
+
+
+def _orthonormal_decomposition(space: ProductSpace, coeffs,
+                               comps) -> TriDecomposition:
+    """Term k has coefficient ``coeffs[k]`` and, on factor i, the unit
+    vector ``comps[i][:, k]``."""
+    return TriDecomposition(space, SumState.from_columns(space, coeffs, comps),
+                            Variant.ORTHONORMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +213,8 @@ def run_instability_sweep(theta_grid=None,
     for trial, theta in enumerate(sorted(grid, reverse=True)):
         rec = {"trial": trial, "theta": theta}
         fam = example31(theta, tolerances)
-        diff_phi = norm(DenseState(fam.psi.space,
-                                   fam.phi_theta.amplitudes - fam.psi.amplitudes,
-                                   normalized=False))
-        diff_psi = norm(DenseState(fam.psi.space,
-                                   fam.psi_theta.amplitudes - fam.psi.amplitudes,
-                                   normalized=False))
-        rec["family_gap_phi"] = diff_phi
-        rec["family_gap_psi"] = diff_psi
+        rec["family_gap_phi"] = distance(fam.phi_theta, fam.psi)
+        rec["family_gap_psi"] = distance(fam.psi_theta, fam.psi)
         rec["family_certified"] = bool(
             fam.phi_decomposition.certificate.passed
             and fam.psi_decomposition.certificate.passed)
@@ -234,10 +229,7 @@ def run_instability_sweep(theta_grid=None,
             div = example33(theta, tolerances)
             rec["diverging_coefficient"] = max(abs(c)
                                                for c in div.raw_coefficients)
-            rec["diverging_gap"] = norm(DenseState(
-                div.limit.space,
-                div.psi_theta.amplitudes - div.limit.amplitudes,
-                normalized=False))
+            rec["diverging_gap"] = distance(div.psi_theta, div.limit)
             rec["diverging_certified"] = bool(div.decomposition.certificate.passed)
         rec["pass"] = bool(rec["family_certified"] and rec["cross_ceiling_ok"]
                            and rec.get("diverging_certified", True))
@@ -267,8 +259,7 @@ def _product_match_trial(rng, dims, tolerances) -> dict:
     budget = 0.4 * eps_prime
     v1, v2 = _random_unit(rng, d1), _random_unit(rng, d2)
     space = ProductSpace((d1, d2))
-    psi = SumState(space, (ProductTerm(
-        a, (sparse_vector(v1), sparse_vector(v2))),))
+    psi = SumState.from_columns(space, [a], (v1[:, None], v2[:, None]))
     q1 = _small_unitary(rng, d1, 0.1 * budget) @ _basis_including(rng, v1)
     q2 = _small_unitary(rng, d2, 0.1 * budget) @ _basis_including(rng, v2)
     extra = int(rng.integers(1, min(4, d1)))
@@ -277,10 +268,9 @@ def _product_match_trial(rng, dims, tolerances) -> dict:
     for j in range(1, extra + 1):
         coeffs[j] = 0.2 * budget / math.sqrt(extra) * \
             np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    terms = tuple(ProductTerm(coeffs[j], (sparse_vector(q1[:, j]),
-                                          sparse_vector(q2[:, j])))
-                  for j in range(d1) if abs(coeffs[j]) > 0.0)
-    phi = SumState(space, terms)
+    used = np.nonzero(np.abs(coeffs) > 0.0)[0]
+    phi = SumState.from_columns(space, coeffs[used],
+                                (q1[:, used], q2[:, used]))
     report = match_single_product(psi, phi, eps, eps_prime, tolerances)
     return {
         "kind": "product-match",
@@ -328,11 +318,7 @@ def _component_match_trial(rng, dims, trial, tolerances) -> dict:
         for (idxs, _), f in zip(groups, factors):
             m2[idxs] = mags[idxs] * (1.0 + angle * f)
         m2 = m2 / np.linalg.norm(m2)
-        terms = tuple(ProductTerm(m2[i] * phases[i],
-                                  tuple(sparse_vector(comps[f][:, i])
-                                        for f in range(3)))
-                      for i in range(k))
-        cand = TriDecomposition(d_psi.space, terms, Variant.ORTHONORMAL)
+        cand = _orthonormal_decomposition(d_psi.space, m2 * phases, comps)
         dist = distance(psi_state, cand.to_sum_state())
         if dist < 0.9 * bound:
             phi_dec = cand
@@ -447,19 +433,15 @@ def run_isolation_scan(cfg: TrialConfig) -> CampaignReport:
         for case, build in (("single-term", None), ("multi-term", None)):
             rng = _rng(cfg.seed, 1000 + trial_id)
             if case == "single-term":
-                comps = [_random_orthonormal(rng, d, 1)[:, 0] for d in cfg.dims]
-                base = TriDecomposition(
-                    ProductSpace(cfg.dims),
-                    (ProductTerm(1.0, tuple(sparse_vector(c) for c in comps)),),
-                    Variant.ORTHONORMAL)
+                comps = [_random_orthonormal(rng, d, 1) for d in cfg.dims]
+                base = _orthonormal_decomposition(ProductSpace(cfg.dims),
+                                                  [1.0], comps)
             else:
                 base = _random_triortho(rng, cfg.dims,
                                         min(3, min(cfg.dims)))
             psi0 = densify(base.to_sum_state())
             pert = non_triortho_perturb(base, eps, tolerances)
-            dist_sq = norm(DenseState(psi0.space,
-                                      psi0.amplitudes - pert.amplitudes,
-                                      normalized=False)) ** 2
+            dist_sq = distance(psi0, pert) ** 2
             s1, s2, s3 = reduced_spectra(pert, tolerances)
             mismatch = abs(s1[0] - s3[0])
             stayed_false = all(
@@ -520,11 +502,7 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
         mags = mags_inf + drift * t
         mags = mags / np.linalg.norm(mags)
         coeffs = mags * phases_inf * np.exp(1j * phase_drift * t)
-        terms = tuple(ProductTerm(coeffs[j],
-                                  tuple(sparse_vector(comps[i][:, j])
-                                        for i in range(3)))
-                      for j in range(k))
-        return TriDecomposition(limit_dec.space, terms, Variant.ORTHONORMAL)
+        return _orthonormal_decomposition(limit_dec.space, coeffs, comps)
 
     records = []
     prev_comp_dist = None

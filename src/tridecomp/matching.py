@@ -21,7 +21,6 @@ from .decomp import OrderedTriortho, TriDecomposition, Variant, term_distance
 from .errors import PreconditionError, VerificationError
 from .states import (
     ProductSpace,
-    ProductTerm,
     SumState,
     _factor_overlap,
     aligned_density_matrices,
@@ -163,22 +162,19 @@ class MatchReport:
         return json_fields(self)
 
 
-def _projected_pair(space2: ProductSpace, keep: tuple, term: ProductTerm,
-                    other: TriDecomposition, project_axis: int):
-    """Collapse ``project_axis`` of both sides onto the term's component.
+def _projected_pair(space2: ProductSpace, keep: tuple, state: SumState,
+                    k: int, other: SumState, project_axis: int):
+    """Collapse ``project_axis`` of both sides onto term ``k``'s component.
 
-    Returns the single-product state of the term restricted to ``keep`` and
-    the projected product sum of ``other`` on the same two factors.
+    Returns the single-product state of term ``k`` of ``state`` restricted to
+    ``keep`` and the projected product sum of ``other`` on the same two
+    factors.  Both are built on their parent's rows and packs.
     """
-    comp = term.factors[project_axis]
-    single = SumState(space2, (ProductTerm(
-        term.coeff, (term.factors[keep[0]], term.factors[keep[1]])),))
-    projected = []
-    for t in other.terms:
-        c = t.coeff * sv_inner(comp, t.factors[project_axis])
-        projected.append(ProductTerm(c, (t.factors[keep[0]],
-                                         t.factors[keep[1]])))
-    return single, SumState(space2, tuple(projected))
+    comp = state.terms[k].factors[project_axis]
+    single = state.on_factors(space2, keep, state.coeffs).take([k])
+    coeffs = [t.coeff * sv_inner(comp, t.factors[project_axis])
+              for t in other.terms]
+    return single, other.on_factors(space2, keep, coeffs)
 
 
 def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
@@ -225,15 +221,16 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
             # one-ulp rounding could flip the guaranteed gate; shave it.
             eps_p = min(eps_prime,
                         (abs(term.coeff) * eps / 3.0) ** 2 * (1.0 - 1e-12))
-            single, projected = _projected_pair(space_12, (0, 1), term, phi, 2)
+            single, projected = _projected_pair(space_12, (0, 1), psi_state,
+                                                k, phi_state, 2)
             front = match_single_product(single, projected, eps, eps_p,
                                          tolerances)
             if not front.second_part:
                 raise VerificationError(
                     "projection chain lost the matching hypothesis: "
                     + front.second_part_skipped)
-            single_b, projected_b = _projected_pair(space_23, (1, 2), term,
-                                                    phi, 0)
+            single_b, projected_b = _projected_pair(space_23, (1, 2),
+                                                    psi_state, k, phi_state, 0)
             back = match_single_product(single_b, projected_b, eps, eps_p,
                                         tolerances)
             if front.matched_index != back.matched_index:

@@ -17,6 +17,7 @@ from .states import (
     DensityMatrix,
     SumState,
     aligned_density_matrices,
+    hermitian_eigvalsh,
     partial_trace,
     trace_norm,
 )
@@ -65,18 +66,23 @@ def spectrum(rho, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
     """Eigenvalues of a PSD matrix, descending, numerical dust clamped to 0.
 
     Values in [-psd_tolerance, 0) are treated as dust; anything more negative
-    is a hard error, distinguishing roundoff from invalid input.
+    is a hard error, distinguishing roundoff from invalid input.  A
+    DensityMatrix is not decomposed again: the Hermitian gap and eigenvalues
+    its validation found are checked against ``tolerances`` here.
     """
-    mat = _as_matrix(rho)
-    gap = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    if isinstance(rho, DensityMatrix):
+        gap, vals, trace = rho.herm_gap, rho.eigenvalues, rho.trace
+    else:
+        mat = _as_matrix(rho)
+        gap, vals = hermitian_eigvalsh(mat)
+        trace = float(np.trace(mat).real)
     if gap > tolerances.herm:
         raise InvalidStateError(f"not Hermitian: gap {gap!r}")
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
     dust = float(vals[0]) if vals.size and vals[0] < 0 else 0.0
     if dust < -tolerances.psd:
         raise InvalidStateError(f"negative eigenvalue {dust!r} beyond dust tolerance")
     vals = np.clip(vals, 0.0, None)[::-1]
-    return Spectrum(tuple(vals), float(np.trace(mat).real), min(dust, 0.0))
+    return Spectrum(tuple(vals.tolist()), trace, min(dust, 0.0))
 
 
 def entropy(rho, tolerances: Tolerances = DEFAULT_TOLERANCES) -> EntropyValue:
@@ -180,10 +186,12 @@ def entropy_decomposition_bound(psi, k: int,
 
 def reduced_spectra(psi, tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """Spectra of every single-factor reduction, zero-padded to equal length."""
-    specs = [np.asarray(spectrum(partial_trace(psi, (i,)), tolerances).values)
+    specs = [spectrum(partial_trace(psi, (i,)), tolerances).values
              for i in range(psi.space.nfactors)]
-    top = max(s.size for s in specs)
-    return tuple(np.pad(s, (0, top - s.size)) for s in specs)
+    out = np.zeros((len(specs), max(map(len, specs))))
+    for row, vals in zip(out, specs):
+        row[:len(vals)] = vals
+    return tuple(out)
 
 
 def triortho_necessary_test(psi, tol: float = 1e-8,

@@ -210,7 +210,7 @@ def _canonical_rows(i: int, dim: int, nterms: int, indptr, indices,
     data = np.array(data, dtype=np.complex128)
     if (indptr.shape != (nterms + 1,) or indices.ndim != 1
             or data.shape != indices.shape or indptr[0] != 0
-            or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0)):
+            or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any()):
         raise InvalidStateError(
             f"factor {i} is not a set of CSR rows for {nterms} terms")
     if not np.isfinite(data).all():
@@ -223,7 +223,7 @@ def _canonical_rows(i: int, dim: int, nterms: int, indptr, indices,
     rows = Rows(indptr, indices, data)
     term = rows.entry_terms()
     key = term * dim + indices
-    if np.any(np.diff(key) <= 0):  # a row out of order or repeating an index
+    if (key[1:] <= key[:-1]).any():  # a row out of order or repeating an index
         order = np.argsort(key, kind="stable")
         key, slot = np.unique(key[order], return_inverse=True)
         data = np.zeros(key.size, dtype=np.complex128)
@@ -376,6 +376,21 @@ class SumState:
             for i, (dim, r) in enumerate(zip(space.dims, rows))])
 
     @classmethod
+    def from_columns(cls, space: ProductSpace, coeffs, columns) -> SumState:
+        """Build from one dense matrix per factor whose column k is term k's
+        vector on that factor; zeros are dropped and the rest is validated
+        as ``from_rows`` does."""
+        rows = []
+        for mat in columns:
+            mat = np.asarray(mat)
+            if mat.ndim != 2:
+                raise InvalidStateError("factor columns must form a matrix")
+            d, k = mat.shape
+            rows.append((np.arange(k + 1) * d, np.arange(d * k) % d,
+                         mat.T.ravel()))
+        return cls.from_rows(space, coeffs, rows)
+
+    @classmethod
     def _trusted(cls, space: ProductSpace, coeffs: np.ndarray,
                  rows) -> SumState:
         """Wrap arrays already valid for ``space`` (validated, or derived
@@ -424,13 +439,28 @@ class SumState:
 
     def with_coeffs(self, coeffs) -> SumState:
         """The same product vectors (and packs) under new coefficients."""
+        return self.on_factors(self.space, range(self.space.nfactors), coeffs)
+
+    def on_factors(self, space: ProductSpace, keep, coeffs) -> SumState:
+        """Every term's vectors on the factors ``keep``, in that order, as a
+        state on ``space`` under new coefficients.  The rows, and the packs
+        when this state has built them, are shared rather than rebuilt."""
+        keep = tuple(keep)
+        if len(keep) != space.nfactors or any(
+                d < self.space.dims[i] for i, d in zip(keep, space.dims)):
+            raise DimensionMismatchError(
+                f"factors {keep} of dims {self.space.dims} do not fit "
+                f"{space.dims}")
         coeffs = np.array(coeffs, dtype=np.complex128)
         if coeffs.shape != self.coeffs.shape or not np.isfinite(coeffs).all():
             raise InvalidStateError(
                 f"need {self.nterms} finite coefficients")
-        state = SumState._trusted(self.space, coeffs, self.rows)
+        state = SumState._trusted(space, coeffs, [self.rows[i] for i in keep])
         if "_packed" in self.__dict__:
-            state.__dict__["_packed"] = self._packed
+            packs = self._packed
+            if keep != tuple(range(len(packs))):
+                packs = tuple(packs[i] for i in keep)
+            state.__dict__["_packed"] = packs
         return state
 
     def embedded(self, space: ProductSpace) -> SumState:
@@ -456,12 +486,22 @@ def combine(space: ProductSpace, weights, states) -> SumState:
     return SumState._trusted(space, coeffs, rows)
 
 
-def distance(a: SumState, b: SumState) -> float:
-    """||a - b|| for two SumStates, from the Gram of their joined terms."""
+def distance(a, b) -> float:
+    """||a - b|| for two states of one representation.
+
+    DenseStates are subtracted after zero-padding to the larger space, as
+    ``inner`` does; SumStates through the Gram of their joined terms.
+    """
     _check_same_nfactors(a, b)
     space = ProductSpace(tuple(max(x, y)
                                for x, y in zip(a.space.dims, b.space.dims)))
-    return norm(combine(space, (1.0, -1.0), (a, b)))
+    if isinstance(a, DenseState) and isinstance(b, DenseState):
+        diff = (_embedded_tensor(a, space.dims)
+                - _embedded_tensor(b, space.dims))
+        return norm(DenseState(space, diff, normalized=False))
+    if isinstance(a, SumState) and isinstance(b, SumState):
+        return norm(combine(space, (1.0, -1.0), (a, b)))
+    raise TypeError(f"unsupported operands: {type(a).__name__}, {type(b).__name__}")
 
 
 def _factor_overlap(pack_a, pack_b) -> np.ndarray:
@@ -470,10 +510,13 @@ def _factor_overlap(pack_a, pack_b) -> np.ndarray:
     ib, fb = pack_b
     if ia.size == 0 or ib.size == 0:
         return np.zeros((fa.shape[0], fb.shape[0]), dtype=np.complex128)
-    common, ca, cb = np.intersect1d(ia, ib, assume_unique=True,
-                                    return_indices=True)
-    if common.size == 0:
-        return np.zeros((fa.shape[0], fb.shape[0]), dtype=np.complex128)
+    if ia is ib or (ia.size == ib.size and (ia == ib).all()):
+        ca = cb = np.arange(ia.size)
+    else:
+        common, ca, cb = np.intersect1d(ia, ib, assume_unique=True,
+                                        return_indices=True)
+        if common.size == 0:
+            return np.zeros((fa.shape[0], fb.shape[0]), dtype=np.complex128)
     if not (pack_a.has_private and pack_b.has_private):
         return fa[:, ca].conj() @ fb[:, cb].T
     ra, rb = pack_a.owner[ca], pack_b.owner[cb]
@@ -558,6 +601,14 @@ def norm(s) -> float:
     return math.sqrt(max(inner(s, s).real, 0.0))
 
 
+def hermitian_eigvalsh(mat: np.ndarray) -> tuple:
+    """(largest entry of |mat - mat^H|, ascending eigenvalues of the
+    Hermitian part (mat + mat^H) / 2) of a square matrix."""
+    adjoint = mat.conj().T
+    gap = float(np.abs(mat - adjoint).max()) if mat.size else 0.0
+    return gap, np.linalg.eigvalsh((mat + adjoint) / 2.0)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian PSD reduced state on a subset of factors.
@@ -566,6 +617,8 @@ class DensityMatrix:
     matrix was compacted onto the basis indices a SumState actually touches,
     ``basis`` records, per kept factor, which ambient index each block
     position stands for (``None`` means the identity labelling).
+    Validation decomposes the matrix once; ``herm_gap`` and the ascending
+    ``eigenvalues`` it found are kept for ``spectral.spectrum``.
     """
 
     matrix: np.ndarray
@@ -573,6 +626,8 @@ class DensityMatrix:
     kept_factors: tuple
     basis: tuple = None
     trace: float = field(init=False, default=0.0)
+    herm_gap: float = field(init=False, default=0.0, repr=False)
+    eigenvalues: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
@@ -583,17 +638,20 @@ class DensityMatrix:
                 f"matrix shape {mat.shape} does not match block dims {dims}")
         if not np.all(np.isfinite(mat.view(np.float64))):
             raise InvalidStateError("density matrix entries must be finite")
-        herm_gap = float(np.max(np.abs(mat - mat.conj().T))) if d else 0.0
+        herm_gap, eigenvalues = hermitian_eigvalsh(mat)
         if herm_gap > DEFAULT_TOLERANCES.herm:
             raise InvalidStateError(f"not Hermitian: gap {herm_gap!r}")
-        eigmin = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+        eigmin = float(eigenvalues[0])
         if eigmin < -DEFAULT_TOLERANCES.psd:
             raise InvalidStateError(f"not PSD: min eigenvalue {eigmin!r}")
         tr = float(np.trace(mat).real)
         if not 0.0 < tr <= 1.0 + DEFAULT_TOLERANCES.norm:
             raise InvalidStateError(f"trace {tr!r} outside (0, 1]")
         mat.flags.writeable = False
+        eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "herm_gap", herm_gap)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "kept_factors",
                            tuple(int(k) for k in self.kept_factors))
@@ -672,7 +730,7 @@ def partial_trace(s, keep) -> DensityMatrix:
             if idx.size == 0:
                 raise InvalidStateError(f"kept factor {i} is identically zero")
             dims.append(idx.size)
-            bases.append(tuple(int(x) for x in idx))
+            bases.append(tuple(idx.tolist()))
             block = fmat.T  # touched-by-terms
             cols = block if cols is None else (
                 cols[:, None, :] * block[None, :, :]).reshape(-1, nterms)

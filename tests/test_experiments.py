@@ -137,12 +137,18 @@ class TestReportPlumbing:
         # Recorded when partial traces were einsum contractions.  A faster
         # reduction may sum in another order, so floats are pinned to 1e-12
         # absolute; verdicts, flags and every other field match exactly.
+        # The stability runs have 10 trials so that trial 9's exact tie, and
+        # with it the degenerate-block path, is covered.
         pinned = json.loads(PIN_FILE.read_text())
         fresh = {}
         for seed in (1, 2):
             cfg = TrialConfig(seed=seed, trials=4, dims=(4, 4, 4))
             fresh[f"isolation/{seed}"] = run_isolation_scan(cfg).to_json()
             fresh[f"closure/{seed}"] = run_closure_test(cfg).to_json()
+            stability = TrialConfig(seed=seed, trials=10, dims=(6, 6, 6),
+                                    selector="all")
+            fresh[f"stability/{seed}"] = \
+                run_stability_campaign(stability).to_json()
         fresh["instability"] = run_instability_sweep((0.3, 0.1)).to_json()
         assert_matches_pin(fresh, pinned, "")
 

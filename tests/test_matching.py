@@ -5,13 +5,18 @@ import pytest
 
 from tridecomp.decomp import TriDecomposition, Variant, ordered_triortho
 from tridecomp.errors import PreconditionError
-from tridecomp.matching import match_components, match_single_product
+from tridecomp.matching import (
+    _projected_pair,
+    match_components,
+    match_single_product,
+)
 from tridecomp.states import (
     ProductSpace,
     ProductTerm,
     SumState,
     norm,
     sparse_vector,
+    sv_inner,
 )
 
 from conftest import random_orthonormal, random_triortho, random_unit
@@ -235,6 +240,49 @@ class TestComponentMatch:
         assert rep.all_bounds_hold
         matched = [r.matched for r in rep.records]
         assert len(set(matched)) == len(matched)
+
+
+def projected_pair_reference(space2, keep, term, other, project_axis):
+    """The projected pair rebuilt from ProductTerms, as it once was built."""
+    comp = term.factors[project_axis]
+    single = SumState(space2, (ProductTerm(
+        term.coeff, (term.factors[keep[0]], term.factors[keep[1]])),))
+    projected = tuple(
+        ProductTerm(t.coeff * sv_inner(comp, t.factors[project_axis]),
+                    (t.factors[keep[0]], t.factors[keep[1]]))
+        for t in other.terms)
+    return single, SumState(space2, projected)
+
+
+class TestProjectedPair:
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_matches_the_product_term_build(self, tie):
+        d = random_triortho(38, dims=(5, 6, 7), k=3, tie=tie)
+        po = ordered_triortho(d)
+        assert (len(po.blocks[0].indices) == 2) == tie
+        eps = 0.2
+        bound = po.blocks[-1].magnitude ** 2 * eps ** 2 / 18
+        d_phi, _ = perturbed_decomposition(d, bound, 11)
+        psi_state = po.decomposition.to_sum_state()
+        phi_state = d_phi.to_sum_state()
+        parent_packs = phi_state._packed
+        dims = d.space.dims
+        for keep, axis in (((0, 1), 2), ((1, 2), 0)):
+            space2 = ProductSpace(tuple(dims[i] for i in keep))
+            for k in range(psi_state.nterms):
+                got = _projected_pair(space2, keep, psi_state, k, phi_state,
+                                      axis)
+                want = projected_pair_reference(
+                    space2, keep, po.decomposition.terms[k], d_phi, axis)
+                for g, w in zip(got, want):
+                    assert g.space == w.space
+                    assert g.coeffs.tobytes() == w.coeffs.tobytes()
+                    for gr, wr in zip(g.rows, w.rows):
+                        for x, y in zip(gr, wr):
+                            assert np.array_equal(x, y)
+                projected = got[1]
+                assert all(projected._packed[j] is parent_packs[i]
+                           for j, i in enumerate(keep))
 
 
 class TestReportJson:

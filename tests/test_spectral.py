@@ -8,6 +8,7 @@ from tridecomp.constructions import (
     isolation_witness_3,
     non_triortho_perturb,
 )
+from tridecomp.config import Tolerances
 from tridecomp.errors import DimensionMismatchError, InvalidStateError
 from tridecomp.spectral import (
     entropy,
@@ -19,6 +20,7 @@ from tridecomp.spectral import (
 )
 from tridecomp.states import (
     DenseState,
+    DensityMatrix,
     ProductSpace,
     ProductTerm,
     SumState,
@@ -73,6 +75,71 @@ class TestSpectrum:
         a = np.asarray(spectrum(rho).values)
         b = np.asarray(spectrum(q @ rho @ q.conj().T).values)
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def same_spectrum(a, b):
+    """Bitwise equality of two Spectrum results."""
+    return (np.asarray(a.values).tobytes() == np.asarray(b.values).tobytes()
+            and a.source_trace == b.source_trace
+            and a.clamped_dust == b.clamped_dust)
+
+
+class TestEigenvalueReuse:
+    """``spectrum`` of a DensityMatrix reads the eigenvalues its validation
+    computed, and still applies the caller's tolerances to them."""
+
+    def reductions(self):
+        dense = haar_random_state(ProductSpace((3, 4, 5)), 8)
+        compact = random_triortho(9, dims=(5, 6, 7), k=3).to_sum_state()
+        for psi in (dense, compact):
+            for keep in ((0,), (1,), (2,), (0, 2)):
+                yield partial_trace(psi, keep)
+        yield partial_trace(partial_trace(dense, (0, 2)), (2,))
+        yield partial_trace(partial_trace(compact, (1, 2)), (1,))
+
+    def test_matches_the_matrix_path_bitwise(self):
+        for rho in self.reductions():
+            assert same_spectrum(spectrum(rho), spectrum(rho.matrix))
+            assert same_spectrum(spectrum(rho, Tolerances(herm=1e-12)),
+                                 spectrum(rho.matrix, Tolerances(herm=1e-12)))
+
+    def test_reduced_spectra_pad_with_zeros(self):
+        psi = haar_random_state(ProductSpace((2, 3, 4)), 3)
+        padded = reduced_spectra(psi)
+        for i, row in enumerate(padded):
+            vals = spectrum(partial_trace(psi, (i,))).values
+            assert row.shape == (4,)
+            assert row[:len(vals)].tolist() == list(vals)
+            assert not row[len(vals):].any()
+
+    def test_stricter_hermiticity_still_raises(self, rng):
+        mat = random_psd(rng, 3, top=0.3)
+        mat[0, 1] += 1e-11  # Hermitian gap 1e-11, inside the default 1e-9
+        rho = DensityMatrix(mat, (3,), (0,))
+        assert rho.herm_gap == pytest.approx(1e-11, rel=1e-3)
+        spectrum(rho)
+        strict = Tolerances(herm=1e-13)
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            spectrum(rho, strict)
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            spectrum(rho.matrix, strict)
+
+    def test_stricter_psd_still_raises(self):
+        rho = DensityMatrix(np.diag([0.5, 0.5, -1e-11]).astype(complex),
+                            (3,), (0,))
+        spec = spectrum(rho)
+        assert spec.clamped_dust == pytest.approx(-1e-11, rel=1e-6)
+        assert spec.values[-1] == 0.0
+        strict = Tolerances(psd=1e-12)
+        with pytest.raises(InvalidStateError, match="dust"):
+            spectrum(rho, strict)
+        with pytest.raises(InvalidStateError, match="dust"):
+            spectrum(rho.matrix, strict)
+
+    def test_eigenvalues_are_read_only(self):
+        rho = partial_trace(haar_random_state(ProductSpace((2, 2, 2)), 1), (0,))
+        with pytest.raises(ValueError):
+            rho.eigenvalues[0] = 1.0
 
 
 class TestEntropy:

@@ -12,8 +12,10 @@ from tridecomp.errors import (
 from tridecomp.states import (
     DenseState,
     DensityMatrix,
+    FactorPack,
     ProductSpace,
     ProductTerm,
+    Rows,
     SumState,
     _factor_overlap,
     aligned_density_matrices,
@@ -29,7 +31,7 @@ from tridecomp.states import (
     trace_norm,
 )
 
-from conftest import random_psd, random_unit
+from conftest import random_orthonormal, random_psd, random_unit
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SPACE3 = ProductSpace((2, 2, 2))
@@ -175,6 +177,51 @@ class TestFactorOverlap:
                         got = _factor_overlap(a._packed[i], b._packed[i])
                         want = dense_overlap(a._packed[i], b._packed[i])
                         assert np.max(np.abs(got - want)) < 1e-13
+
+    @staticmethod
+    def intersect_overlap(pack_a, pack_b):
+        """``_factor_overlap`` as it was before equal supports were
+        special-cased: the common columns always come from ``intersect1d``."""
+        ia, fa = pack_a
+        ib, fb = pack_b
+        common, ca, cb = np.intersect1d(ia, ib, assume_unique=True,
+                                        return_indices=True)
+        if common.size == 0:
+            return np.zeros((fa.shape[0], fb.shape[0]), dtype=np.complex128)
+        if not (pack_a.has_private and pack_b.has_private):
+            return fa[:, ca].conj() @ fb[:, cb].T
+        ra, rb = pack_a.owner[ca], pack_b.owner[cb]
+        both = (ra >= 0) & (rb >= 0)
+        out = fa[:, ca[~both]].conj() @ fb[:, cb[~both]].T
+        ra, rb = ra[both], rb[both]
+        np.add.at(out, (ra, rb), fa[ra, ca[both]].conj() * fb[rb, cb[both]])
+        return out
+
+    def test_equal_supports_match_the_intersect_path_bitwise(self, rng):
+        states = {kind: supported_sum_state(rng, s, self.DIMS)
+                  for kind, s in self.SUPPORTS.items()}
+        for kind, st in states.items():
+            for i in range(3):
+                pack = st._packed[i]
+                # an equal copy: equal touched indices in another array
+                copy = FactorPack(Rows(*(a.copy() for a in st.rows[i])))
+                assert copy[0] is not pack[0]
+                for a, b in ((pack, pack), (pack, copy), (copy, pack)):
+                    assert np.array_equal(_factor_overlap(a, b),
+                                          self.intersect_overlap(a, b)), kind
+        # partly disjoint ("some" and "crossed" share factor-0 indices 0 and
+        # 3) and fully disjoint supports keep the intersect path
+        disjoint = supported_sum_state(rng, [(4, 5), (6,), (7, 8, 9)],
+                                       self.DIMS)
+        for a, b in (("some", "crossed"), ("none", "all"), ("crossed", "all")):
+            pa, pb = states[a]._packed[0], states[b]._packed[0]
+            assert np.array_equal(_factor_overlap(pa, pb),
+                                  self.intersect_overlap(pa, pb))
+        for st in states.values():
+            pa, pb = st._packed[0], disjoint._packed[0]
+            got = _factor_overlap(pa, pb)
+            assert np.array_equal(got, self.intersect_overlap(pa, pb))
+            assert not got.any()
 
     def test_instability_pair_factors(self):
         from tridecomp.constructions import instability_pair
@@ -618,6 +665,63 @@ class TestArrayBackedSumState:
         want = np.linalg.norm(densify(a).amplitudes - densify(b).amplitudes)
         assert distance(a, b) == pytest.approx(want, abs=1e-12)
         assert distance(a, a) <= 1e-7
+
+    def test_distance_of_dense_states(self, rng):
+        from tridecomp.states import distance
+
+        a, b = (DenseState(ProductSpace((3, 4, 5)),
+                           random_unit(rng, 60), normalized=True)
+                for _ in range(2))
+        diff = DenseState(a.space, a.amplitudes - b.amplitudes,
+                          normalized=False)
+        assert distance(a, b) == norm(diff)  # the same arithmetic, bitwise
+        small = DenseState(ProductSpace((2, 4, 5)), random_unit(rng, 40),
+                           normalized=True)
+        padded = np.zeros((3, 4, 5), dtype=complex)
+        padded[:2] = small.tensor
+        want = np.linalg.norm(a.tensor - padded)
+        assert distance(a, small) == pytest.approx(want, abs=1e-14)
+        assert distance(small, a) == pytest.approx(want, abs=1e-14)
+        with pytest.raises(TypeError):
+            distance(a, sparsify(a))
+
+    def test_from_columns_agrees_with_terms(self, rng):
+        dims = (4, 3, 5)
+        comps = [random_orthonormal(rng, d, 3) for d in dims]
+        comps[0][2, 1] = 0.0  # dropped, as sparse_vector drops it
+        comps[0][:, 1] /= np.linalg.norm(comps[0][:, 1])
+        coeffs = np.array([0.8, 0.5j, -0.3])
+        s = SumState.from_columns(ProductSpace(dims), coeffs, comps)
+        ref = SumState(ProductSpace(dims), tuple(
+            ProductTerm(coeffs[k], tuple(sparse_vector(c[:, k]) for c in comps))
+            for k in range(3)))
+        assert s.coeffs.tobytes() == ref.coeffs.tobytes()
+        for got, want in zip(s.rows, ref.rows):
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
+        with pytest.raises(InvalidStateError, match="norm"):
+            SumState.from_columns(ProductSpace(dims), coeffs,
+                                  [2.0 * comps[0]] + comps[1:])
+        with pytest.raises(DimensionMismatchError):
+            SumState.from_columns(ProductSpace((3, 3, 5)), coeffs, comps)
+        with pytest.raises(InvalidStateError):
+            SumState.from_columns(ProductSpace(dims), coeffs,
+                                  [comps[0][:, 0]] + comps[1:])
+
+    def test_on_factors_shares_rows_and_packs(self, rng):
+        s = random_sum_state(rng, (3, 4, 5), k=3)
+        space = ProductSpace((5, 3))
+        lazy = s.on_factors(space, (2, 0), [1.0, 2.0, 3.0])
+        assert "_packed" not in lazy.__dict__
+        packs = s._packed
+        sub = s.on_factors(space, (2, 0), [1.0, 2.0, 3.0])
+        assert sub.rows == (s.rows[2], s.rows[0])
+        assert sub._packed[0] is packs[2] and sub._packed[1] is packs[0]
+        assert sub.coeffs.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(DimensionMismatchError):
+            s.on_factors(ProductSpace((4, 3)), (2, 0), [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidStateError):
+            s.on_factors(space, (2, 0), [1.0, 2.0])
 
     def test_immutable(self, rng):
         s = random_sum_state(rng)
