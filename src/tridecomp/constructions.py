@@ -34,15 +34,14 @@ from .states import (
     ProductSpace,
     ProductTerm,
     SumState,
+    _dense_factor,
     _factor_overlap,
     combine,
     densify,
     inner,
     norm,
     partial_trace,
-    sparse_vector,
     sparsify,
-    sv_dense,
     trace_norm,
 )
 
@@ -102,21 +101,13 @@ def example31(theta: float,
     psi = DenseState(space, psi_amp.ravel(), normalized=True)
 
     tilted = -math.cos(theta) * e0 - math.sin(theta) * e1
-    phi2 = ((e0 - e1) * _INV_SQRT2, (e0 + e1) * _INV_SQRT2)
-    phi3 = ((e0 + e1) * _INV_SQRT2, (e0 - e1) * _INV_SQRT2)
-    phi_terms = (
-        ProductTerm(_INV_SQRT2, (sparse_vector(e0),
-                                 sparse_vector(phi2[0]), sparse_vector(phi3[0]))),
-        ProductTerm(_INV_SQRT2, (sparse_vector(tilted),
-                                 sparse_vector(phi2[1]), sparse_vector(phi3[1]))),
-    )
-    psi_terms = (
-        ProductTerm(_INV_SQRT2, (sparse_vector(e0),
-                                 sparse_vector(e0), sparse_vector(e1))),
-        ProductTerm(_INV_SQRT2, (sparse_vector(tilted),
-                                 sparse_vector(e1), sparse_vector(e0))),
-    )
-    phi_sum, psi_sum = SumState(space, phi_terms), SumState(space, psi_terms)
+    first = np.column_stack((e0, tilted))
+    minus, plus = (e0 - e1) * _INV_SQRT2, (e0 + e1) * _INV_SQRT2
+    coeffs = (_INV_SQRT2, _INV_SQRT2)
+    phi_sum = SumState.from_columns(space, coeffs, (
+        first, np.column_stack((minus, plus)), np.column_stack((plus, minus))))
+    psi_sum = SumState.from_columns(space, coeffs, (
+        first, np.column_stack((e0, e1)), np.column_stack((e1, e0))))
     phi_state, psi_state = densify(phi_sum), densify(psi_sum)
     d_phi = _verified(TriDecomposition(space, phi_sum, Variant.LI_ALL),
                       phi_state, tolerances)
@@ -190,8 +181,8 @@ def example32(theta: float,
     rho_psi = partial_trace(base.psi_theta, (0, 1))
 
     def products(d: TriDecomposition):
-        return tuple((sv_dense(t.factors[0], 2), sv_dense(t.factors[1], 2))
-                     for t in d.terms)
+        state = d.to_sum_state()
+        return tuple(zip(_dense_factor(state, 0, 2), _dense_factor(state, 1, 2)))
 
     phi_products = products(base.phi_decomposition)
     psi_products = products(base.psi_decomposition)
@@ -238,14 +229,13 @@ def example33(theta: float,
     space = ProductSpace((2, 2, 2))
     e0, e1 = _basis_vec(2, 0), _basis_vec(2, 1)
     tilted = math.cos(theta) * e0 + math.sin(theta) * e1
-    comp1 = (sparse_vector(e0),) * 3
-    comp2 = (sparse_vector(tilted),) * 3
-    raw_terms = (ProductTerm(c1, comp1), ProductTerm(c2, comp2))
-    phi_raw = densify(SumState(space, raw_terms))
+    raw = SumState.from_columns(space, (c1, c2),
+                                (np.column_stack((e0, tilted)),) * 3)
+    phi_raw = densify(raw)
     nrm = norm(phi_raw)
     psi_theta = DenseState(space, phi_raw.amplitudes / nrm, normalized=True)
-    terms = (ProductTerm(c1 / nrm, comp1), ProductTerm(c2 / nrm, comp2))
-    d = _verified(TriDecomposition(space, terms, Variant.LI_ALL),
+    d = _verified(TriDecomposition(space, raw.with_coeffs((c1 / nrm, c2 / nrm)),
+                                   Variant.LI_ALL),
                   psi_theta, tolerances)
     limit = np.zeros((2, 2, 2), dtype=np.complex128)
     limit[0, 0, 0] = 1.0
@@ -544,21 +534,17 @@ class TensorStructurePair:
     space: ProductSpace
 
     def relabeled_overlap(self, i: int, psi_vec, phi_vec, aux) -> complex:
-        aux = tuple(int(x) for x in aux)
+        i, aux = int(i), tuple(int(x) for x in aux)
+        if not 0 <= i < self.space.nfactors:
+            raise InvalidStateError(f"factor index out of range: {i}")
         if len(aux) != self.space.nfactors - 1:
             raise InvalidStateError(
                 "need one auxiliary basis index per remaining factor")
 
         def embed(vec):
-            facs = []
-            it = iter(aux)
-            for f in range(self.space.nfactors):
-                if f == i:
-                    facs.append(sparse_vector(vec) if not isinstance(vec, tuple)
-                                else vec)
-                else:
-                    facs.append(((next(it), 1.0 + 0j),))
-            return SumState(self.space, (ProductTerm(1.0, tuple(facs)),))
+            facs = [((x, 1.0),) for x in aux]
+            facs.insert(i, vec)
+            return SumState(self.space, (ProductTerm(1.0, facs),))
 
         return self.mover.moved_inner(embed(psi_vec), embed(phi_vec))
 
@@ -651,16 +637,12 @@ def isolation_witness_4(n: int, dims: tuple = None) -> DenseState:
 def _orthogonal_unit(vec: np.ndarray, zero_tol: float = 1e-9) -> np.ndarray:
     """First basis direction orthogonalized against ``vec``."""
     d = vec.shape[0]
-    for j in range(d):
-        cand = _basis_vec(d, j) - vec * vec.conj()[j]
-        n = np.linalg.norm(cand)
-        if n > 0.5:
-            return cand / n
-    for j in range(d):
-        cand = _basis_vec(d, j) - vec * vec.conj()[j]
-        n = np.linalg.norm(cand)
-        if n > zero_tol:
-            return cand / n
+    for floor in (0.5, zero_tol):
+        for j in range(d):
+            cand = _basis_vec(d, j) - vec * vec.conj()[j]
+            n = np.linalg.norm(cand)
+            if n > floor:
+                return cand / n
     raise InvalidStateError("no orthogonal direction available")
 
 
@@ -682,35 +664,18 @@ def non_triortho_perturb(psi, epsilon: float,
         raise InvalidStateError("expected an (ordered) orthonormal decomposition")
     if not 0.0 < epsilon < 1.0:
         raise InvalidStateError("epsilon must lie in (0, 1)")
-    d = ordered.decomposition
-    dims = d.space.dims
+    state = ordered.decomposition.to_sum_state()
     eta = math.sqrt(1.0 - epsilon)
     eta_p = math.sqrt(epsilon)
-
-    def dense_factors(term):
-        return [sv_dense(f, dim) for f, dim in zip(term.factors, dims)]
-
-    amp = np.zeros(dims, dtype=np.complex128)
-    if d.nterms == 1:
-        lead = dense_factors(d.terms[0])
-        fresh = [_orthogonal_unit(v) for v in lead]
-        a1 = d.terms[0].coeff
-        mixed = eta * lead[2] + eta_p * fresh[2]
-        amp += a1 * eta * np.multiply.outer(
-            lead[0], np.multiply.outer(lead[1], mixed))
-        amp += a1 * eta_p * np.multiply.outer(
-            fresh[0], np.multiply.outer(fresh[1], fresh[2]))
-    else:
-        lead = dense_factors(d.terms[0])
-        second = dense_factors(d.terms[1])
-        mixed = eta * lead[2] + eta_p * second[2]
-        amp += d.terms[0].coeff * np.multiply.outer(
-            lead[0], np.multiply.outer(lead[1], mixed))
-        for term in d.terms[1:]:
-            f = dense_factors(term)
-            amp += term.coeff * np.multiply.outer(
-                f[0], np.multiply.outer(f[1], f[2]))
-    out = DenseState(d.space, amp.ravel(), normalized=None)
+    coeffs = state.coeffs
+    cols = [_dense_factor(state, i, dim).T
+            for i, dim in enumerate(state.space.dims)]
+    if state.nterms == 1:
+        coeffs = coeffs[0] * np.array([eta, eta_p])
+        cols = [np.column_stack((c[:, 0], _orthogonal_unit(c[:, 0])))
+                for c in cols]
+    cols[2][:, 0] = eta * cols[2][:, 0] + eta_p * cols[2][:, 1]
+    out = densify(SumState.from_columns(state.space, coeffs, cols))
     if abs(norm(out) - 1.0) > 1e-12:
         raise VerificationError("perturbed state failed to stay normalized")
     return out

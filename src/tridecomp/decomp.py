@@ -103,6 +103,20 @@ def _canonical_column_phases(left: np.ndarray, right: np.ndarray,
     return left, right
 
 
+def _degenerate_groups(values, width: float) -> list:
+    """(start, stop) slices of descending ``values`` that form degeneracy
+    groups: a group continues while each value is within ``width`` of the
+    one before it, so a chain of near-ties is one group."""
+    groups, start = [], 0
+    for j in range(1, len(values)):
+        if values[j - 1] - values[j] > width:
+            groups.append((start, j))
+            start = j
+    if len(values):
+        groups.append((start, len(values)))
+    return groups
+
+
 def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES,
             sv_floor: float = 1e-12) -> SchmidtDecomposition:
     """SVD of the amplitude matrix across ``left`` | complement.
@@ -122,17 +136,9 @@ def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES,
     u, v = _canonical_column_phases(u, v)
     # deterministic tie-breaking inside degenerate groups
     order = list(range(s.size))
-    i = 0
-    while i < s.size:
-        j = i + 1
-        while j < s.size and s[i] - s[j] <= tolerances.deg:
-            j += 1
-        if j - i > 1:
-            block = order[i:j]
-            block.sort(key=lambda k: tuple(
-                x for e in u[:, k] for x in (e.real, e.imag)))
-            order[i:j] = block
-        i = j
+    for i, j in _degenerate_groups(s, tolerances.deg):
+        order[i:j] = sorted(order[i:j], key=lambda k: tuple(
+            x for e in u[:, k] for x in (e.real, e.imag)))
     u, s, v = u[:, order], s[order], v[:, order]
     return SchmidtDecomposition(psi_d.space, (left, right),
                                 s.copy(), u, v)
@@ -294,25 +300,24 @@ class OrderedTriortho:
         return len(self.blocks)
 
 
+def _by_magnitude(state: SumState) -> tuple:
+    """(the terms sorted stably by descending |a|, and those |a|), taken with
+    Python's ``abs``, whose last bits the campaign reports carry."""
+    mags = np.array([abs(c) for c in state.coeffs.tolist()])
+    order = np.argsort(-mags, kind="stable")
+    return state.take(order), mags[order]
+
+
 def ordered_triortho(d: TriDecomposition,
                      tol_deg: float = DEFAULT_TOLERANCES.deg) -> OrderedTriortho:
     """Sort terms by descending |a| and group them into degeneracy blocks."""
     if d.variant is not Variant.ORTHONORMAL:
         raise InvalidStateError("ordering is defined for orthonormal decompositions")
-    mags = [abs(c) for c in d.coefficients.tolist()]
-    order = sorted(range(d.nterms), key=lambda k: -mags[k])
-    mags = [mags[k] for k in order]
-    sorted_d = TriDecomposition(d.space, d.to_sum_state().take(order),
-                                d.variant, d.certificate)
-    blocks = []
-    i = 0
-    while i < len(mags):
-        j = i + 1
-        while j < len(mags) and mags[j - 1] - mags[j] <= tol_deg:
-            j += 1
-        blocks.append(Block(mags[i], tuple(range(i, j))))
-        i = j
-    return OrderedTriortho(sorted_d, tuple(blocks))
+    state, mags = _by_magnitude(d.to_sum_state())
+    sorted_d = TriDecomposition(d.space, state, d.variant, d.certificate)
+    blocks = tuple(Block(float(mags[i]), tuple(range(i, j)))
+                   for i, j in _degenerate_groups(mags, tol_deg))
+    return OrderedTriortho(sorted_d, blocks)
 
 
 def truncate_terms(d: TriDecomposition, delta: float) -> TriDecomposition:
@@ -326,8 +331,14 @@ def term_distance(a_coeff, a_factors, b_coeff, b_factors) -> float:
     ov = 1.0 + 0j
     for fa, fb in zip(a_factors, b_factors):
         ov *= sv_inner(fa, fb)
+    return _term_distance(a_coeff, b_coeff, ov)
+
+
+def _term_distance(a_coeff, b_coeff, overlap: complex) -> float:
+    """|| a x - b y || for unit products x, y with <x|y> = ``overlap``."""
     val = (abs(a_coeff) ** 2 + abs(b_coeff) ** 2
-           - 2.0 * (complex(a_coeff).conjugate() * complex(b_coeff) * ov).real)
+           - 2.0 * (complex(a_coeff).conjugate() * complex(b_coeff)
+                    * overlap).real)
     return math.sqrt(max(val, 0.0))
 
 
@@ -472,31 +483,19 @@ def decompositions_equivalent(d1: TriDecomposition, d2: TriDecomposition,
     if d1.nterms == 0:
         return True
 
-    def by_magnitude(d):
-        order = sorted(range(d.nterms), key=lambda k: -abs(d.terms[k].coeff))
-        return d.to_sum_state().take(order)
-
-    s1, s2 = by_magnitude(d1), by_magnitude(d2)
-    t1, t2 = s1.terms, s2.terms
-    mags1 = np.array([abs(t.coeff) for t in t1])
-    mags2 = np.array([abs(t.coeff) for t in t2])
+    s1, mags1 = _by_magnitude(d1.to_sum_state())
+    s2, mags2 = _by_magnitude(d2.to_sum_state())
     if np.max(np.abs(mags1 - mags2)) > tol:
         return False
-    overlaps = np.abs(term_gram(s1, s2))
-    i = 0
-    while i < len(t1):
-        j = i + 1
-        while j < len(t1) and mags1[j - 1] - mags1[j] <= tolerances.deg:
-            j += 1
-        group1, group2 = t1[i:j], t2[i:j]
-        rows, cols = linear_sum_assignment(-overlaps[i:j, i:j])
-        for a, b in zip(rows, cols):
-            ta, tb = group1[a], group2[b]
-            if abs(abs(ta.coeff) - abs(tb.coeff)) > tol:
+    gram = term_gram(s1, s2)
+    for i, j in _degenerate_groups(mags1, tolerances.deg):
+        rows, cols = linear_sum_assignment(-np.abs(gram[i:j, i:j]))
+        for a, b in zip(rows + i, cols + i):
+            if abs(mags1[a] - mags2[b]) > tol:
                 return False
-            if term_distance(ta.coeff, ta.factors, tb.coeff, tb.factors) > tol:
+            if _term_distance(complex(s1.coeffs[a]), complex(s2.coeffs[b]),
+                              complex(gram[a, b])) > tol:
                 return False
-        i = j
     return True
 
 
@@ -604,11 +603,8 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES,
     d2, d3 = psi_d.space.dims[1], psi_d.space.dims[2]
     coeffs = sd.coefficients
     triples = []
-    i = 0
-    while i < coeffs.size:
-        j = i + 1
-        while j < coeffs.size and coeffs[j - 1] - coeffs[j] <= tolerances.deg:
-            j += 1
+    # schmidt permuted only inside these groups of the descending values
+    for i, j in _degenerate_groups(np.sort(coeffs)[::-1], tolerances.deg):
         if j - i == 1:
             mid, right, residual = _rank_one_split(
                 sd.right_vectors[:, i].reshape(d2, d3), 10 * tolerances.orth)
@@ -624,7 +620,6 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES,
             if isinstance(resolved, (NotTriorthogonal, Undetermined)):
                 return resolved
             triples.extend(resolved)
-        i = j
 
     coeffs, *comps = zip(*triples)
     assembled = SumState.from_columns(psi_d.space, coeffs,

@@ -30,6 +30,7 @@ from .decomp import (
     OrderedTriortho,
     TriDecomposition,
     Variant,
+    _degenerate_groups,
     canonical_phase,
     decompositions_equivalent,
     extract_triortho,
@@ -42,10 +43,10 @@ from .states import (
     DenseState,
     ProductSpace,
     SumState,
+    _dense_factor,
     densify,
     distance,
     partial_trace,
-    sv_dense,
 )
 
 
@@ -67,6 +68,8 @@ class TrialConfig:
                            tuple(float(t) for t in self.theta_grid))
         object.__setattr__(self, "epsilon_grid",
                            tuple(float(e) for e in self.epsilon_grid))
+        if self.seed < 0:
+            raise InvalidStateError("seed must be non-negative")
         if self.trials < 1:
             raise InvalidStateError("trial count must be at least 1")
         if math.prod(self.dims) > DENSIFY_CEILING:
@@ -189,6 +192,12 @@ def _random_triortho(rng, dims, k: int, tie: bool = False) -> TriDecomposition:
     return _orthonormal_decomposition(ProductSpace(dims), mags * phases, comps)
 
 
+def _columns(state: SumState) -> list:
+    """One dims[i] x terms matrix per factor: column k is term k's vector."""
+    return [np.ascontiguousarray(_dense_factor(state, i, d).T)
+            for i, d in enumerate(state.space.dims)]
+
+
 def _orthonormal_decomposition(space: ProductSpace, coeffs,
                                comps) -> TriDecomposition:
     """Term k has coefficient ``coeffs[k]`` and, on factor i, the unit
@@ -298,25 +307,17 @@ def _component_match_trial(rng, dims, trial, tolerances) -> dict:
 
     mags = np.abs(d_psi.coefficients)
     phases = d_psi.coefficients / mags
-    base = [np.column_stack([sv_dense(t.factors[i], dims[i])
-                             for t in d_psi.terms]) for i in range(3)]
+    base = _columns(psi_state)
     # tied magnitudes keep a shared perturbation factor: a tie broken by less
     # than the degeneracy width would park the extraction on its boundary
-    groups = []
-    for i, m in enumerate(mags):
-        if groups and abs(groups[-1][1] - m) <= 1e-12:
-            groups[-1][0].append(i)
-        else:
-            groups.append(([i], m))
+    sizes = [j - i for i, j in _degenerate_groups(mags, 1e-12)]
     angle = bound / 4.0
     phi_dec = None
     for _ in range(20):
         comps = [(_small_unitary(rng, dims[i], angle) @ base[i])
                  for i in range(3)]
-        factors = rng.uniform(-1.0, 1.0, len(groups))
-        m2 = mags.copy()
-        for (idxs, _), f in zip(groups, factors):
-            m2[idxs] = mags[idxs] * (1.0 + angle * f)
+        factors = rng.uniform(-1.0, 1.0, len(sizes))
+        m2 = mags * (1.0 + angle * np.repeat(factors, sizes))
         m2 = m2 / np.linalg.norm(m2)
         cand = _orthonormal_decomposition(d_psi.space, m2 * phases, comps)
         dist = distance(psi_state, cand.to_sum_state())
@@ -485,8 +486,7 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
     limit_state = densify(limit_dec.to_sum_state())
     mags_inf = np.abs(limit_dec.coefficients)
     phases_inf = limit_dec.coefficients / mags_inf
-    base = [np.column_stack([sv_dense(t.factors[i], dims[i])
-                             for t in limit_dec.terms]) for i in range(3)]
+    base = _columns(limit_dec.to_sum_state())
     gens = []
     for i in range(3):
         z = rng.standard_normal((dims[i], dims[i])) \
@@ -515,10 +515,10 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
         equivalent = ok_extract and decompositions_equivalent(
             extracted.decomposition, dn, 1e-6, tolerances)
         dn_sorted = ordered_triortho(dn, tolerances.deg).decomposition
-        aligned = canonical_phase(dn_sorted, reference=limit_dec)
+        aligned = _columns(canonical_phase(
+            dn_sorted, reference=limit_dec).to_sum_state())
         comp_dist = max(
-            float(np.linalg.norm(sv_dense(aligned.terms[j].factors[i], dims[i])
-                                 - base[i][:, j]))
+            float(np.linalg.norm(aligned[i][:, j] - base[i][:, j]))
             for j in range(k) for i in range(3))
         coeff_dist = float(np.max(np.abs(np.abs(dn_sorted.coefficients)
                                          - mags_inf)))

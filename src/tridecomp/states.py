@@ -318,7 +318,8 @@ class SumState:
     entry per term and ``rows[i]`` holds every term's unit vector on factor
     i as CSR ``Rows``.  Both are validated once, at construction, and are
     read-only.  ``terms`` gives the same terms as ``ProductTerm`` objects,
-    built on first use.
+    built on first use.  ``SumState(space, terms)`` is the input adapter
+    from ``ProductTerm`` objects onto ``from_rows``.
     """
 
     def __init__(self, space: ProductSpace, terms):
@@ -329,31 +330,14 @@ class SumState:
             if len(t.factors) != space.nfactors:
                 raise DimensionMismatchError(
                     "term factor count does not match the space")
-        # ProductTerm has validated everything but the indices' range.  The
-        # factors are flattened factor-major into one array each, which the
-        # rows of every factor then view.
-        nterms = len(terms)
-        facs = [t.factors[i] for i in range(space.nfactors) for t in terms]
-        ends = list(accumulate(map(len, facs), initial=0))
-        idx = [j for f in facs for j, _ in f]
-        for i, dim in enumerate(space.dims):
-            part = idx[ends[i * nterms]:ends[(i + 1) * nterms]]
-            if part and (min(part) < 0 or max(part) >= dim):
-                bad = next(j for j in part if not 0 <= j < dim)
-                raise DimensionMismatchError(
-                    f"component index {bad} does not fit factor {i} "
-                    f"of dimension {dim}")
-        indptr = np.array(ends, dtype=np.intp)
-        flat = _frozen_rows(indptr, np.array(idx, dtype=np.intp), np.array(
-            [a for f in facs for _, a in f], dtype=np.complex128))
         rows = []
         for i in range(space.nfactors):
-            lo, hi = ends[i * nterms], ends[(i + 1) * nterms]
-            ptr = indptr[i * nterms:(i + 1) * nterms + 1] - lo
-            ptr.setflags(write=False)
-            rows.append(Rows(ptr, flat.indices[lo:hi], flat.data[lo:hi]))
-        self._store(space, np.array([t.coeff for t in terms],
-                                    dtype=np.complex128), rows)
+            facs = [t.factors[i] for t in terms]
+            rows.append((list(accumulate(map(len, facs), initial=0)),
+                         [j for f in facs for j, _ in f],
+                         [a for f in facs for _, a in f]))
+        built = SumState.from_rows(space, [t.coeff for t in terms], rows)
+        self._store(space, built.coeffs, built.rows)
         self.__dict__["terms"] = terms
 
     @classmethod
@@ -836,11 +820,15 @@ def densify(s: SumState, ceiling: int = DENSIFY_CEILING) -> DenseState:
     if s.space.dim > ceiling:
         raise CapacityError(
             f"dense dimension {s.space.dim} exceeds the ceiling {ceiling}")
-    out = np.zeros(s.space.dims, dtype=np.complex128)
-    mats = [_dense_factor(s, i, d) for i, d in enumerate(s.space.dims)]
+    *lead, last = [_dense_factor(s, i, d) for i, d in enumerate(s.space.dims)]
+    # transposed, so the long axis is the inner loop of every product; the
+    # products associate as ((v1 v2) v3) either way
+    out = np.zeros((last.shape[1], s.space.dim // last.shape[1]),
+                   dtype=np.complex128)
     for k, coeff in enumerate(s.coeffs.tolist()):
-        out += coeff * reduce(np.multiply.outer, [m[k] for m in mats])
-    return DenseState(s.space, out.ravel(), normalized=None)
+        head = reduce(np.multiply.outer, [m[k] for m in lead]).ravel()
+        out += coeff * np.multiply(head[None, :], last[k][:, None])
+    return DenseState(s.space, out.T.ravel(), normalized=None)
 
 
 def sparsify(s: DenseState, tol: float = 0.0) -> SumState:

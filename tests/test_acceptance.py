@@ -45,6 +45,7 @@ from tridecomp.states import (
     ProductTerm,
     SumState,
     densify,
+    distance,
     norm,
     partial_trace,
     partial_trace_matrix,
@@ -70,11 +71,6 @@ def unit_product_state(dims=(2, 2, 2)):
     return DenseState(ProductSpace(dims), amps, normalized=True)
 
 
-def state_gap(a, b):
-    return norm(DenseState(a.space, a.amplitudes - b.amplitudes,
-                           normalized=False))
-
-
 def test_criterion_01_rotation_family_certified_and_converging():
     start = time.perf_counter()
     gaps_phi, gaps_psi, certified = [], [], []
@@ -82,8 +78,8 @@ def test_criterion_01_rotation_family_certified_and_converging():
         fam = example31(theta)
         certified.append(fam.phi_decomposition.certificate.passed
                          and fam.psi_decomposition.certificate.passed)
-        gaps_phi.append(state_gap(fam.phi_theta, fam.psi))
-        gaps_psi.append(state_gap(fam.psi_theta, fam.psi))
+        gaps_phi.append(distance(fam.phi_theta, fam.psi))
+        gaps_psi.append(distance(fam.psi_theta, fam.psi))
     elapsed = time.perf_counter() - start
     monotone = all(a > b for a, b in zip(gaps_phi, gaps_phi[1:])) and \
         all(a > b for a, b in zip(gaps_psi, gaps_psi[1:]))
@@ -107,7 +103,7 @@ def test_criterion_02_reduced_convex_decompositions():
 
 def test_criterion_03_diverging_coefficients():
     res = example33(1e-4)
-    gap = state_gap(res.psi_theta, res.limit)
+    gap = distance(res.psi_theta, res.limit)
     top = max(abs(c) for c in res.raw_coefficients)
     exact = top == 1.0 / math.sqrt(1e-4) and top == 100.0
     ok = gap < 0.05 and exact and res.decomposition.certificate.passed
@@ -141,8 +137,7 @@ def test_criterion_05_structure_mover_on_the_pair():
     pair = instability_pair(psi, 0.7)
     mover_pair = structure_mover(pair.phi1, pair.phi2)
     tn = mover_pair.mover.trace_norm_minus_identity()
-    neg = tuple(ProductTerm(-t.coeff, t.factors) for t in pair.phi2.terms)
-    dist = norm(SumState(pair.space, pair.phi1.terms + neg))
+    dist = distance(pair.phi1, pair.phi2)
     identity_gap = abs(tn - 2.0 * dist)
 
     worst = 0.0
@@ -271,7 +266,7 @@ def test_criterion_09_spectra_mismatch_perturbation():
         base_state = densify(base.to_sum_state())
         for eps in (0.05, 0.1, 0.2):
             pert = non_triortho_perturb(base, eps)
-            dist_sq = state_gap(pert, base_state) ** 2
+            dist_sq = distance(pert, base_state) ** 2
             s1, s2, s3 = reduced_spectra(pert)
             if not (dist_sq <= 2 * eps + 1e-12
                     and abs(s1[0] - s2[0]) <= 1e-9

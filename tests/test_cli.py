@@ -211,6 +211,13 @@ class TestCampaignCommand:
         assert doc["aggregate"]["pass_rate"] == 1.0
         assert len(doc["records"]) == 6
 
+    @pytest.mark.parametrize("campaign", ["closure", "stability", "isolation"])
+    def test_negative_seed_is_usage_error(self, capsys, campaign):
+        code, _, err = run(capsys, "campaign", campaign, "--seed", "-1")
+        assert code == 1
+        assert "seed" in err
+        assert "Traceback" not in err
+
     def test_seed_determines_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "campaign", "closure", "--seed", "3", "--dims", "4,4,4",

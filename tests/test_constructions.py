@@ -38,6 +38,7 @@ from tridecomp.states import (
     ProductTerm,
     SumState,
     densify,
+    distance,
     haar_random_state,
     inner,
     norm,
@@ -68,10 +69,7 @@ class TestExample31:
     def test_families_never_meet(self):
         for theta in (0.05, 0.4, 1.2, math.pi / 2):
             fam = example31(theta)
-            gap = norm(DenseState(fam.psi.space,
-                                  fam.phi_theta.amplitudes
-                                  - fam.psi_theta.amplitudes,
-                                  normalized=False))
+            gap = distance(fam.phi_theta, fam.psi_theta)
             assert gap > 1e-3
 
     def test_theta_range(self):
@@ -82,9 +80,7 @@ class TestExample31:
     def test_distances_have_closed_form(self):
         for theta in (0.3, 0.02):
             fam = example31(theta)
-            gap = norm(DenseState(fam.psi.space,
-                                  fam.phi_theta.amplitudes - fam.psi.amplitudes,
-                                  normalized=False))
+            gap = distance(fam.phi_theta, fam.psi)
             assert gap == pytest.approx(math.sqrt(1 - math.cos(theta)),
                                         abs=1e-12)
 
@@ -284,6 +280,15 @@ class TestMover:
                 for aux in ((0, 0), (1, 2), (2, 1))]
         assert max(abs(x - vals[0]) for x in vals) < 1e-10
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_relabeled_factor_out_of_range(self, i):
+        a = haar_random_state(ProductSpace((3, 3, 3)), 8)
+        b = haar_random_state(ProductSpace((3, 3, 3)), 9)
+        pair = structure_mover(a, b)
+        v = np.array([1, 0, 0], dtype=complex)
+        with pytest.raises(InvalidStateError, match="factor index"):
+            pair.relabeled_overlap(i, v, v, (0, 1))
+
     def test_collinear_rejected(self):
         psi = haar_random_state(ProductSpace((2, 2)), 10)
         flipped = DenseState(psi.space, -psi.amplitudes)
@@ -387,8 +392,7 @@ class TestPerturbation:
         base = extract_triortho(DenseState(space, amp)).decomposition
         for eps in (0.05, 0.1, 0.2):
             pert = non_triortho_perturb(base, eps)
-            dist_sq = norm(DenseState(space, amp - pert.amplitudes,
-                                      normalized=False)) ** 2
+            dist_sq = distance(DenseState(space, amp), pert) ** 2
             assert dist_sq == pytest.approx(2 * eps, abs=1e-12)
 
     def test_spec_case_two_spectra(self):

@@ -15,6 +15,7 @@ from tridecomp.decomp import (
     TriDecomposition,
     Undetermined,
     Variant,
+    _degenerate_groups,
     _factor_independence,
     _resolve_degenerate_block,
     canonical_phase,
@@ -27,6 +28,7 @@ from tridecomp.decomp import (
     truncate_terms,
     verify_tridecomposition,
 )
+from tridecomp.config import DEFAULT_TOLERANCES
 from tridecomp.errors import InvalidStateError
 from tridecomp.spectral import spectrum
 from tridecomp.states import (
@@ -105,6 +107,30 @@ class TestSchmidt:
         psi = singlet_state()
         with pytest.raises(InvalidStateError):
             schmidt(psi, (0, 1, 2))
+
+    def test_chain_of_near_ties_is_one_group(self):
+        # 1 and 1 - 1.2 deg are further apart than deg, but each step of the
+        # chain is within it, so the three columns sort as one group
+        deg = DEFAULT_TOLERANCES.deg
+        amp = np.diag([1.0, 1.0 - 0.6 * deg, 1.0 - 1.2 * deg]).astype(complex)
+        sd = schmidt(DenseState(ProductSpace((3, 3)), amp.ravel()), (0,))
+        assert np.allclose(sd.left_vectors, np.eye(3)[:, ::-1], atol=1e-12)
+
+
+class TestDegenerateGroups:
+    def test_empty(self):
+        assert _degenerate_groups([], 1e-7) == []
+
+    def test_singleton(self):
+        assert _degenerate_groups([0.4], 1e-7) == [(0, 1)]
+
+    def test_exact_tie(self):
+        assert _degenerate_groups([0.6, 0.6, 0.2], 1e-7) == [(0, 2), (2, 3)]
+
+    def test_chain_is_one_group(self):
+        deg = DEFAULT_TOLERANCES.deg
+        values = np.array([1.0, 1.0 - 0.6 * deg, 1.0 - 1.2 * deg, 0.5])
+        assert _degenerate_groups(values, deg) == [(0, 3), (3, 4)]
 
 
 class TestSchmidtRank:

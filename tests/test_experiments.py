@@ -19,6 +19,10 @@ class TestConfig:
         with pytest.raises(InvalidStateError):
             TrialConfig(trials=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidStateError, match="seed"):
+            TrialConfig(seed=-1)
+
     def test_rejects_oversized_dims(self):
         with pytest.raises(InvalidStateError):
             TrialConfig(dims=(300, 300, 300))

@@ -14,7 +14,7 @@ from tridecomp.states import (
     ProductSpace,
     ProductTerm,
     SumState,
-    norm,
+    distance,
     sparse_vector,
     sv_inner,
 )
@@ -176,8 +176,7 @@ def perturbed_decomposition(d_psi, bound, seed):
                                         for i in range(3)))
                       for j in range(k))
         cand = TriDecomposition(d_psi.space, terms, Variant.ORTHONORMAL)
-        neg = tuple(ProductTerm(-t.coeff, t.factors) for t in cand.terms)
-        dist = norm(SumState(d_psi.space, psi_state.terms + neg))
+        dist = distance(psi_state, cand.to_sum_state())
         if dist < 0.9 * bound:
             return cand, dist
         angle *= 0.4
