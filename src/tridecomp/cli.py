@@ -51,6 +51,7 @@ from .experiments import (
 )
 from .matching import match_components
 from .serialize import (
+    READS,
     SCHEMA,
     decomposition_from_json,
     decomposition_to_json,
@@ -418,6 +419,7 @@ def cmd_info(args) -> int:
     doc = {
         "version": __version__,
         "state_schema": SCHEMA,
+        "reads": list(READS),
         "report_schema": "tridecomp-report/1",
         "tolerances": DEFAULT_TOLERANCES.as_dict(),
         "densify_ceiling": DENSIFY_CEILING,

@@ -1,34 +1,45 @@
 """Versioned JSON serialization for states and decompositions.
 
-State schema (``"schema": "tridecomp/1"``):
+Documents are written under ``"schema": "tridecomp/2"``, in which every
+numeric array is one string: the base64 of its little-endian bytes, complex
+values as ``<c16`` and integers as ``<i8``.
 
-* dense:        {"dims": [d1, ...], "format": "dense",
-                 "amplitudes": [[re, im], ...]}   (row-major multi-index)
-* product_sum:  {"dims": [d1, ...], "format": "product_sum",
-                 "terms": [{"coeff": [re, im],
-                            "factors": [[[idx, [re, im]], ...], ...]}]}
+* dense:  {"dims": [d1, ...], "format": "dense", "amplitudes": "<c16>",
+           "normalized": bool}   (row-major multi-index)
+* rows:   {"dims": [d1, ...], "format": "rows", "coeffs": "<c16>",
+           "rows": [{"indptr": "<i8>", "indices": "<i8>", "data": "<c16>"},
+                    ...]}   (one CSR object per factor, as ``SumState.rows``)
 
-Decompositions mirror the state schema with variant, certificate, and
-tolerance echo fields.  Documents may carry a free-form ``provenance`` block
-naming the generator and its parameters.
+Reading decodes each string with ``b64decode(validate=True)`` and
+``np.frombuffer`` and builds the state through ``SumState.from_rows`` or
+``DenseState``, so an untrusted document passes every check they make.
+``tridecomp/1`` documents are still read: ``dense`` with ``[re, im]``
+amplitude pairs, and ``product_sum``::
+
+    {"dims": [d1, ...], "format": "product_sum",
+     "terms": [{"coeff": [re, im], "factors": [[[idx, [re, im]], ...], ...]}]}
+
+Decompositions carry the same fields as a state (``components`` in place of
+``factors`` under ``tridecomp/1``) with variant, certificate, and tolerance
+echo fields.  Documents may carry a free-form ``provenance`` block naming the
+generator and its parameters.
 
 Every document is written by one writer, ``dumps``: compact JSON with no
 whitespace between tokens, then a newline.  Readers accept any whitespace,
-so indented files load unchanged.  Product-sum documents are read into and
-written from a state's arrays (``SumState.rows``) without building a
-``ProductTerm``.
+so indented files load unchanged.
 
 A certificate's ``li_method`` gives, per factor, how its entry of
 ``min_singular_values`` was obtained: ``"svd"`` is the exact smallest
 singular value of the component matrix, while ``"private_support"`` is a
 lower bound on it, min_k ||p_k|| over the parts of the components on basis
 indices no other component touches.  Either way the entry exceeding the
-``li`` tolerance certifies independence.  The field is additive under
-``tridecomp/1``; documents without it are read as ``"svd"`` throughout.
+``li`` tolerance certifies independence.  Documents without the field are
+read as ``"svd"`` throughout.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from itertools import chain
 
@@ -38,14 +49,45 @@ from .decomp import OrderedTriortho, TriCertificate, TriDecomposition, Variant
 from .errors import DimensionMismatchError, SchemaError
 from .states import DenseState, ProductSpace, SumState
 
-SCHEMA = "tridecomp/1"
+SCHEMA = "tridecomp/2"
+READS = ("tridecomp/1", SCHEMA)
 REPORT_SCHEMA = "tridecomp-report/1"
+COMPLEX = "<c16"
+INDEX = "<i8"
 
 
-def _pairs(z: np.ndarray) -> list:
-    """[[re, im], ...] for a complex vector."""
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    return z.view(np.float64).reshape(-1, 2).tolist()
+def _b64(arr: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.asarray(arr, dtype=dtype).tobytes()).decode()
+
+
+def _from_b64(text, dtype: str) -> np.ndarray:
+    """The array a ``_b64`` string holds; any other string is a SchemaError."""
+    if not isinstance(text, str):
+        raise SchemaError(f"expected a base64 string of {dtype}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise SchemaError(f"bad base64 array: {exc}") from exc
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
+        raise SchemaError(f"{len(raw)} bytes is not a whole number of "
+                          f"{size}-byte {dtype} items")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _rows_to_json(state: SumState) -> dict:
+    return {"coeffs": _b64(state.coeffs, COMPLEX),
+            "rows": [{"indptr": _b64(indptr, INDEX),
+                      "indices": _b64(indices, INDEX),
+                      "data": _b64(data, COMPLEX)}
+                     for indptr, indices, data in state.rows]}
+
+
+def _rows_from_json(space: ProductSpace, doc: dict) -> SumState:
+    return SumState.from_rows(
+        space, _from_b64(doc["coeffs"], COMPLEX),
+        [(_from_b64(r["indptr"], INDEX), _from_b64(r["indices"], INDEX),
+          _from_b64(r["data"], COMPLEX)) for r in doc["rows"]])
 
 
 def _complex_array(pairs) -> np.ndarray:
@@ -58,18 +100,9 @@ def _complex_array(pairs) -> np.ndarray:
     return arr.view(np.complex128).ravel()
 
 
-def _terms_to_json(state: SumState, key: str) -> list:
-    factors = []
-    for indptr, indices, data in state.rows:
-        entries = list(map(list, zip(indices.tolist(), _pairs(data))))
-        ends = indptr.tolist()
-        factors.append([entries[lo:hi] for lo, hi in zip(ends, ends[1:])])
-    return [{"coeff": c, key: list(f)}
-            for c, f in zip(_pairs(state.coeffs), zip(*factors))]
-
-
 def _terms_from_json(space: ProductSpace, terms, key: str) -> SumState:
-    """Flatten the nested term lists into CSR rows and build the state."""
+    """Flatten ``tridecomp/1``'s nested term lists into CSR rows and build
+    the state."""
     if not isinstance(terms, list):
         raise SchemaError("terms must be a list")
     per_term = [t[key] for t in terms]
@@ -92,21 +125,29 @@ def _terms_from_json(space: ProductSpace, terms, key: str) -> SumState:
                               rows)
 
 
+def _schema(doc: dict) -> str:
+    schema = doc.get("schema")
+    if schema not in READS:
+        raise SchemaError(f"unsupported schema {schema!r}; "
+                          f"expected one of {list(READS)}")
+    return schema
+
+
 def state_to_json(state, provenance: dict = None) -> dict:
     if isinstance(state, DenseState):
         doc = {
             "schema": SCHEMA,
             "dims": list(state.space.dims),
             "format": "dense",
-            "amplitudes": _pairs(state.amplitudes),
+            "amplitudes": _b64(state.amplitudes, COMPLEX),
             "normalized": bool(state.normalized),
         }
     elif isinstance(state, SumState):
         doc = {
             "schema": SCHEMA,
             "dims": list(state.space.dims),
-            "format": "product_sum",
-            "terms": _terms_to_json(state, "factors"),
+            "format": "rows",
+            **_rows_to_json(state),
         }
     else:
         raise SchemaError(f"cannot serialize {type(state).__name__}")
@@ -118,17 +159,19 @@ def state_to_json(state, provenance: dict = None) -> dict:
 def state_from_json(doc):
     if not isinstance(doc, dict):
         raise SchemaError("state document must be an object")
-    if doc.get("schema") != SCHEMA:
-        raise SchemaError(f"unsupported schema {doc.get('schema')!r}; "
-                          f"expected {SCHEMA!r}")
+    v1 = _schema(doc) == "tridecomp/1"
     try:
         space = ProductSpace(tuple(int(d) for d in doc["dims"]))
         fmt = doc["format"]
         if fmt == "dense":
-            return DenseState(space, _complex_array(doc["amplitudes"]),
+            amps = doc["amplitudes"]
+            return DenseState(space, _complex_array(amps) if v1
+                              else _from_b64(amps, COMPLEX),
                               normalized=doc.get("normalized"))
-        if fmt == "product_sum":
+        if fmt == "product_sum" and v1:
             return _terms_from_json(space, doc["terms"], "factors")
+        if fmt == "rows" and not v1:
+            return _rows_from_json(space, doc)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed state document: {exc}") from exc
     raise SchemaError(f"unknown state format {doc.get('format')!r}")
@@ -147,7 +190,8 @@ def decomposition_to_json(d, provenance: dict = None) -> dict:
         "kind": "tridecomposition",
         "dims": list(d.space.dims),
         "variant": d.variant.value,
-        "terms": _terms_to_json(d.to_sum_state(), "components"),
+        "format": "rows",
+        **_rows_to_json(d.to_sum_state()),
         "certificate": d.certificate.to_json() if d.certificate else None,
         "tolerances": (d.certificate.tolerances if d.certificate else None),
     }
@@ -161,11 +205,15 @@ def decomposition_to_json(d, provenance: dict = None) -> dict:
 def decomposition_from_json(doc) -> TriDecomposition:
     if not isinstance(doc, dict):
         raise SchemaError("decomposition document must be an object")
-    if doc.get("schema") != SCHEMA or doc.get("kind") != "tridecomposition":
+    if doc.get("kind") != "tridecomposition":
         raise SchemaError("not a tridecomposition document")
+    v1 = _schema(doc) == "tridecomp/1"
+    if not v1 and doc.get("format") != "rows":
+        raise SchemaError(f"unknown decomposition format {doc.get('format')!r}")
     try:
         space = ProductSpace(tuple(int(x) for x in doc["dims"]))
-        state = _terms_from_json(space, doc["terms"], "components")
+        state = (_terms_from_json(space, doc["terms"], "components") if v1
+                 else _rows_from_json(space, doc))
         cert = doc.get("certificate")
         certificate = TriCertificate(
             passed=cert["passed"],

@@ -740,6 +740,8 @@ def aligned_density_matrices(a: DensityMatrix, b: DensityMatrix):
 
     Compact SumState reductions of different states may label different
     touched indices; the union labelling per kept factor reconciles them.
+    When both already share one strictly increasing labelling, that is the
+    union, and the (read-only) matrices are returned as they are.
     """
     if len(a.dims) != len(b.dims):
         raise DimensionMismatchError("reduced states keep different factor counts")
@@ -750,6 +752,9 @@ def aligned_density_matrices(a: DensityMatrix, b: DensityMatrix):
         return [tuple(range(d)) for d in dm.dims]
 
     ba, bb = bases_of(a), bases_of(b)
+    if ba == bb and all(x < y for basis in ba
+                        for x, y in zip(basis, basis[1:])):
+        return a.matrix, b.matrix
     unions = [tuple(sorted(set(x) | set(y))) for x, y in zip(ba, bb)]
     udims = tuple(len(u) for u in unions)
 

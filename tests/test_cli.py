@@ -1,8 +1,10 @@
+import base64
 import json
 import math
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tridecomp.cli import main
@@ -10,11 +12,28 @@ from tridecomp.config import Tolerances
 from tridecomp.errors import InvalidStateError
 from tridecomp.serialize import dump, load, state_from_json
 
+DATA = Path(__file__).parent / "data"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def b64(values) -> str:
+    return base64.b64encode(np.asarray(values, "<c16").tobytes()).decode()
+
+
+def unb64(text) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), "<c16").copy()
+
+
+# |000> on 2x2x2 as a tridecomp/1 and as a tridecomp/2 dense document
+PRODUCT_AMPLITUDES = {
+    "tridecomp/1": [[1.0, 0.0]] + [[0.0, 0.0]] * 7,
+    "tridecomp/2": b64(np.eye(8)[0]),
+}
 
 
 class TestConstructAndRoundTrip:
@@ -52,15 +71,26 @@ class TestConstructAndRoundTrip:
         assert code == 0
         assert json.loads(out)["result"] == "not_triorthogonal"
 
-    def test_extract_product_state_single_term(self, tmp_path, capsys):
+    @staticmethod
+    def extract_product_state(tmp_path, capsys, schema) -> dict:
         state = tmp_path / "product.json"
-        dump({"schema": "tridecomp/1", "dims": [2, 2, 2], "format": "dense",
-              "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}, str(state))
+        dump({"schema": schema, "dims": [2, 2, 2], "format": "dense",
+              "amplitudes": PRODUCT_AMPLITUDES[schema]}, str(state))
         code, out, _ = run(capsys, "extract", "--in", str(state))
         assert code == 0
         doc = json.loads(out)
         assert doc["result"] == "triorthogonal"
-        assert len(doc["terms"]) == 1
+        assert doc["schema"] == "tridecomp/2" and doc["format"] == "rows"
+        return doc
+
+    def test_extract_product_state_single_term(self, tmp_path, capsys):
+        doc = self.extract_product_state(tmp_path, capsys, "tridecomp/1")
+        assert unb64(doc["coeffs"]).size == 1
+
+    def test_extract_tridecomp2_product_state_single_term(self, tmp_path,
+                                                          capsys):
+        doc = self.extract_product_state(tmp_path, capsys, "tridecomp/2")
+        assert unb64(doc["coeffs"]).size == 1
 
     def test_witness_construction(self, tmp_path, capsys):
         out = tmp_path / "w.json"
@@ -126,13 +156,26 @@ class TestExitCodes:
             str(bundle))
         doc = load(str(bundle))
         dec = doc["decompositions"]["phi_theta"]
-        dec["terms"][0]["coeff"] = [0.9, 0.0]  # tamper with a coefficient
+        coeffs = unb64(dec["coeffs"])
+        coeffs[0] = 0.9  # tamper with a coefficient
+        dec["coeffs"] = b64(coeffs)
         decfile = tmp_path / "dec.json"
         statefile = tmp_path / "state.json"
         dump(dec, str(decfile))
         dump(doc["states"]["phi_theta"], str(statefile))
         code, out, err = run(capsys, "verify", "--decomposition", str(decfile),
                              "--state", str(statefile))
+        assert code == 2
+        assert "reconstruction" in err
+
+    def test_tridecomp1_verify_failure_exits_two(self, tmp_path, capsys):
+        dec = load(str(DATA / "indented_decomposition.json"))
+        dec["terms"][0]["coeff"] = [0.9, 0.0]  # tamper with a coefficient
+        decfile = tmp_path / "dec.json"
+        dump(dec, str(decfile))
+        code, out, err = run(
+            capsys, "verify", "--decomposition", str(decfile),
+            "--state", str(DATA / "indented_product_sum.json"))
         assert code == 2
         assert "reconstruction" in err
 
@@ -240,12 +283,13 @@ class TestInfo:
         code, out, _ = run(capsys, "info")
         assert code == 0
         doc = json.loads(out)
-        assert doc["state_schema"] == "tridecomp/1"
+        assert doc["state_schema"] == "tridecomp/2"
+        assert doc["reads"] == ["tridecomp/1", "tridecomp/2"]
         assert doc["tolerances"]["deg"] == 1e-7
 
 
 class TestDocuments:
-    DATA = Path(__file__).parent / "data"
+    DATA = DATA
 
     def test_verify_indented_files_from_earlier_versions(self, capsys):
         code, out, _ = run(
@@ -272,4 +316,4 @@ class TestDocuments:
         code, out, _ = run(capsys, "info")
         assert code == 0
         assert out.endswith("}\n") and out.count("\n") == 1
-        assert json.loads(out)["state_schema"] == "tridecomp/1"
+        assert json.loads(out)["state_schema"] == "tridecomp/2"

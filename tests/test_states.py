@@ -524,6 +524,22 @@ class TestDensityMatrixInvariants:
         assert a.shape == (2, 2) and b.shape == (2, 2)
         assert trace_norm(a - b) == pytest.approx(2.0, abs=1e-12)
 
+    def test_aligned_matrices_on_a_shared_basis_are_returned_as_is(self, rng):
+        vecs = [random_unit(rng, 3) for _ in range(4)]
+        sp = ProductSpace((3, 3))
+        r1, r2 = (partial_trace(SumState(sp, (ProductTerm(
+            1.0, (sparse_vector(u), sparse_vector(v))),)), (0,))
+            for u, v in (vecs[:2], vecs[2:]))
+        a, b = aligned_density_matrices(r1, r2)
+        assert a is r1.matrix and b is r2.matrix
+
+    def test_aligned_matrices_sort_an_unsorted_shared_basis(self):
+        dm = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex), (3,),
+                           (0,), basis=((2, 0, 1),))
+        a, b = aligned_density_matrices(dm, dm)
+        assert np.array_equal(a, np.diag([0.3, 0.2, 0.5]))
+        assert np.array_equal(b, a)
+
 
 def rows_of(terms, i):
     """Factor ``i`` of ``terms`` as (indptr, indices, data) lists."""
