@@ -431,14 +431,12 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
         if failed:
             raise PreconditionError(f"theta too large: {failed}")
 
-    d1_final, d2_final, basis_min, cross = _pair_metrics(psi, phi1, phi2,
-                                                         idx1, theta)
     dec1 = _verified(TriDecomposition(space, phi1, Variant.LI_ALL),
                      phi1, tolerances)
     dec2 = _verified(TriDecomposition(space, phi2, Variant.LI_ALL),
                      phi2, tolerances)
     return InstabilityPair(epsilon, theta, n, space, phi1, phi2, dec1, dec2,
-                           idx1, idx2, (d1_final, d2_final), basis_min, cross)
+                           idx1, idx2, (d1, d2), basis_min, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +468,8 @@ class MoverUnitary:
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        """G[i, j] = <phi_i | phi_j> from the stored states."""
-        g21 = inner(self.phi2, self.phi1)
+        """G[i, j] = <phi_i | phi_j>, with the stored alpha = <phi2|phi1>."""
+        g21 = self.alpha
         return np.array([[inner(self.phi1, self.phi1), g21.conjugate()],
                          [g21, inner(self.phi2, self.phi2)]])
 
@@ -507,8 +505,8 @@ class MoverUnitary:
                        + np.vdot(xa, self._gram @ xb))
 
     def minus_identity_matrix(self) -> np.ndarray:
-        """U - 1 on the orthonormal pair (phi1, phi1_perp), built honestly
-        from the Gram of the stored states."""
+        """U - 1 on the orthonormal pair (phi1, phi1_perp), built from the
+        Gram of the stored states rather than assumed orthonormal."""
         if self.identity:
             return np.zeros((2, 2), dtype=np.complex128)
         e, c = self._frame

@@ -29,7 +29,7 @@ from .states import (
     ProductSpace,
     ProductTerm,
     SumState,
-    _factor_overlap,
+    _factor_gram,
     as_dense,
     densify,
     inner,
@@ -352,8 +352,25 @@ def reconstruction_error(d: TriDecomposition, psi) -> float:
     return _residual(d.to_sum_state(), psi)
 
 
-def _residual(dec: SumState, psi) -> float:
-    """|| psi - dec ||; ``dec`` keeps its packs for the caller's other steps."""
+def _on_own_rows(dec: SumState, psi) -> bool:
+    """Whether ``psi`` is a SumState on the same space and rows as ``dec``."""
+    return psi is dec or (
+        isinstance(psi, SumState) and psi.space == dec.space
+        and all(np.array_equal(x, y) for a, b in zip(psi.rows, dec.rows)
+                for x, y in zip(a, b)))
+
+
+def _residual(dec: SumState, psi, gram: np.ndarray = None) -> float:
+    """|| psi - dec ||; ``dec`` keeps its packs for the caller's other steps.
+    A ``gram`` (of ``dec``, for a ``psi`` on its own rows) gives the three
+    inner products as its quadratic forms and records both self products."""
+    if gram is not None:
+        a, b = psi.coeffs, dec.coeffs
+        pp, pd, dd = (complex(x.conj() @ gram @ y)
+                      for x, y in ((a, a), (a, b), (b, b)))
+        psi.__dict__.setdefault("_self_inner", pp)
+        dec.__dict__.setdefault("_self_inner", dd)
+        return math.sqrt(max(pp.real - 2.0 * pd.real + dd.real, 0.0))
     if isinstance(psi, DenseState):
         if dec.space.dim > DENSIFY_CEILING:
             raise CapacityError(
@@ -382,17 +399,19 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     tol_echo = tolerances.as_dict()
     dec = d.to_sum_state()
     packs = dec._packed if d.nterms else ()
+    own = _on_own_rows(dec, psi)
+    gram = None  # term Gram, kept only for a target on dec's own rows
     min_sv, li_method, max_off, max_pair = [], [], [], []
     for pack, dim in zip(packs, d.space.dims):
         sv, method = _factor_independence(pack, tolerances.li, dim)
         min_sv.append(sv)
         li_method.append(method)
-        g = _factor_overlap(pack, pack)
-        off = np.abs(g)
-        np.fill_diagonal(off, 0.0)
-        pair = float(off.max())
+        g, pair = _factor_gram(pack)
         max_off.append(max(pair, float(np.abs(np.diagonal(g) - 1.0).max())))
         max_pair.append(pair)
+        if own:  # in term_gram's factor order, so the bits are the same
+            gram = g if gram is None else gram * g
+        del g  # at most gram, g and their product are alive at once
 
     def certificate(failed, recon, min_coeff, li_factors=None):
         return TriCertificate(
@@ -414,7 +433,7 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     min_coeff = min(abs(c) for c in dec.coeffs.tolist())
     if min_coeff <= tolerances.zero_coeff:
         return certificate("zero_coefficient", math.nan, min_coeff)
-    recon = _residual(dec, psi)
+    recon = _residual(dec, psi, gram)
     if recon > tolerances.recon:
         return certificate("reconstruction", recon, min_coeff)
 

@@ -22,7 +22,7 @@ from .errors import PreconditionError, VerificationError
 from .states import (
     ProductSpace,
     SumState,
-    _factor_overlap,
+    _factor_gram,
     aligned_density_matrices,
     distance,
     norm,
@@ -61,9 +61,7 @@ class ProductMatchReport:
 
 def _check_orthonormal_factors(phi: SumState, tol: float):
     for i, pack in enumerate(phi._packed):
-        off = np.abs(_factor_overlap(pack, pack))
-        np.fill_diagonal(off, 0.0)
-        if (off >= tol).any():
+        if _factor_gram(pack)[1] >= tol:
             raise PreconditionError(
                 f"precondition failed: factor {i} sequence of the "
                 "product sum is not orthonormal")

@@ -512,6 +512,14 @@ def _factor_overlap(pack_a, pack_b) -> np.ndarray:
     return out
 
 
+def _factor_gram(pack) -> tuple:
+    """(G, max |G[k, l]| over k != l) for one factor's packed terms."""
+    g = _factor_overlap(pack, pack)
+    off = np.abs(g)
+    np.fill_diagonal(off, 0.0)
+    return g, float(off.max())
+
+
 def term_gram(a: SumState, b: SumState) -> np.ndarray:
     """G[k, l] = product over factors of <a_k^i | b_l^i> (coefficients excluded)."""
     _check_same_nfactors(a, b)

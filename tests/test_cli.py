@@ -7,10 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tridecomp import decomp, states
 from tridecomp.cli import main
 from tridecomp.config import Tolerances
+from tridecomp.constructions import instability_pair
 from tridecomp.errors import InvalidStateError
-from tridecomp.serialize import dump, load, state_from_json
+from tridecomp.serialize import (
+    decomposition_to_json,
+    dump,
+    load,
+    state_from_json,
+    state_to_json,
+)
+from tridecomp.states import DenseState, ProductSpace
 
 DATA = Path(__file__).parent / "data"
 
@@ -317,3 +326,34 @@ class TestDocuments:
         assert code == 0
         assert out.endswith("}\n") and out.count("\n") == 1
         assert json.loads(out)["state_schema"] == "tridecomp/2"
+
+
+class TestVerifyBuildsOneGram:
+    def test_pair_documents_take_one_overlap_per_factor(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # phi2 and its decomposition carry the same 729 rows: the certificate
+        # needs each factor's overlap once and no separate term Gram
+        psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
+                         normalized=True)
+        pair = instability_pair(psi, 0.7)
+        state, dec = tmp_path / "phi2.json", tmp_path / "dec.json"
+        dump(state_to_json(pair.phi2), str(state))
+        dump(decomposition_to_json(pair.decomposition2), str(dec))
+        calls = {"_factor_overlap": 0, "term_gram": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (states, decomp):
+            for name in calls:
+                if hasattr(module, name):
+                    count(module, name)
+        code, out, _ = run(capsys, "verify", "--decomposition", str(dec),
+                           "--state", str(state))
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert calls == {"_factor_overlap": 3, "term_gram": 0}

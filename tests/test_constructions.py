@@ -37,6 +37,7 @@ from tridecomp.states import (
     ProductSpace,
     ProductTerm,
     SumState,
+    _sum_inner,
     densify,
     distance,
     haar_random_state,
@@ -214,6 +215,17 @@ class TestInstabilityPair:
         base_idx = pair.basis_indices1[k][0]
         assert abs(comp[base_idx]) == pytest.approx(math.cos(pair.theta),
                                                     abs=1e-12)
+
+    def test_certificate_leaves_norm_without_a_gram(self, desk_pair):
+        # the certificate records <phi2|phi2> from its one term Gram, which
+        # it does not keep; a later norm reads the recorded value
+        _, pair = desk_pair
+        k = pair.phi2.nterms
+        assert "_self_inner" in vars(pair.phi2)
+        assert not [name for name, v in vars(pair.phi2).items()
+                    if getattr(v, "shape", None) == (k, k)]
+        fresh = math.sqrt(max(_sum_inner(pair.phi2, pair.phi2).real, 0.0))
+        assert norm(pair.phi2) == fresh
 
     def test_explicit_theta_too_large(self, desk_pair):
         psi, _ = desk_pair

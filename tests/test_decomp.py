@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tridecomp import states
 from tridecomp.constructions import (
     example31,
     isolation_witness_3,
@@ -30,6 +31,7 @@ from tridecomp.decomp import (
 )
 from tridecomp.config import DEFAULT_TOLERANCES
 from tridecomp.errors import InvalidStateError
+from tridecomp.serialize import state_from_json, state_to_json
 from tridecomp.spectral import spectrum
 from tridecomp.states import (
     DenseState,
@@ -309,6 +311,65 @@ class TestVerify:
             TriDecomposition(d.space, terms, Variant.LI_ALL), fam.phi_theta)
         assert not cert.passed
         assert cert.failed_condition == "reconstruction"
+
+
+def three_inner_residual(dec, psi):
+    """||psi - dec|| from three fresh term Grams, as the inner path takes it."""
+    val = (states._sum_inner(psi, psi).real
+           - 2.0 * states._sum_inner(psi, dec).real
+           + states._sum_inner(dec, dec).real)
+    return math.sqrt(max(val, 0.0))
+
+
+class TestResidualFromOneGram:
+    @staticmethod
+    def own_rows_target(dec, kind):
+        if kind == "identical":
+            return dec
+        if kind == "serialized":
+            return state_from_json(state_to_json(dec))
+        coeffs = dec.coeffs.copy()
+        coeffs[1] *= 1.5
+        return dec.with_coeffs(coeffs)
+
+    @pytest.mark.parametrize("kind, passed", [
+        ("identical", True), ("serialized", True), ("tampered", False)])
+    def test_own_rows_match_three_inner_products(self, kind, passed):
+        d = random_triortho(6)
+        dec = d.to_sum_state()
+        target = self.own_rows_target(dec, kind)
+        expected = three_inner_residual(dec, target)
+        cert = verify_tridecomposition(d, target)
+        assert cert.reconstruction_error == expected
+        assert cert.passed is passed
+        if not passed:
+            assert cert.failed_condition == "reconstruction"
+
+    def test_other_rows_take_the_inner_path(self, monkeypatch):
+        d = random_triortho(7)
+        dec = d.to_sum_state()
+        rows = list(dec.rows)
+        data = rows[0].data.copy()
+        data[0] *= cmath.exp(0.4j)  # one amplitude, same unit norm
+        rows[0] = (rows[0].indptr, rows[0].indices, data)
+        moved = SumState.from_rows(dec.space, dec.coeffs, rows)
+        embedded = dec.embedded(
+            ProductSpace(tuple(n + 1 for n in dec.space.dims)))
+        grams = []
+        term_gram = states.term_gram
+
+        def counted(a, b):
+            grams.append((a, b))
+            return term_gram(a, b)
+
+        monkeypatch.setattr(states, "term_gram", counted)
+        for target, passed in ((moved, False), (embedded, True)):
+            expected = three_inner_residual(dec, target)
+            del grams[:]
+            cert = verify_tridecomposition(d, target)
+            assert grams
+            assert cert.passed is passed
+            assert cert.reconstruction_error == expected
 
 
 class TestCanonicalPhase:
