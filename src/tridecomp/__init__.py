@@ -65,7 +65,6 @@ from .decomp import (
     ordered_triortho,
     schmidt,
     schmidt_rank,
-    term_distance,
     truncate_terms,
     verify_tridecomposition,
 )

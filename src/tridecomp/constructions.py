@@ -32,7 +32,6 @@ from .states import (
     DenseState,
     DensityMatrix,
     ProductSpace,
-    ProductTerm,
     SumState,
     _dense_factor,
     _factor_overlap,
@@ -41,6 +40,7 @@ from .states import (
     inner,
     norm,
     partial_trace,
+    sparse_vector,
     sparsify,
     trace_norm,
 )
@@ -540,9 +540,11 @@ class TensorStructurePair:
                 "need one auxiliary basis index per remaining factor")
 
         def embed(vec):
-            facs = [((x, 1.0),) for x in aux]
-            facs.insert(i, vec)
-            return SumState(self.space, (ProductTerm(1.0, facs),))
+            vec = sparse_vector(vec)
+            rows = [([0, 1], [x], [1.0]) for x in aux]
+            rows.insert(i, ([0, len(vec)], [j for j, _ in vec],
+                            [a for _, a in vec]))
+            return SumState.from_rows(self.space, [1.0], rows)
 
         return self.mover.moved_inner(embed(psi_vec), embed(phi_vec))
 

@@ -15,28 +15,25 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances, json_fields
-from .errors import CapacityError, DimensionMismatchError, InvalidStateError
+from .config import DEFAULT_TOLERANCES, Tolerances, json_fields
+from .errors import DimensionMismatchError, InvalidStateError
 from .spectral import triortho_necessary_test
 from .states import (
     DenseState,
     FactorPack,
     ProductSpace,
-    ProductTerm,
     SumState,
     _factor_gram,
+    _factor_overlap,
+    _frozen_rows,
     as_dense,
-    densify,
-    inner,
+    distance,
     norm,
     sparse_vector,
-    sv_inner,
-    sv_scale,
     term_gram,
 )
 
@@ -229,54 +226,44 @@ class TriCertificate:
 
 @dataclass(frozen=True, eq=False)
 class TriDecomposition:
-    """Finite sum of weighted three-factor product terms.
+    """Finite sum of weighted three-factor product terms, held as one
+    ``SumState``.
 
-    ``terms`` is given either as ``ProductTerm`` objects or as the SumState
-    they sum to; a decomposition built from a state shares it, so
-    ``to_sum_state()`` returns that object and its packs are computed once.
-    From terms, the state is built (and validated) on first use.
+    ``state`` may also be given as ``ProductTerm`` objects, which are built
+    into a SumState (and validated) at construction.  A decomposition built
+    from a state shares it, so its packs are computed once.  ``terms``
+    reads the terms back as ``ProductTerm`` objects.
     """
 
     space: ProductSpace
-    terms: tuple           # ProductTerm per term, components unit per factor
+    state: SumState
     variant: Variant
     certificate: TriCertificate = None
 
     def __post_init__(self):
         if self.space.nfactors != 3:
             raise InvalidStateError("decompositions are defined on 3 factors")
-        if isinstance(self.terms, SumState):
-            if self.terms.space != self.space:
-                raise DimensionMismatchError(
-                    "the state's space differs from the decomposition's")
-            self.__dict__["_state"] = self.terms
-            object.__setattr__(self, "terms", self.terms.terms)
-        else:
-            terms = tuple(self.terms)
-            for t in terms:
-                if not isinstance(t, ProductTerm) or len(t.factors) != 3:
-                    raise InvalidStateError(
-                        "terms must be 3-factor ProductTerms")
-            object.__setattr__(self, "terms", terms)
+        if not isinstance(self.state, SumState):
+            object.__setattr__(self, "state", SumState(self.space, self.state))
+        elif self.state.space != self.space:
+            raise DimensionMismatchError(
+                "the state's space differs from the decomposition's")
         object.__setattr__(self, "variant", Variant(self.variant))
 
-    @cached_property
-    def _state(self) -> SumState:
-        return SumState(self.space, self.terms)
+    @property
+    def terms(self) -> tuple:
+        return self.state.terms
 
     @property
     def nterms(self) -> int:
-        return len(self.terms)
+        return self.state.nterms
 
     @property
     def coefficients(self) -> np.ndarray:
-        return self._state.coeffs.copy()
+        return self.state.coeffs.copy()
 
     def to_sum_state(self) -> SumState:
-        return self._state
-
-    def term_state(self, k: int) -> SumState:
-        return self._state.take([k])
+        return self.state
 
 
 @dataclass(frozen=True)
@@ -326,14 +313,6 @@ def truncate_terms(d: TriDecomposition, delta: float) -> TriDecomposition:
     return TriDecomposition(d.space, d.to_sum_state().take(kept), d.variant)
 
 
-def term_distance(a_coeff, a_factors, b_coeff, b_factors) -> float:
-    """|| a (x)psi_i  -  b (x)phi_i ||, computed from factor overlaps."""
-    ov = 1.0 + 0j
-    for fa, fb in zip(a_factors, b_factors):
-        ov *= sv_inner(fa, fb)
-    return _term_distance(a_coeff, b_coeff, ov)
-
-
 def _term_distance(a_coeff, b_coeff, overlap: complex) -> float:
     """|| a x - b y || for unit products x, y with <x|y> = ``overlap``."""
     val = (abs(a_coeff) ** 2 + abs(b_coeff) ** 2
@@ -343,12 +322,7 @@ def _term_distance(a_coeff, b_coeff, overlap: complex) -> float:
 
 
 def reconstruction_error(d: TriDecomposition, psi) -> float:
-    """|| psi - sum_k a_k term_k ||.
-
-    Dense targets are compared by direct subtraction; SumState targets through
-    the three inner products, which cancels exactly when the decomposition's
-    terms are the state's own.
-    """
+    """|| psi - sum_k a_k term_k ||, as ``states.distance`` measures it."""
     return _residual(d.to_sum_state(), psi)
 
 
@@ -361,9 +335,9 @@ def _on_own_rows(dec: SumState, psi) -> bool:
 
 
 def _residual(dec: SumState, psi, gram: np.ndarray = None) -> float:
-    """|| psi - dec ||; ``dec`` keeps its packs for the caller's other steps.
-    A ``gram`` (of ``dec``, for a ``psi`` on its own rows) gives the three
-    inner products as its quadratic forms and records both self products."""
+    """|| psi - dec ||.  A ``gram`` (of ``dec``, for a ``psi`` on its own
+    rows) gives the three inner products as its quadratic forms and records
+    both self products; any other target is measured by ``distance``."""
     if gram is not None:
         a, b = psi.coeffs, dec.coeffs
         pp, pd, dd = (complex(x.conj() @ gram @ y)
@@ -371,21 +345,7 @@ def _residual(dec: SumState, psi, gram: np.ndarray = None) -> float:
         psi.__dict__.setdefault("_self_inner", pp)
         dec.__dict__.setdefault("_self_inner", dd)
         return math.sqrt(max(pp.real - 2.0 * pd.real + dd.real, 0.0))
-    if isinstance(psi, DenseState):
-        if dec.space.dim > DENSIFY_CEILING:
-            raise CapacityError(
-                "decomposition space too large to compare against a dense state")
-        dims = tuple(max(x, y) for x, y in zip(psi.space.dims, dec.space.dims))
-        big = ProductSpace(dims)
-        a = np.zeros(dims, dtype=np.complex128)
-        a[tuple(slice(0, s) for s in psi.space.dims)] = psi.tensor
-        b = densify(dec.embedded(big)).tensor
-        return float(np.linalg.norm(a - b))
-    if isinstance(psi, SumState):
-        val = (inner(psi, psi).real - 2.0 * inner(psi, dec).real
-               + inner(dec, dec).real)
-        return math.sqrt(max(val, 0.0))
-    raise InvalidStateError("target must be a state")
+    return distance(psi, dec)
 
 
 def verify_tridecomposition(d: TriDecomposition, psi,
@@ -459,6 +419,15 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     return certificate("two_factor_independence", recon, min_coeff)
 
 
+def _python_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded as Python's complex product rounds it;
+    numpy's may fuse a multiply-add, which moves the last bits."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None,
                     zero_tol: float = 1e-12) -> TriDecomposition:
     """Push component phases into the coefficients; rank-1 terms are unchanged.
@@ -467,25 +436,24 @@ def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None,
     real positive.  With a reference (terms matched positionally), phases are
     chosen so <component | reference component> >= 0.
     """
-    new_terms = []
-    for k, t in enumerate(d.terms):
-        coeff = complex(t.coeff)
-        comps = []
-        for i, comp in enumerate(t.factors):
-            mult = 1.0 + 0j
-            if reference is not None:
-                ov = sv_inner(comp, reference.terms[k].factors[i])
-                if abs(ov) > zero_tol:
-                    mult = cmath.exp(1j * cmath.phase(ov))
-            else:
-                for _, amp in comp:
-                    if abs(amp) > zero_tol:
-                        mult = cmath.exp(-1j * cmath.phase(amp))
-                        break
-            comps.append(sv_scale(comp, mult))
-            coeff *= mult.conjugate()
-        new_terms.append(ProductTerm(coeff, tuple(comps)))
-    return replace(d, terms=tuple(new_terms))
+    state = d.state
+    coeffs, rows = state.coeffs, []
+    for i, r in enumerate(state.rows):
+        if reference is None:  # each row's first significant amplitude
+            lead = [next((a for a in r.data[lo:hi].tolist()
+                          if abs(a) > zero_tol), 0j)
+                    for lo, hi in zip(r.indptr.tolist(), r.indptr[1:].tolist())]
+            turn = -1j
+        else:
+            lead = np.diagonal(_factor_overlap(
+                state._packed[i], reference.state._packed[i])).tolist()
+            turn = 1j
+        mult = np.array([cmath.exp(turn * cmath.phase(v)) if abs(v) > zero_tol
+                         else 1.0 for v in lead], dtype=np.complex128)
+        rows.append(_frozen_rows(r.indptr, r.indices, _python_product(
+            r.data, mult.repeat(np.diff(r.indptr)))))
+        coeffs = _python_product(coeffs, mult.conj())
+    return replace(d, state=SumState._trusted(d.space, coeffs, rows))
 
 
 def decompositions_equivalent(d1: TriDecomposition, d2: TriDecomposition,

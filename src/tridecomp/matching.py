@@ -17,17 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances, json_fields
-from .decomp import OrderedTriortho, TriDecomposition, Variant, term_distance
+from .decomp import OrderedTriortho, TriDecomposition, Variant
 from .errors import PreconditionError, VerificationError
 from .states import (
+    FactorPack,
     ProductSpace,
     SumState,
     _factor_gram,
+    _factor_overlap,
     aligned_density_matrices,
     distance,
     norm,
     partial_trace,
-    sv_inner,
     trace_norm,
 )
 
@@ -87,7 +88,7 @@ def match_single_product(psi: SumState, phi: SumState, eps: float,
         raise PreconditionError("precondition failed: phi has no terms")
     _check_orthonormal_factors(phi, max(10 * tolerances.orth, 1e-7))
 
-    a = complex(psi.terms[0].coeff)
+    a = complex(psi.coeffs[0])
     _require(eps_prime > 0.0, "eps_prime > 0")
     _require(abs(a) ** 2 <= 1.0 + tolerances.norm, "|a|^2 <= 1")
     _require(abs(a) ** 2 > 2.0 * eps_prime, "|a|^2 > 2*eps_prime")
@@ -114,10 +115,9 @@ def match_single_product(psi: SumState, phi: SumState, eps: float,
     tdist, ov1, ov2 = math.nan, math.nan, math.nan
     holds = coeff_gap < eps_prime and max_other < eps_prime and unique
     if second:
-        pt, mt = psi.terms[0], phi.terms[m]
-        tdist = term_distance(pt.coeff, pt.factors, mt.coeff, mt.factors)
-        ov1 = abs(sv_inner(pt.factors[0], mt.factors[0]))
-        ov2 = abs(sv_inner(pt.factors[1], mt.factors[1]))
+        tdist = distance(psi, phi.take([m]))
+        ov1, ov2 = (abs(complex(_factor_overlap(p, q)[0, m]))
+                    for p, q in zip(psi._packed, phi._packed))
         holds = holds and tdist < eps and ov1 > 1.0 - eps and ov2 > 1.0 - eps
     return ProductMatchReport(m, eps, eps_prime, gap, coeff_gap, max_other,
                               unique, state_dist, second, skipped, tdist,
@@ -168,11 +168,11 @@ def _projected_pair(space2: ProductSpace, keep: tuple, state: SumState,
     ``keep`` and the projected product sum of ``other`` on the same two
     factors.  Both are built on their parent's rows and packs.
     """
-    comp = state.terms[k].factors[project_axis]
-    single = state.on_factors(space2, keep, state.coeffs).take([k])
-    coeffs = [t.coeff * sv_inner(comp, t.factors[project_axis])
-              for t in other.terms]
-    return single, other.on_factors(space2, keep, coeffs)
+    term = state.take([k])
+    overlap = _factor_overlap(FactorPack(term.rows[project_axis]),
+                              other._packed[project_axis])[0]
+    return (term.on_factors(space2, keep, term.coeffs),
+            other.on_factors(space2, keep, other.coeffs * overlap))
 
 
 def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
@@ -214,11 +214,10 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
     used = {}
     for bi, block in enumerate(psi.blocks[:level]):
         for k in block.indices:
-            term = dpsi.terms[k]
+            a = abs(complex(psi_state.coeffs[k]))
             # For the last block sqrt(eps') equals |a| eps / 3 exactly, so a
             # one-ulp rounding could flip the guaranteed gate; shave it.
-            eps_p = min(eps_prime,
-                        (abs(term.coeff) * eps / 3.0) ** 2 * (1.0 - 1e-12))
+            eps_p = min(eps_prime, (a * eps / 3.0) ** 2 * (1.0 - 1e-12))
             single, projected = _projected_pair(space_12, (0, 1), psi_state,
                                                 k, phi_state, 2)
             front = match_single_product(single, projected, eps, eps_p,
@@ -239,11 +238,9 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
                 raise VerificationError(
                     f"matching ambiguity: term {kp} matched twice")
             used[kp] = (bi, k)
-            other = phi.terms[kp]
             ov = (front.overlaps[0], front.overlaps[1], back.overlaps[1])
-            coeff_gap = abs(abs(term.coeff) ** 2 - abs(other.coeff) ** 2)
-            tdist = term_distance(term.coeff, term.factors,
-                                  other.coeff, other.factors)
+            coeff_gap = abs(a ** 2 - abs(complex(phi_state.coeffs[kp])) ** 2)
+            tdist = distance(psi_state.take([k]), phi_state.take([kp]))
             rec = PairRecord(
                 block=bi + 1, index=k, matched=kp,
                 coeff_sq_gap=coeff_gap, coeff_bound=3.0 * eps,

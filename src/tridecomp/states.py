@@ -155,24 +155,6 @@ class ProductTerm:
                     f"factor {i} of a product term has norm {n!r}, expected 1")
 
 
-class _TermView(ProductTerm):
-    """Term ``k`` of a validated SumState.  Its factors are read from the
-    state's rows on first use and are not validated again."""
-
-    def __init__(self, rows: tuple, k: int, coeff: complex):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "_row", (rows, k))
-
-    @cached_property
-    def factors(self) -> tuple:
-        rows, k = self._row
-        out = []
-        for indptr, indices, data in rows:
-            lo, hi = indptr[k], indptr[k + 1]
-            out.append(tuple(zip(indices[lo:hi].tolist(), data[lo:hi].tolist())))
-        return tuple(out)
-
-
 class Rows(NamedTuple):
     """One factor of a SumState as CSR rows.
 
@@ -246,6 +228,10 @@ def _canonical_rows(i: int, dim: int, nterms: int, indptr, indices,
 
 
 def _take_rows(rows: Rows, order: np.ndarray) -> Rows:
+    if order.size == 1:  # one row: views of the parent's arrays
+        lo, hi = rows.indptr[order[0]], rows.indptr[order[0] + 1]
+        return _frozen_rows(np.array([0, hi - lo]), rows.indices[lo:hi],
+                            rows.data[lo:hi])
     starts = rows.indptr[order]
     lengths = rows.indptr[order + 1] - starts
     indptr = np.zeros(order.size + 1, dtype=np.intp)
@@ -317,9 +303,9 @@ class SumState:
     (Kolda and Bader, SIAM Review 51 (2009), section 3): ``coeffs`` has one
     entry per term and ``rows[i]`` holds every term's unit vector on factor
     i as CSR ``Rows``.  Both are validated once, at construction, and are
-    read-only.  ``terms`` gives the same terms as ``ProductTerm`` objects,
-    built on first use.  ``SumState(space, terms)`` is the input adapter
-    from ``ProductTerm`` objects onto ``from_rows``.
+    read-only.  ``SumState(space, terms)`` is the input adapter from
+    ``ProductTerm`` objects onto ``from_rows``, and ``terms`` reads the
+    terms back as ``ProductTerm`` objects; the library reads the arrays.
     """
 
     def __init__(self, space: ProductSpace, terms):
@@ -338,7 +324,6 @@ class SumState:
                          [a for f in facs for _, a in f]))
         built = SumState.from_rows(space, [t.coeff for t in terms], rows)
         self._store(space, built.coeffs, built.rows)
-        self.__dict__["terms"] = terms
 
     @classmethod
     def from_rows(cls, space: ProductSpace, coeffs, rows) -> SumState:
@@ -399,9 +384,12 @@ class SumState:
 
     @cached_property
     def terms(self) -> tuple:
-        """The terms as ``ProductTerm`` objects, read from the rows."""
-        return tuple(_TermView(self.rows, k, c)
-                     for k, c in enumerate(self.coeffs.tolist()))
+        """The terms as validated ``ProductTerm`` objects, built from the
+        rows on first use."""
+        return tuple(ProductTerm(c, tuple(
+            zip(r.indices[r.indptr[k]:r.indptr[k + 1]].tolist(),
+                r.data[r.indptr[k]:r.indptr[k + 1]].tolist())
+            for r in self.rows)) for k, c in enumerate(self.coeffs.tolist()))
 
     @cached_property
     def _self_inner(self) -> complex:
@@ -471,21 +459,22 @@ def combine(space: ProductSpace, weights, states) -> SumState:
 
 
 def distance(a, b) -> float:
-    """||a - b|| for two states of one representation.
+    """||a - b|| for two states of either representation.
 
-    DenseStates are subtracted after zero-padding to the larger space, as
-    ``inner`` does; SumStates through the Gram of their joined terms.
+    Both are zero-padded to the larger dims, as ``inner`` does.  When that
+    space has at most ``DENSIFY_CEILING`` entries the padded tensors are
+    subtracted, which is exact to rounding.  Above it, two states are
+    compared as ||a||^2 - 2 Re<a|b> + ||b||^2 through ``inner``, which
+    reuses their packs and cached self products but whose rounding floor
+    grows with the coefficients' mass.
     """
     _check_same_nfactors(a, b)
-    space = ProductSpace(tuple(max(x, y)
-                               for x, y in zip(a.space.dims, b.space.dims)))
-    if isinstance(a, DenseState) and isinstance(b, DenseState):
-        diff = (_embedded_tensor(a, space.dims)
-                - _embedded_tensor(b, space.dims))
-        return norm(DenseState(space, diff, normalized=False))
-    if isinstance(a, SumState) and isinstance(b, SumState):
-        return norm(combine(space, (1.0, -1.0), (a, b)))
-    raise TypeError(f"unsupported operands: {type(a).__name__}, {type(b).__name__}")
+    dims = tuple(max(x, y) for x, y in zip(a.space.dims, b.space.dims))
+    if math.prod(dims) <= DENSIFY_CEILING:
+        return float(np.linalg.norm(_padded_tensor(a, dims)
+                                    - _padded_tensor(b, dims)))
+    val = inner(a, a).real - 2.0 * inner(a, b).real + inner(b, b).real
+    return math.sqrt(max(val, 0.0))
 
 
 def _factor_overlap(pack_a, pack_b) -> np.ndarray:
@@ -530,7 +519,18 @@ def term_gram(a: SumState, b: SumState) -> np.ndarray:
     return gram
 
 
-def _embedded_tensor(state: DenseState, dims: tuple) -> np.ndarray:
+def _padded_tensor(state, dims: tuple) -> np.ndarray:
+    """The amplitude tensor of ``state`` zero-padded to ``dims``."""
+    if isinstance(state, SumState):
+        *lead, last = [_dense_factor(state, i, d) for i, d in enumerate(dims)]
+        # transposed, so the long axis is the inner loop of every product;
+        # the products associate as ((v1 v2) v3) either way
+        out = np.zeros((last.shape[1], math.prod(dims) // last.shape[1]),
+                       dtype=np.complex128)
+        for k, coeff in enumerate(state.coeffs.tolist()):
+            head = reduce(np.multiply.outer, [m[k] for m in lead]).ravel()
+            out += coeff * np.multiply(head[None, :], last[k][:, None])
+        return np.ascontiguousarray(out.T).reshape(dims)
     if state.space.dims == tuple(dims):
         return state.tensor
     out = np.zeros(dims, dtype=np.complex128)
@@ -576,7 +576,7 @@ def inner(a, b) -> complex:
     _check_same_nfactors(a, b)
     if isinstance(a, DenseState) and isinstance(b, DenseState):
         dims = tuple(max(x, y) for x, y in zip(a.space.dims, b.space.dims))
-        return complex(np.vdot(_embedded_tensor(a, dims), _embedded_tensor(b, dims)))
+        return complex(np.vdot(_padded_tensor(a, dims), _padded_tensor(b, dims)))
     if isinstance(a, SumState) and isinstance(b, SumState):
         return a._self_inner if a is b else _sum_inner(a, b)
     if isinstance(a, DenseState) and isinstance(b, SumState):
@@ -789,8 +789,7 @@ def project_factor(s, i: int, phi,
     i = int(i)
     if not 0 <= i < s.space.nfactors:
         raise DimensionMismatchError(f"factor index {i} out of range")
-    phi_sv = sparse_vector(phi) if not isinstance(phi, np.ndarray) \
-        else sparse_vector(np.asarray(phi, dtype=np.complex128))
+    phi_sv = sparse_vector(phi)
     n = sv_norm(phi_sv)
     if abs(n - 1.0) > tolerances.norm:
         raise InvalidStateError(f"projection vector has norm {n!r}, expected 1")
@@ -801,12 +800,14 @@ def project_factor(s, i: int, phi,
         out = np.moveaxis(np.multiply.outer(v, contracted), 0, i)
         return DenseState(s.space, out.ravel(), normalized=None)
     if isinstance(s, SumState):
-        new_terms = []
-        for t in s.terms:
-            ov = sv_inner(phi_sv, t.factors[i])
-            facs = t.factors[:i] + (phi_sv,) + t.factors[i + 1:]
-            new_terms.append(ProductTerm(t.coeff * ov, facs))
-        return SumState(s.space, tuple(new_terms))
+        row = _canonical_rows(i, s.space.dims[i], 1, (0, len(phi_sv)),
+                              [j for j, _ in phi_sv], [a for _, a in phi_sv])
+        overlap = _factor_overlap(FactorPack(row), s._packed[i])[0]
+        k, width = s.nterms, row.indices.size
+        rows = list(s.rows)
+        rows[i] = _frozen_rows(np.arange(k + 1) * width,
+                               np.tile(row.indices, k), np.tile(row.data, k))
+        return SumState._trusted(s.space, s.coeffs * overlap, rows)
     raise TypeError(f"unsupported operand: {type(s).__name__}")
 
 
@@ -833,15 +834,8 @@ def densify(s: SumState, ceiling: int = DENSIFY_CEILING) -> DenseState:
     if s.space.dim > ceiling:
         raise CapacityError(
             f"dense dimension {s.space.dim} exceeds the ceiling {ceiling}")
-    *lead, last = [_dense_factor(s, i, d) for i, d in enumerate(s.space.dims)]
-    # transposed, so the long axis is the inner loop of every product; the
-    # products associate as ((v1 v2) v3) either way
-    out = np.zeros((last.shape[1], s.space.dim // last.shape[1]),
-                   dtype=np.complex128)
-    for k, coeff in enumerate(s.coeffs.tolist()):
-        head = reduce(np.multiply.outer, [m[k] for m in lead]).ravel()
-        out += coeff * np.multiply(head[None, :], last[k][:, None])
-    return DenseState(s.space, out.T.ravel(), normalized=None)
+    return DenseState(s.space, _padded_tensor(s, s.space.dims).ravel(),
+                      normalized=None)
 
 
 def sparsify(s: DenseState, tol: float = 0.0) -> SumState:

@@ -454,7 +454,6 @@ class TestPerturbation:
             ProductTerm(math.sqrt(0.3), (sparse_vector(e[1]),
                                          sparse_vector(e[1]), ((5, 1.0),))),
         )
-        base = TriDecomposition(ProductSpace((3, 3, 3)), terms,
-                                Variant.ORTHONORMAL)
         with pytest.raises(DimensionMismatchError, match="index 5"):
-            non_triortho_perturb(base, 0.1)
+            TriDecomposition(ProductSpace((3, 3, 3)), terms,
+                             Variant.ORTHONORMAL)

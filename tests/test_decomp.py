@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tridecomp import states
+from tridecomp import experiments, states
 from tridecomp.constructions import (
     example31,
     isolation_witness_3,
@@ -29,7 +29,7 @@ from tridecomp.decomp import (
     truncate_terms,
     verify_tridecomposition,
 )
-from tridecomp.config import DEFAULT_TOLERANCES
+from tridecomp.config import DEFAULT_TOLERANCES, DENSIFY_CEILING
 from tridecomp.errors import InvalidStateError
 from tridecomp.serialize import state_from_json, state_to_json
 from tridecomp.spectral import spectrum
@@ -43,6 +43,7 @@ from tridecomp.states import (
     norm,
     partial_trace,
     sparse_vector,
+    sparsify,
     sv_dense,
     sv_inner,
     sv_scale,
@@ -321,6 +322,18 @@ def three_inner_residual(dec, psi):
     return math.sqrt(max(val, 0.0))
 
 
+class TestDenseRoundTripTarget:
+    def test_correct_decompositions_certify(self):
+        # the Gram-form residual failed 88 of these 200 at the default recon
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            d = experiments._random_triortho(rng, (6, 6, 6), 3)
+            target = sparsify(densify(d.to_sum_state()))
+            cert = verify_tridecomposition(d, target)
+            assert cert.passed, cert.reconstruction_error
+            assert cert.tolerances["recon"] == DEFAULT_TOLERANCES.recon
+
+
 class TestResidualFromOneGram:
     @staticmethod
     def own_rows_target(dec, kind):
@@ -353,8 +366,15 @@ class TestResidualFromOneGram:
         data[0] *= cmath.exp(0.4j)  # one amplitude, same unit norm
         rows[0] = (rows[0].indptr, rows[0].indices, data)
         moved = SumState.from_rows(dec.space, dec.coeffs, rows)
-        embedded = dec.embedded(
-            ProductSpace(tuple(n + 1 for n in dec.space.dims)))
+        # below the densify ceiling: the dense subtraction, bitwise
+        oracle = np.linalg.norm(densify(moved).amplitudes
+                                - densify(dec).amplitudes)
+        cert = verify_tridecomposition(d, moved)
+        assert not cert.passed
+        assert cert.reconstruction_error == oracle
+        # above it: the three inner products, through term Grams
+        embedded = dec.embedded(ProductSpace((200, 200, 200)))
+        assert embedded.space.dim > DENSIFY_CEILING
         grams = []
         term_gram = states.term_gram
 
@@ -363,13 +383,12 @@ class TestResidualFromOneGram:
             return term_gram(a, b)
 
         monkeypatch.setattr(states, "term_gram", counted)
-        for target, passed in ((moved, False), (embedded, True)):
-            expected = three_inner_residual(dec, target)
-            del grams[:]
-            cert = verify_tridecomposition(d, target)
-            assert grams
-            assert cert.passed is passed
-            assert cert.reconstruction_error == expected
+        expected = three_inner_residual(dec, embedded)
+        del grams[:]
+        cert = verify_tridecomposition(d, embedded)
+        assert grams
+        assert cert.passed
+        assert cert.reconstruction_error == expected
 
 
 class TestCanonicalPhase:
@@ -384,6 +403,22 @@ class TestCanonicalPhase:
             assert a.coeff == pytest.approx(b.coeff, abs=1e-14)
             assert np.allclose(self._term_tensor(d.space, a),
                                self._term_tensor(d.space, b), atol=1e-13)
+
+    def test_rounds_as_python_complex_products(self):
+        # extraction certificates carry these bits, so the array version
+        # rounds each product as the per-entry Python loop does
+        d = random_triortho(31, dims=(6, 7, 8), k=4)
+        canon = canonical_phase(d).to_sum_state()
+        for k, t in enumerate(d.terms):
+            coeff = t.coeff
+            for i, comp in enumerate(t.factors):
+                amp = next(a for _, a in comp if abs(a) > 1e-12)
+                mult = cmath.exp(-1j * cmath.phase(amp))
+                coeff *= mult.conjugate()
+                rows = canon.rows[i]
+                got = rows.data[rows.indptr[k]:rows.indptr[k + 1]].tolist()
+                assert got == [a * mult for _, a in comp]
+            assert complex(canon.coeffs[k]) == coeff
 
     def test_gauge_invariance(self):
         d = random_triortho(7)

@@ -275,7 +275,8 @@ class TestProjectedPair:
                     space2, keep, po.decomposition.terms[k], d_phi, axis)
                 for g, w in zip(got, want):
                     assert g.space == w.space
-                    assert g.coeffs.tobytes() == w.coeffs.tobytes()
+                    assert np.allclose(g.coeffs, w.coeffs, rtol=0.0,
+                                       atol=1e-15)
                     for gr, wr in zip(g.rows, w.rows):
                         for x, y in zip(gr, wr):
                             assert np.array_equal(x, y)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tridecomp import experiments
 from tridecomp.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -20,6 +21,7 @@ from tridecomp.states import (
     _factor_overlap,
     aligned_density_matrices,
     densify,
+    distance,
     haar_random_state,
     inner,
     norm,
@@ -688,9 +690,8 @@ class TestArrayBackedSumState:
         a, b = (DenseState(ProductSpace((3, 4, 5)),
                            random_unit(rng, 60), normalized=True)
                 for _ in range(2))
-        diff = DenseState(a.space, a.amplitudes - b.amplitudes,
-                          normalized=False)
-        assert distance(a, b) == norm(diff)  # the same arithmetic, bitwise
+        # the same arithmetic, bitwise
+        assert distance(a, b) == np.linalg.norm(a.amplitudes - b.amplitudes)
         small = DenseState(ProductSpace((2, 4, 5)), random_unit(rng, 40),
                            normalized=True)
         padded = np.zeros((3, 4, 5), dtype=complex)
@@ -698,8 +699,9 @@ class TestArrayBackedSumState:
         want = np.linalg.norm(a.tensor - padded)
         assert distance(a, small) == pytest.approx(want, abs=1e-14)
         assert distance(small, a) == pytest.approx(want, abs=1e-14)
-        with pytest.raises(TypeError):
-            distance(a, sparsify(a))
+        assert distance(a, sparsify(a)) == 0.0
+        assert distance(sparsify(small), a) == pytest.approx(want, abs=1e-14)
+        assert distance(small, sparsify(a)) == pytest.approx(want, abs=1e-14)
 
     def test_from_columns_agrees_with_terms(self, rng):
         dims = (4, 3, 5)
@@ -757,3 +759,32 @@ class TestArrayBackedSumState:
             assert d.to_sum_state() is s
             assert d.to_sum_state()._packed is s._packed
             assert d.nterms == s.nterms
+
+
+class TestDistance:
+    """Below the densify ceiling ``distance`` subtracts the padded tensors,
+    so it agrees with an independent dense build to rounding."""
+
+    def test_matches_an_einsum_oracle_on_campaign_states(self, rng):
+        dims = (6, 6, 6)
+        for k in (2, 3, 4):
+            cols = [random_orthonormal(rng, d, k) for d in dims]
+            near = [c + 1e-6 * (rng.standard_normal(c.shape)
+                                + 1j * rng.standard_normal(c.shape))
+                    for c in cols]
+            near = [c / np.linalg.norm(c, axis=0) for c in near]
+            coeffs = random_unit(rng, k)
+            a, b = (SumState.from_columns(ProductSpace(dims), coeffs, c)
+                    for c in (cols, near))
+            want = np.linalg.norm(
+                np.einsum("k,ak,bk,ck->abc", coeffs, *cols)
+                - np.einsum("k,ak,bk,ck->abc", coeffs, *near))
+            assert abs(distance(a, b) - want) < 1e-14
+            assert abs(distance(densify(a), b) - want) < 1e-14
+
+    def test_dense_round_trip_is_exact(self):
+        # the Gram form read up to 2.3e-8 here, the size of tolerances.recon
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            s = experiments._random_triortho(rng, (6, 6, 6), 3).to_sum_state()
+            assert distance(s, sparsify(densify(s))) < 1e-13
