@@ -64,7 +64,7 @@ def _verified(d: TriDecomposition, target, tolerances) -> TriDecomposition:
     if not cert.passed:
         raise VerificationError(
             f"generator self-check failed: {cert.failed_condition}")
-    return TriDecomposition(d.space, d.to_sum_state(), d.variant, cert)
+    return TriDecomposition(d.space, d.state, d.variant, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def example32(theta: float,
     rho_psi = partial_trace(base.psi_theta, (0, 1))
 
     def products(d: TriDecomposition):
-        state = d.to_sum_state()
+        state = d.state
         return tuple(zip(_dense_factor(state, 0, 2), _dense_factor(state, 1, 2)))
 
     phi_products = products(base.phi_decomposition)
@@ -664,7 +664,7 @@ def non_triortho_perturb(psi, epsilon: float,
         raise InvalidStateError("expected an (ordered) orthonormal decomposition")
     if not 0.0 < epsilon < 1.0:
         raise InvalidStateError("epsilon must lie in (0, 1)")
-    state = ordered.decomposition.to_sum_state()
+    state = ordered.decomposition.state
     eta = math.sqrt(1.0 - epsilon)
     eta_p = math.sqrt(epsilon)
     coeffs = state.coeffs

@@ -262,9 +262,6 @@ class TriDecomposition:
     def coefficients(self) -> np.ndarray:
         return self.state.coeffs.copy()
 
-    def to_sum_state(self) -> SumState:
-        return self.state
-
 
 @dataclass(frozen=True)
 class Block:
@@ -300,7 +297,7 @@ def ordered_triortho(d: TriDecomposition,
     """Sort terms by descending |a| and group them into degeneracy blocks."""
     if d.variant is not Variant.ORTHONORMAL:
         raise InvalidStateError("ordering is defined for orthonormal decompositions")
-    state, mags = _by_magnitude(d.to_sum_state())
+    state, mags = _by_magnitude(d.state)
     sorted_d = TriDecomposition(d.space, state, d.variant, d.certificate)
     blocks = tuple(Block(float(mags[i]), tuple(range(i, j)))
                    for i, j in _degenerate_groups(mags, tol_deg))
@@ -310,7 +307,7 @@ def ordered_triortho(d: TriDecomposition,
 def truncate_terms(d: TriDecomposition, delta: float) -> TriDecomposition:
     """Drop terms with |a_k| <= delta (preprocessing for near-infinite sums)."""
     kept = [k for k, c in enumerate(d.coefficients.tolist()) if abs(c) > delta]
-    return TriDecomposition(d.space, d.to_sum_state().take(kept), d.variant)
+    return TriDecomposition(d.space, d.state.take(kept), d.variant)
 
 
 def _term_distance(a_coeff, b_coeff, overlap: complex) -> float:
@@ -323,7 +320,7 @@ def _term_distance(a_coeff, b_coeff, overlap: complex) -> float:
 
 def reconstruction_error(d: TriDecomposition, psi) -> float:
     """|| psi - sum_k a_k term_k ||, as ``states.distance`` measures it."""
-    return _residual(d.to_sum_state(), psi)
+    return _residual(d.state, psi)
 
 
 def _on_own_rows(dec: SumState, psi) -> bool:
@@ -357,7 +354,7 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     ``psi`` for its variant, up to re-ordering and phase changes.
     """
     tol_echo = tolerances.as_dict()
-    dec = d.to_sum_state()
+    dec = d.state
     packs = dec._packed if d.nterms else ()
     own = _on_own_rows(dec, psi)
     gram = None  # term Gram, kept only for a target on dec's own rows
@@ -470,8 +467,8 @@ def decompositions_equivalent(d1: TriDecomposition, d2: TriDecomposition,
     if d1.nterms == 0:
         return True
 
-    s1, mags1 = _by_magnitude(d1.to_sum_state())
-    s2, mags2 = _by_magnitude(d2.to_sum_state())
+    s1, mags1 = _by_magnitude(d1.state)
+    s2, mags2 = _by_magnitude(d2.state)
     if np.max(np.abs(mags1 - mags2)) > tol:
         return False
     gram = term_gram(s1, s2)
@@ -617,6 +614,6 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES,
     if not cert.passed:
         return NotTriorthogonal(
             f"assembled candidate fails {cert.failed_condition}")
-    certified = TriDecomposition(candidate.space, candidate.to_sum_state(),
+    certified = TriDecomposition(candidate.space, candidate.state,
                                  candidate.variant, cert)
     return ordered_triortho(certified, tolerances.deg)

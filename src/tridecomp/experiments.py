@@ -300,7 +300,7 @@ def _component_match_trial(rng, dims, trial, tolerances) -> dict:
     tie = trial % 10 == 9
     d_psi = _random_triortho(rng, dims, k, tie=tie)
     po = ordered_triortho(d_psi, tolerances.deg)
-    psi_state = d_psi.to_sum_state()
+    psi_state = d_psi.state
     eps = rng.uniform(0.12, 0.24)
     a_level = po.blocks[-1].magnitude
     bound = a_level ** 2 * eps ** 2 / 18.0
@@ -320,14 +320,14 @@ def _component_match_trial(rng, dims, trial, tolerances) -> dict:
         m2 = mags * (1.0 + angle * np.repeat(factors, sizes))
         m2 = m2 / np.linalg.norm(m2)
         cand = _orthonormal_decomposition(d_psi.space, m2 * phases, comps)
-        dist = distance(psi_state, cand.to_sum_state())
+        dist = distance(psi_state, cand.state)
         if dist < 0.9 * bound:
             phi_dec = cand
             break
         angle *= 0.4
     if phi_dec is None:
         raise VerificationError("could not generate an admissible pair")
-    extracted = extract_triortho(densify(phi_dec.to_sum_state()), tolerances)
+    extracted = extract_triortho(densify(phi_dec.state), tolerances)
     if not isinstance(extracted, OrderedTriortho):
         return {"kind": "component-match", "eps": eps, "tie": tie,
                 "pass": False, "note": f"re-extraction failed: {extracted}"}
@@ -440,7 +440,7 @@ def run_isolation_scan(cfg: TrialConfig) -> CampaignReport:
             else:
                 base = _random_triortho(rng, cfg.dims,
                                         min(3, min(cfg.dims)))
-            psi0 = densify(base.to_sum_state())
+            psi0 = densify(base.state)
             pert = non_triortho_perturb(base, eps, tolerances)
             dist_sq = distance(psi0, pert) ** 2
             s1, s2, s3 = reduced_spectra(pert, tolerances)
@@ -483,10 +483,10 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
     k = min(3, min(dims))
     limit_dec = _random_triortho(rng, dims, k)
     limit_dec = ordered_triortho(limit_dec, tolerances.deg).decomposition
-    limit_state = densify(limit_dec.to_sum_state())
+    limit_state = densify(limit_dec.state)
     mags_inf = np.abs(limit_dec.coefficients)
     phases_inf = limit_dec.coefficients / mags_inf
-    base = _columns(limit_dec.to_sum_state())
+    base = _columns(limit_dec.state)
     gens = []
     for i in range(3):
         z = rng.standard_normal((dims[i], dims[i])) \
@@ -509,14 +509,14 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
     steps = (10, 100, 1000, 10000)
     for trial, n in enumerate(steps):
         dn = member(n)
-        psi_n = densify(dn.to_sum_state())
+        psi_n = densify(dn.state)
         extracted = extract_triortho(psi_n, tolerances)
         ok_extract = isinstance(extracted, OrderedTriortho)
         equivalent = ok_extract and decompositions_equivalent(
             extracted.decomposition, dn, 1e-6, tolerances)
         dn_sorted = ordered_triortho(dn, tolerances.deg).decomposition
         aligned = _columns(canonical_phase(
-            dn_sorted, reference=limit_dec).to_sum_state())
+            dn_sorted, reference=limit_dec).state)
         comp_dist = max(
             float(np.linalg.norm(aligned[i][:, j] - base[i][:, j]))
             for j in range(k) for i in range(3))
@@ -530,8 +530,8 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
             "equivalent_to_member": bool(equivalent),
             "component_distance": comp_dist,
             "coefficient_distance": coeff_dist,
-            "distance_to_limit": distance(dn.to_sum_state(),
-                                                 limit_dec.to_sum_state()),
+            "distance_to_limit": distance(dn.state,
+                                                 limit_dec.state),
             "pass": bool(ok_extract and equivalent and monotone),
         })
 

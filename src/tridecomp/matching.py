@@ -195,8 +195,8 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
     _require(0.0 < eps < 0.25, "eps in (0, 1/4)")
     level = int(level)
     _require(1 <= level <= psi.nblocks, "1 <= level <= number of blocks")
-    psi_state = dpsi.to_sum_state()
-    phi_state = phi.to_sum_state()
+    psi_state = dpsi.state
+    phi_state = phi.state
     for name, st in (("psi", psi_state), ("phi", phi_state)):
         n = norm(st)
         _require(abs(n - 1.0) <= tolerances.norm, f"{name} is a wavefunction")

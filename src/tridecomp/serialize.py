@@ -191,7 +191,7 @@ def decomposition_to_json(d, provenance: dict = None) -> dict:
         "dims": list(d.space.dims),
         "variant": d.variant.value,
         "format": "rows",
-        **_rows_to_json(d.to_sum_state()),
+        **_rows_to_json(d.state),
         "certificate": d.certificate.to_json() if d.certificate else None,
         "tolerances": (d.certificate.tolerances if d.certificate else None),
     }

@@ -19,6 +19,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import zgeqrf
 
 from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances
 from .errors import (
@@ -96,6 +97,10 @@ class ProductSpace:
 
 
 def _check_same_nfactors(a, b):
+    for s in (a, b):
+        if not isinstance(s, (DenseState, SumState)):
+            raise InvalidStateError(
+                f"expected a DenseState or SumState, got {type(s).__name__}")
     if a.space.nfactors != b.space.nfactors:
         raise DimensionMismatchError(
             f"factor counts differ: {a.space.nfactors} vs {b.space.nfactors}")
@@ -228,10 +233,6 @@ def _canonical_rows(i: int, dim: int, nterms: int, indptr, indices,
 
 
 def _take_rows(rows: Rows, order: np.ndarray) -> Rows:
-    if order.size == 1:  # one row: views of the parent's arrays
-        lo, hi = rows.indptr[order[0]], rows.indptr[order[0] + 1]
-        return _frozen_rows(np.array([0, hi - lo]), rows.indices[lo:hi],
-                            rows.data[lo:hi])
     starts = rows.indptr[order]
     lengths = rows.indptr[order + 1] - starts
     indptr = np.zeros(order.size + 1, dtype=np.intp)
@@ -459,22 +460,59 @@ def combine(space: ProductSpace, weights, states) -> SumState:
 
 
 def distance(a, b) -> float:
-    """||a - b|| for two states of either representation.
+    """||a - b|| for two states of either representation, zero-padded to
+    the larger dims as ``inner`` does.
 
-    Both are zero-padded to the larger dims, as ``inner`` does.  When that
-    space has at most ``DENSIFY_CEILING`` entries the padded tensors are
-    subtracted, which is exact to rounding.  Above it, two states are
-    compared as ||a||^2 - 2 Re<a|b> + ||b||^2 through ``inner``, which
-    reuses their packs and cached self products but whose rounding floor
-    grows with the coefficients' mass.
+    Two SumStates are subtracted in ``_difference_core``, which is exact to
+    rounding; only where that core does not fit ``DENSIFY_CEILING`` are they
+    compared as ||a||^2 - 2 Re<a|b> + ||b||^2, whose rounding floor grows
+    with the coefficients' mass.  Otherwise the padded tensors are
+    subtracted.
     """
     _check_same_nfactors(a, b)
+    if isinstance(a, SumState) and isinstance(b, SumState):
+        core = _difference_core(a, b)
+        if core is not None:
+            return float(np.linalg.norm(core))
+        val = inner(a, a).real - 2.0 * inner(a, b).real + inner(b, b).real
+        return math.sqrt(max(val, 0.0))
     dims = tuple(max(x, y) for x, y in zip(a.space.dims, b.space.dims))
-    if math.prod(dims) <= DENSIFY_CEILING:
-        return float(np.linalg.norm(_padded_tensor(a, dims)
-                                    - _padded_tensor(b, dims)))
-    val = inner(a, a).real - 2.0 * inner(a, b).real + inner(b, b).real
-    return math.sqrt(max(val, 0.0))
+    return float(np.linalg.norm(_padded_tensor(a, dims)
+                                - _padded_tensor(b, dims)))
+
+
+def _difference_core(a: SumState, b: SumState):
+    """a - b in one orthonormal basis per factor spanning both states'
+    rows (a Tucker core; Kolda and Bader, section 4), or None when the
+    terms-by-core buffer would exceed ``DENSIFY_CEILING`` entries.
+
+    R of a QR of factor i's support-by-terms matrix holds each row's
+    coordinates, so the core is sum_k w_k (x)_i R_i[:, k] with
+    w = (a.coeffs, -b.coeffs); its axes have at most min(support, terms)
+    entries, whatever the ambient dims.
+    """
+    weights = np.concatenate([a.coeffs, -b.coeffs])
+    if not weights.size:
+        return weights
+    coords = []
+    for (ia, fa), (ib, fb) in zip(a._packed, b._packed):
+        if ia is ib or (ia.size == ib.size and (ia == ib).all()):
+            mat = np.concatenate([fa, fb]).T
+        else:
+            support = np.union1d(ia, ib)
+            mat = np.zeros((support.size, weights.size), dtype=np.complex128)
+            mat[support.searchsorted(ia), :a.nterms] = fa.T
+            mat[support.searchsorted(ib), a.nterms:] = fb.T
+        r = zgeqrf(mat)[0][:min(mat.shape)]
+        for j in range(1, r.shape[0]):
+            r[j, :j] = 0.0  # below the diagonal: the Householder vectors
+        coords.append(r)
+    if math.prod(c.shape[0] for c in coords[1:]) * weights.size \
+            > DENSIFY_CEILING:
+        return None
+    rest = reduce(lambda x, y: (x[:, None, :] * y[None, :, :]).reshape(
+        -1, weights.size), coords[1:])
+    return (coords[0] * weights) @ rest.T
 
 
 def _factor_overlap(pack_a, pack_b) -> np.ndarray:
@@ -520,8 +558,12 @@ def term_gram(a: SumState, b: SumState) -> np.ndarray:
 
 
 def _padded_tensor(state, dims: tuple) -> np.ndarray:
-    """The amplitude tensor of ``state`` zero-padded to ``dims``."""
+    """The amplitude tensor of ``state`` zero-padded to ``dims``; a
+    SumState is built only up to ``DENSIFY_CEILING`` amplitudes."""
     if isinstance(state, SumState):
+        if math.prod(dims) > DENSIFY_CEILING:
+            raise CapacityError(f"dense dimension {math.prod(dims)} exceeds "
+                                f"the ceiling {DENSIFY_CEILING}")
         *lead, last = [_dense_factor(state, i, d) for i, d in enumerate(dims)]
         # transposed, so the long axis is the inner loop of every product;
         # the products associate as ((v1 v2) v3) either way
@@ -829,11 +871,8 @@ def haar_random_state(space: ProductSpace, seed: int) -> DenseState:
     return DenseState(space, z / np.linalg.norm(z), normalized=True)
 
 
-def densify(s: SumState, ceiling: int = DENSIFY_CEILING) -> DenseState:
-    """Materialize a SumState; refuses spaces above the capacity ceiling."""
-    if s.space.dim > ceiling:
-        raise CapacityError(
-            f"dense dimension {s.space.dim} exceeds the ceiling {ceiling}")
+def densify(s: SumState) -> DenseState:
+    """Materialize a SumState; refuses spaces above ``DENSIFY_CEILING``."""
     return DenseState(s.space, _padded_tensor(s, s.space.dims).ravel(),
                       normalized=None)
 
@@ -848,10 +887,10 @@ def sparsify(s: DenseState, tol: float = 0.0) -> SumState:
     return SumState._trusted(s.space, s.amplitudes[pos], rows)
 
 
-def as_dense(s, ceiling: int = DENSIFY_CEILING) -> DenseState:
+def as_dense(s) -> DenseState:
     """Dense view of any state representation."""
     if isinstance(s, DenseState):
         return s
     if isinstance(s, SumState):
-        return densify(s, ceiling=ceiling)
+        return densify(s)
     raise TypeError(f"unsupported operand: {type(s).__name__}")

@@ -239,7 +239,7 @@ def test_criterion_08_spectra_and_extraction_round_trip():
         k = int(g.integers(2, 7))
         dims = tuple(int(g.integers(max(k, 6), 9)) for _ in range(3))
         d = random_triortho((SEED, 8, seed, 1), dims=dims, k=k)
-        psi = densify(d.to_sum_state())
+        psi = densify(d.state)
         target = np.zeros(max(dims))
         mags = np.sort(np.abs(d.coefficients))[::-1] ** 2
         target[:k] = mags
@@ -263,7 +263,7 @@ def test_criterion_09_spectra_mismatch_perturbation():
     multi = random_triortho((SEED, 9), dims=(4, 4, 4), k=3)
     checked = 0
     for label, base in (("single", single), ("multi", multi)):
-        base_state = densify(base.to_sum_state())
+        base_state = densify(base.state)
         for eps in (0.05, 0.1, 0.2):
             pert = non_triortho_perturb(base, eps)
             dist_sq = distance(pert, base_state) ** 2

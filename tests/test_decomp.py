@@ -229,6 +229,11 @@ class TestPrivateSupportBound:
 
 
 class TestVerify:
+    def test_target_must_be_a_state(self):
+        d = random_triortho(5)
+        with pytest.raises(InvalidStateError):
+            verify_tridecomposition(d, np.zeros(d.space.dim, dtype=complex))
+
     def test_rotation_family_verifies(self):
         fam = example31(math.pi / 4)
         cert = verify_tridecomposition(fam.phi_decomposition, fam.phi_theta)
@@ -255,7 +260,7 @@ class TestVerify:
 
     def test_orthonormal_round_trip(self):
         d = random_triortho(4)
-        cert = verify_tridecomposition(d, densify(d.to_sum_state()))
+        cert = verify_tridecomposition(d, densify(d.state))
         assert cert.passed
         assert max(cert.max_offdiag_overlaps) < 1e-8
 
@@ -328,7 +333,7 @@ class TestDenseRoundTripTarget:
         rng = np.random.default_rng(7)
         for _ in range(200):
             d = experiments._random_triortho(rng, (6, 6, 6), 3)
-            target = sparsify(densify(d.to_sum_state()))
+            target = sparsify(densify(d.state))
             cert = verify_tridecomposition(d, target)
             assert cert.passed, cert.reconstruction_error
             assert cert.tolerances["recon"] == DEFAULT_TOLERANCES.recon
@@ -349,7 +354,7 @@ class TestResidualFromOneGram:
         ("identical", True), ("serialized", True), ("tampered", False)])
     def test_own_rows_match_three_inner_products(self, kind, passed):
         d = random_triortho(6)
-        dec = d.to_sum_state()
+        dec = d.state
         target = self.own_rows_target(dec, kind)
         expected = three_inner_residual(dec, target)
         cert = verify_tridecomposition(d, target)
@@ -360,21 +365,32 @@ class TestResidualFromOneGram:
 
     def test_other_rows_take_the_inner_path(self, monkeypatch):
         d = random_triortho(7)
-        dec = d.to_sum_state()
+        dec = d.state
         rows = list(dec.rows)
         data = rows[0].data.copy()
         data[0] *= cmath.exp(0.4j)  # one amplitude, same unit norm
         rows[0] = (rows[0].indptr, rows[0].indices, data)
         moved = SumState.from_rows(dec.space, dec.coeffs, rows)
-        # below the densify ceiling: the dense subtraction, bitwise
+        # other rows: subtracted in the difference core, to the dense oracle
         oracle = np.linalg.norm(densify(moved).amplitudes
                                 - densify(dec).amplitudes)
         cert = verify_tridecomposition(d, moved)
         assert not cert.passed
-        assert cert.reconstruction_error == oracle
-        # above it: the three inner products, through term Grams
+        assert cert.reconstruction_error == pytest.approx(oracle, abs=1e-14)
+        # the core follows the term count, so a few-term target far above
+        # the densify ceiling is still subtracted exactly
         embedded = dec.embedded(ProductSpace((200, 200, 200)))
         assert embedded.space.dim > DENSIFY_CEILING
+        cert = verify_tridecomposition(d, embedded)
+        assert cert.passed
+        assert cert.reconstruction_error < 1e-14
+        # a core too large for the ceiling: the three inner products,
+        # through term Grams
+        n = 200
+        pad = SumState.from_rows(embedded.space, np.zeros(n),
+                                 [(np.arange(n + 1), np.arange(n),
+                                   np.ones(n, dtype=complex))] * 3)
+        target = states.combine(embedded.space, (1.0, 1.0), (embedded, pad))
         grams = []
         term_gram = states.term_gram
 
@@ -383,11 +399,10 @@ class TestResidualFromOneGram:
             return term_gram(a, b)
 
         monkeypatch.setattr(states, "term_gram", counted)
-        expected = three_inner_residual(dec, embedded)
+        expected = three_inner_residual(dec, target)
         del grams[:]
-        cert = verify_tridecomposition(d, embedded)
+        cert = verify_tridecomposition(d, target)
         assert grams
-        assert cert.passed
         assert cert.reconstruction_error == expected
 
 
@@ -408,7 +423,7 @@ class TestCanonicalPhase:
         # extraction certificates carry these bits, so the array version
         # rounds each product as the per-entry Python loop does
         d = random_triortho(31, dims=(6, 7, 8), k=4)
-        canon = canonical_phase(d).to_sum_state()
+        canon = canonical_phase(d).state
         for k, t in enumerate(d.terms):
             coeff = t.coeff
             for i, comp in enumerate(t.factors):
@@ -494,7 +509,7 @@ class TestEquivalence:
 class TestExtraction:
     def test_round_trip_nondegenerate(self):
         d = random_triortho(14, dims=(4, 5, 6), k=4)
-        out = extract_triortho(densify(d.to_sum_state()))
+        out = extract_triortho(densify(d.state))
         assert isinstance(out, OrderedTriortho)
         assert decompositions_equivalent(out.decomposition, d, 1e-7)
         assert out.decomposition.certificate.passed
@@ -530,13 +545,13 @@ class TestExtraction:
 
     def test_exact_tie_round_trip(self):
         d = random_triortho(15, dims=(4, 4, 4), k=3, tie=True)
-        out = extract_triortho(densify(d.to_sum_state()))
+        out = extract_triortho(densify(d.state))
         assert isinstance(out, OrderedTriortho)
         assert decompositions_equivalent(out.decomposition, d, 1e-7)
 
     def test_extracted_spectra_match_coefficients(self):
         d = random_triortho(16, dims=(5, 5, 5), k=3)
-        psi = densify(d.to_sum_state())
+        psi = densify(d.state)
         out = extract_triortho(psi)
         coeffs = np.abs(out.decomposition.coefficients) ** 2
         for i in range(3):
@@ -590,7 +605,7 @@ def _verdict_class_state(kind):
     d = random_triortho(70, dims=(12, 12, 12), k=8, tie=(kind == "tie"))
     if kind == "perturbed":
         return non_triortho_perturb(d, 0.1), None
-    return densify(d.to_sum_state()), d
+    return densify(d.state), d
 
 
 class TestExtractionVerdictClasses:

@@ -157,7 +157,7 @@ def perturbed_decomposition(d_psi, bound, seed):
     from tridecomp.states import sv_dense
     base = [np.column_stack([sv_dense(t.factors[i], dims[i])
                              for t in d_psi.terms]) for i in range(3)]
-    psi_state = d_psi.to_sum_state()
+    psi_state = d_psi.state
     angle = bound / 4
     for _ in range(20):
         comps = []
@@ -176,7 +176,7 @@ def perturbed_decomposition(d_psi, bound, seed):
                                         for i in range(3)))
                       for j in range(k))
         cand = TriDecomposition(d_psi.space, terms, Variant.ORTHONORMAL)
-        dist = distance(psi_state, cand.to_sum_state())
+        dist = distance(psi_state, cand.state)
         if dist < 0.9 * bound:
             return cand, dist
         angle *= 0.4
@@ -262,8 +262,8 @@ class TestProjectedPair:
         eps = 0.2
         bound = po.blocks[-1].magnitude ** 2 * eps ** 2 / 18
         d_phi, _ = perturbed_decomposition(d, bound, 11)
-        psi_state = po.decomposition.to_sum_state()
-        phi_state = d_phi.to_sum_state()
+        psi_state = po.decomposition.state
+        phi_state = d_phi.state
         parent_packs = phi_state._packed
         dims = d.space.dims
         for keep, axis in (((0, 1), 2), ((1, 2), 0)):

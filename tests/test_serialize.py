@@ -51,7 +51,7 @@ class TestStateRoundTrip:
 
     def test_product_sum(self):
         d = random_triortho(71, dims=(4, 4, 4), k=3)
-        s = d.to_sum_state()
+        s = d.state
         back = state_from_json(state_to_json(s))
         assert isinstance(back, SumState)
         assert inner(back, s) == pytest.approx(inner(s, s), abs=1e-12)
@@ -80,7 +80,7 @@ class TestStateRoundTrip:
 class TestDecompositionRoundTrip:
     def test_with_certificate_and_blocks(self):
         d = random_triortho(72, dims=(4, 4, 4), k=3)
-        cert = verify_tridecomposition(d, densify(d.to_sum_state()))
+        cert = verify_tridecomposition(d, densify(d.state))
         from dataclasses import replace
         d = replace(d, certificate=cert)
         doc = decomposition_to_json(ordered_triortho(d))
@@ -98,12 +98,12 @@ class TestDecompositionRoundTrip:
     def test_round_trip_reconstructs(self):
         d = random_triortho(73, dims=(3, 4, 5), k=2)
         back = decomposition_from_json(decomposition_to_json(d))
-        target = densify(d.to_sum_state())
+        target = densify(d.state)
         assert verify_tridecomposition(back, target).passed
 
     def test_li_method_round_trip_and_default(self):
         d = random_triortho(74, dims=(3, 4, 5), k=2)
-        cert = verify_tridecomposition(d, densify(d.to_sum_state()))
+        cert = verify_tridecomposition(d, densify(d.state))
         from dataclasses import replace
         doc = decomposition_to_json(replace(d, certificate=cert))
         assert doc["certificate"]["li_method"] == list(cert.li_method)
@@ -189,7 +189,7 @@ class TestProductSumDocuments:
         old, new = (decomposition_from_json(load(str(DATA / name)))
                     for name in ("indented_decomposition.json",
                                  "rows_decomposition.json"))
-        assert_same_arrays(old.to_sum_state(), new.to_sum_state())
+        assert_same_arrays(old.state, new.state)
         assert old.certificate == new.certificate
 
 
@@ -293,7 +293,7 @@ class TestRowsDocuments:
         d = decomposition_from_json(json.loads(dumps(
             decomposition_to_json(pair.decomposition2))))
         assert_same_arrays(state, pair.phi2)
-        assert_same_arrays(d.to_sum_state(), pair.decomposition2.to_sum_state())
+        assert_same_arrays(d.state, pair.decomposition2.state)
         assert d.certificate == pair.decomposition2.certificate
         assert verify_tridecomposition(d, state) == verify_tridecomposition(
             pair.decomposition2, pair.phi2)
@@ -344,7 +344,7 @@ class TestRowsDocuments:
 class TestWriter:
     def test_compact_with_trailing_newline(self, tmp_path):
         doc = state_to_json(random_triortho(75, dims=(3, 3, 3), k=2)
-                            .to_sum_state(), provenance={"generator": "x"})
+                            .state, provenance={"generator": "x"})
         text = dumps(doc)
         assert text == json.dumps(doc, separators=(",", ":")) + "\n"
         assert "\n" not in text[:-1] and ", " not in text
@@ -355,7 +355,7 @@ class TestWriter:
 
     def test_certificate_json_fields(self):
         d = random_triortho(76, dims=(3, 4, 5), k=2)
-        cert = verify_tridecomposition(d, densify(d.to_sum_state()))
+        cert = verify_tridecomposition(d, densify(d.state))
         doc = cert.to_json()
         assert list(doc) == [
             "passed", "variant", "failed_condition", "reconstruction_error",

@@ -51,7 +51,7 @@ class TestSpectrum:
 
     def test_triortho_reductions_match_coefficients(self):
         d = random_triortho(3, dims=(5, 5, 5), k=3)
-        psi = densify(d.to_sum_state())
+        psi = densify(d.state)
         expected = np.sort(np.abs(d.coefficients)) [::-1] ** 2
         for i in range(3):
             vals = np.asarray(spectrum(partial_trace(psi, (i,))).values)
@@ -90,7 +90,7 @@ class TestEigenvalueReuse:
 
     def reductions(self):
         dense = haar_random_state(ProductSpace((3, 4, 5)), 8)
-        compact = random_triortho(9, dims=(5, 6, 7), k=3).to_sum_state()
+        compact = random_triortho(9, dims=(5, 6, 7), k=3).state
         for psi in (dense, compact):
             for keep in ((0,), (1,), (2,), (0, 2)):
                 yield partial_trace(psi, keep)
@@ -255,7 +255,7 @@ class TestEntropyTermBound:
 class TestNecessaryCondition:
     def test_triorthogonal_passes(self):
         d = random_triortho(9, dims=(4, 5, 6), k=3)
-        assert triortho_necessary_test(densify(d.to_sum_state()), 1e-8)
+        assert triortho_necessary_test(densify(d.state), 1e-8)
 
     def test_singlet_family_fails(self):
         # factor 1 reduction is pure while factor 2 is mixed

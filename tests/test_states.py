@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tridecomp import experiments
+from tridecomp import experiments, states
 from tridecomp.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -756,14 +756,15 @@ class TestArrayBackedSumState:
         pair = instability_pair(haar_random_state(SPACE3, 13), 0.9)
         for d, s in ((pair.decomposition1, pair.phi1),
                      (pair.decomposition2, pair.phi2)):
-            assert d.to_sum_state() is s
-            assert d.to_sum_state()._packed is s._packed
+            assert d.state is s
+            assert d.state._packed is s._packed
             assert d.nterms == s.nterms
 
 
 class TestDistance:
-    """Below the densify ceiling ``distance`` subtracts the padded tensors,
-    so it agrees with an independent dense build to rounding."""
+    """``distance`` subtracts two SumStates in their difference core and
+    padded tensors otherwise, so it agrees with an independent dense build
+    to rounding."""
 
     def test_matches_an_einsum_oracle_on_campaign_states(self, rng):
         dims = (6, 6, 6)
@@ -782,9 +783,50 @@ class TestDistance:
             assert abs(distance(a, b) - want) < 1e-14
             assert abs(distance(densify(a), b) - want) < 1e-14
 
+    def test_products_far_above_the_ceiling_stay_exact(self, rng,
+                                                       monkeypatch):
+        # matching compares single terms; their core is 2 x 2 x 2 however
+        # large the space, and no dense tensor is built
+        small, big = ProductSpace((6, 6, 6)), ProductSpace((128, 128, 128))
+        cols = [random_orthonormal(rng, 6, 1) for _ in range(3)]
+        near = [c + 1e-7 * rng.standard_normal(c.shape) for c in cols]
+        near = [c / np.linalg.norm(c) for c in near]
+        want = np.linalg.norm(
+            np.einsum("ak,bk,ck->abc", *cols) * 0.6
+            - np.einsum("ak,bk,ck->abc", *near) * 0.6j)
+        a, b = (SumState.from_columns(small, coeff, c)
+                for coeff, c in (([0.6], cols), ([0.6j], near)))
+
+        def refuse(*args):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(states, "_padded_tensor", refuse)
+        assert abs(distance(a.embedded(big), b.embedded(big)) - want) < 1e-14
+
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4, 5)])
+    def test_other_factor_counts_and_empty_sums(self, rng, dims):
+        space = ProductSpace(dims)
+        a, b = (SumState.from_columns(
+            space, random_unit(rng, k),
+            [random_orthonormal(rng, d, min(k, d))[:, np.arange(k) % d]
+             for d in dims]) for k in (2, 5))
+        want = np.linalg.norm(densify(a).amplitudes - densify(b).amplitudes)
+        assert abs(distance(a, b) - want) < 1e-14
+        empty = SumState(space, ())
+        assert abs(distance(empty, b) - norm(b)) < 1e-14
+        assert distance(empty, empty) == 0.0
+
+    def test_operands_must_be_states(self):
+        s = SumState(ProductSpace((2, 2)), (ProductTerm(1.0, (((0, 1.0),),
+                                                              ((1, 1.0),))),))
+        with pytest.raises(InvalidStateError, match="ndarray"):
+            distance(s, np.ones(4))
+        with pytest.raises(CapacityError):
+            distance(s.embedded(ProductSpace((4096, 4096))), densify(s))
+
     def test_dense_round_trip_is_exact(self):
         # the Gram form read up to 2.3e-8 here, the size of tolerances.recon
         rng = np.random.default_rng(7)
         for _ in range(200):
-            s = experiments._random_triortho(rng, (6, 6, 6), 3).to_sum_state()
+            s = experiments._random_triortho(rng, (6, 6, 6), 3).state
             assert distance(s, sparsify(densify(s))) < 1e-13
