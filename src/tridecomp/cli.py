@@ -11,6 +11,7 @@ treat bound violations as defects:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -429,9 +430,15 @@ def cmd_info(args) -> int:
     return _emit(doc, args)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built on first use and shared by later calls in
+    the process; ``main`` only parses with it, which leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (VerificationError, PreconditionError) as exc:

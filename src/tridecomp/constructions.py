@@ -34,7 +34,7 @@ from .states import (
     ProductSpace,
     SumState,
     _dense_factor,
-    _factor_overlap,
+    _overlap_blocks,
     combine,
     densify,
     inner,
@@ -335,7 +335,11 @@ def _perturbed_sum(expansion, cols, n, theta, space) -> tuple:
                      np.column_stack([base_idx, fresh]).ravel(),
                      np.column_stack([base_amp, np.full(nterms, sin_t)]).ravel()))
     state = SumState.from_rows(space, coeffs, rows)
-    nrm = norm(state)
+    # the fresh directions are private to their terms and orthogonal to the
+    # base span, and the base products are distinct members of one
+    # orthonormal product basis, so the terms are orthonormal and the norm
+    # is that of the coefficients
+    nrm = float(np.linalg.norm(state.coeffs))
     # divide the real and imaginary parts exactly; numpy's complex division
     # multiplies by a reciprocal
     scaled = (state.coeffs.view(np.float64) / nrm).view(np.complex128)
@@ -359,15 +363,14 @@ def _pair_metrics(psi, phi1, phi2, indices1, theta):
     d1 = math.sqrt(max(2.0 - 2.0 * inner(psi, phi1).real, 0.0))
     d2 = math.sqrt(max(2.0 - 2.0 * inner(psi, phi2).real, 0.0))
     basis_min = _basis_overlap_min(phi1, indices1)
-    cross = max(
-        float(np.max(np.abs(_factor_overlap(phi1._packed[i], phi2._packed[i]))))
-        for i in range(3))
+    cross = max(float(np.abs(ov).max())
+                for _, ovs in _overlap_blocks(phi1, phi2) for ov in ovs)
     return d1, d2, basis_min, cross
 
 
 def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
                      tolerances: Tolerances = DEFAULT_TOLERANCES,
-                     term_ceiling: int = 4000) -> InstabilityPair:
+                     term_ceiling: int = 5000) -> InstabilityPair:
     """Two wavefunctions within epsilon of ``psi`` whose unique expansions
     have mutually far components.
 
@@ -393,9 +396,13 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
     expansion_u, expansion_v, cols = _flat_expansion_entries(psi, n)
     sizes = (len(expansion_u[1]), len(expansion_v[1]))
     if sum(sizes) > term_ceiling:
+        # each factor of the larger expansion packs K terms by its n base
+        # and K fresh columns, dense
+        k = max(sizes)
         raise CapacityError(
-            f"expansion would carry {sum(sizes)} terms; "
-            "raise term_ceiling to proceed")
+            f"expansion would carry {sum(sizes)} terms, with dense packs of "
+            f"about {3 * k * (n + k) * 16:,} bytes (3 x {k} x {n + k} x "
+            "16 B); raise term_ceiling to proceed")
     ambient = n + max(sizes) + 1
     space = ProductSpace((ambient,) * 3)
 

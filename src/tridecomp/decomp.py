@@ -27,9 +27,10 @@ from .states import (
     FactorPack,
     ProductSpace,
     SumState,
-    _factor_gram,
     _factor_overlap,
     _frozen_rows,
+    _gram_forms,
+    _split_diagonal,
     as_dense,
     distance,
     norm,
@@ -331,14 +332,13 @@ def _on_own_rows(dec: SumState, psi) -> bool:
                 for x, y in zip(a, b)))
 
 
-def _residual(dec: SumState, psi, gram: np.ndarray = None) -> float:
-    """|| psi - dec ||.  A ``gram`` (of ``dec``, for a ``psi`` on its own
-    rows) gives the three inner products as its quadratic forms and records
-    both self products; any other target is measured by ``distance``."""
-    if gram is not None:
-        a, b = psi.coeffs, dec.coeffs
-        pp, pd, dd = (complex(x.conj() @ gram @ y)
-                      for x, y in ((a, a), (a, b), (b, b)))
+def _residual(dec: SumState, psi, forms: list = None) -> float:
+    """|| psi - dec ||.  ``forms`` = [<psi|psi>, <psi|dec>, <dec|dec>], which
+    the certificate sums for a ``psi`` on dec's own rows, give the residual
+    and record both self products; any other target is measured by
+    ``distance``."""
+    if forms is not None:
+        pp, pd, dd = forms
         psi.__dict__.setdefault("_self_inner", pp)
         dec.__dict__.setdefault("_self_inner", dd)
         return math.sqrt(max(pp.real - 2.0 * pd.real + dd.real, 0.0))
@@ -355,20 +355,28 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     """
     tol_echo = tolerances.as_dict()
     dec = d.state
-    packs = dec._packed if d.nterms else ()
-    own = _on_own_rows(dec, psi)
-    gram = None  # term Gram, kept only for a target on dec's own rows
-    min_sv, li_method, max_off, max_pair = [], [], [], []
-    for pack, dim in zip(packs, d.space.dims):
+    min_sv, li_method = [], []
+    for pack, dim in zip(dec._packed if d.nterms else (), d.space.dims):
         sv, method = _factor_independence(pack, tolerances.li, dim)
         min_sv.append(sv)
         li_method.append(method)
-        g, pair = _factor_gram(pack)
-        max_off.append(max(pair, float(np.abs(np.diagonal(g) - 1.0).max())))
-        max_pair.append(pair)
-        if own:  # in term_gram's factor order, so the bits are the same
-            gram = g if gram is None else gram * g
-        del g  # at most gram, g and their product are alive at once
+    # one walk over the factor overlaps' row blocks: running maxima per
+    # factor and, for a target on dec's own rows, the three quadratic forms
+    # of the term Gram, summed as _sum_inner sums them
+    max_pair, max_diag = [0.0] * len(min_sv), [0.0] * len(min_sv)
+
+    def track(lo, ovs):
+        for i, ov in enumerate(ovs):
+            pair, diag = _split_diagonal(ov, lo)
+            max_pair[i] = max(max_pair[i], pair)
+            max_diag[i] = max(max_diag[i], float(np.abs(diag - 1.0).max()))
+
+    pairs = ()
+    if _on_own_rows(dec, psi):
+        x, y = psi.coeffs, dec.coeffs
+        pairs = ((x, x), (x, y), (y, y))
+    forms = _gram_forms(dec, dec, pairs, track)
+    max_off = [max(p, q) for p, q in zip(max_pair, max_diag)]
 
     def certificate(failed, recon, min_coeff, li_factors=None):
         return TriCertificate(
@@ -390,7 +398,7 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     min_coeff = min(abs(c) for c in dec.coeffs.tolist())
     if min_coeff <= tolerances.zero_coeff:
         return certificate("zero_coefficient", math.nan, min_coeff)
-    recon = _residual(dec, psi, gram)
+    recon = _residual(dec, psi, forms)
     if recon > tolerances.recon:
         return certificate("reconstruction", recon, min_coeff)
 

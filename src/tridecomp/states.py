@@ -515,46 +515,132 @@ def _difference_core(a: SumState, b: SumState):
     return (coords[0] * weights) @ rest.T
 
 
-def _factor_overlap(pack_a, pack_b) -> np.ndarray:
-    """O[k, l] = <a_k | b_l> for one factor of two packed term lists."""
+def _overlap_rows(pack_a, pack_b):
+    """rows(lo, hi): rows lo:hi of O[k, l] = <a_k | b_l> for one factor of
+    two packed term lists.
+
+    The common columns, b's block on the shared ones and the entries of
+    columns private on both sides are found once, so a caller can walk the
+    rows in blocks; a private-private entry lands in the block holding its
+    owner row.
+    """
     ia, fa = pack_a
     ib, fb = pack_b
+
+    def zeros(lo, hi):
+        return np.zeros((hi - lo, fb.shape[0]), dtype=np.complex128)
+
     if ia.size == 0 or ib.size == 0:
-        return np.zeros((fa.shape[0], fb.shape[0]), dtype=np.complex128)
+        return zeros
     if ia is ib or (ia.size == ib.size and (ia == ib).all()):
         ca = cb = np.arange(ia.size)
     else:
         common, ca, cb = np.intersect1d(ia, ib, assume_unique=True,
                                         return_indices=True)
         if common.size == 0:
-            return np.zeros((fa.shape[0], fb.shape[0]), dtype=np.complex128)
+            return zeros
     if not (pack_a.has_private and pack_b.has_private):
-        return fa[:, ca].conj() @ fb[:, cb].T
+        if ca.size == fa.shape[1] == fb.shape[1]:  # every column is common
+            right = fb.T.copy()
+            return lambda lo, hi: fa[lo:hi].conj() @ right
+        # C-ordered as fb[:, cb].T is, since matmul's bits follow the layout
+        right = fb.take(cb, axis=1).T.copy()
+        return lambda lo, hi: fa[lo:hi].take(ca, axis=1).conj() @ right
     ra, rb = pack_a.owner[ca], pack_b.owner[cb]
     both = (ra >= 0) & (rb >= 0)
     shared = ~both
-    out = fa[:, ca[shared]].conj() @ fb[:, cb[shared]].T
+    left, right = ca[shared], fb.take(cb[shared], axis=1).T.copy()
     ra, rb = ra[both], rb[both]
-    np.add.at(out, (ra, rb), fa[ra, ca[both]].conj() * fb[rb, cb[both]])
-    return out
+    private = fa[ra, ca[both]].conj() * fb[rb, cb[both]]
+
+    def rows(lo, hi):
+        out = fa[lo:hi].take(left, axis=1).conj() @ right
+        inside = (ra >= lo) & (ra < hi)
+        np.add.at(out, (ra[inside] - lo, rb[inside]), private[inside])
+        return out
+    return rows
+
+
+def _factor_overlap(pack_a, pack_b) -> np.ndarray:
+    """O[k, l] = <a_k | b_l> for one factor of two packed term lists."""
+    return _overlap_rows(pack_a, pack_b)(0, pack_a[1].shape[0])
+
+
+# Row blocks of an overlap walk hold about this many bytes per factor.
+_BLOCK_BYTES = 1 << 20
+
+
+def _overlap_blocks(a: SumState, b: SumState):
+    """Yield (lo, each factor's overlap rows from lo) of ``a`` against ``b``
+    in row blocks of about ``_BLOCK_BYTES`` each, so no K x K matrix is held
+    whole (Kolda and Bader, section 3: the term Gram is the Hadamard product
+    of the factor overlaps, and each block of its rows needs only theirs)."""
+    if not a.nterms:
+        return
+    plans = [_overlap_rows(pa, pb) for pa, pb in zip(a._packed, b._packed)]
+    nblocks = _nblocks(a, b)
+    edges = [a.nterms * j // nblocks for j in range(nblocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        yield lo, [rows(lo, hi) for rows in plans]
+
+
+def _nblocks(a: SumState, b: SumState) -> int:
+    """How many row blocks ``_overlap_blocks`` splits ``a``'s terms into:
+    equal blocks of at least two rows, since a one-row product takes
+    matmul's vector path, whose bits differ from the rows of the whole
+    product."""
+    step = max(2, _BLOCK_BYTES // (16 * max(b.nterms, 1)))
+    return max(1, a.nterms // step)
+
+
+def _block_form(x: np.ndarray, gram_rows: np.ndarray, y: np.ndarray,
+                lo: int) -> complex:
+    """x[lo:]^H G[lo:, :] y over the rows of G that ``gram_rows`` holds."""
+    return complex(x[lo:lo + gram_rows.shape[0]].conj() @ gram_rows @ y)
+
+
+def _gram_forms(a: SumState, b: SumState, pairs, each=None):
+    """[x^H G y for x, y in pairs], G the term Gram of ``a`` against ``b``,
+    summed over the row blocks of ``_overlap_blocks``, or None when nothing
+    was summed; ``each(lo, ovs)`` is first shown every block's factor
+    overlaps.
+
+    The blocks are summed from the first, not from 0, so a single block
+    keeps the bits of ``_block_form`` on the whole ``term_gram``, signed
+    zeros included: a norm the certificate records equals a fresh
+    ``inner`` bit for bit.
+    """
+    sums = None
+    for lo, ovs in _overlap_blocks(a, b):
+        if each is not None:
+            each(lo, ovs)
+        if pairs:
+            g = reduce(np.multiply, ovs)
+            parts = [_block_form(x, g, y, lo) for x, y in pairs]
+            sums = parts if sums is None else [
+                s + p for s, p in zip(sums, parts)]
+    return sums
+
+
+def _split_diagonal(rows: np.ndarray, lo: int) -> tuple:
+    """(largest |entry| off the diagonal, the diagonal) of rows lo: of a
+    square overlap."""
+    off = np.abs(rows, order="C")  # so reshape(-1) is a view
+    off.reshape(-1)[lo::rows.shape[1] + 1] = 0.0  # entries (j, lo + j)
+    return float(off.max()), np.diagonal(rows, offset=lo)
 
 
 def _factor_gram(pack) -> tuple:
     """(G, max |G[k, l]| over k != l) for one factor's packed terms."""
     g = _factor_overlap(pack, pack)
-    off = np.abs(g)
-    np.fill_diagonal(off, 0.0)
-    return g, float(off.max())
+    return g, _split_diagonal(g, 0)[0]
 
 
 def term_gram(a: SumState, b: SumState) -> np.ndarray:
     """G[k, l] = product over factors of <a_k^i | b_l^i> (coefficients excluded)."""
     _check_same_nfactors(a, b)
-    gram = None
-    for i in range(a.space.nfactors):
-        ov = _factor_overlap(a._packed[i], b._packed[i])
-        gram = ov if gram is None else gram * ov
-    return gram
+    return reduce(np.multiply, [_factor_overlap(a._packed[i], b._packed[i])
+                                for i in range(a.space.nfactors)])
 
 
 def _padded_tensor(state, dims: tuple) -> np.ndarray:
@@ -603,9 +689,15 @@ def _dense_term_brackets(state: DenseState, s: SumState) -> np.ndarray:
 
 
 def _sum_inner(a: SumState, b: SumState) -> complex:
+    """c_a^H (G_1 o G_2 o G_3) c_b.  A term Gram that fits in one row block
+    is built whole by ``term_gram``, which spares the many tiny calls the
+    walk's set-up; a larger one is summed block by block by ``_gram_forms``,
+    which gives the same bits on a single block."""
     if not a.nterms or not b.nterms:
         return 0j
-    return complex(a.coeffs.conj() @ term_gram(a, b) @ b.coeffs)
+    if _nblocks(a, b) == 1:
+        return _block_form(a.coeffs, term_gram(a, b), b.coeffs, 0)
+    return _gram_forms(a, b, [(a.coeffs, b.coeffs)])[0]
 
 
 def inner(a, b) -> complex:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tridecomp.decomp import TriDecomposition, Variant
-from tridecomp.states import ProductSpace, ProductTerm, sparse_vector
+from tridecomp.states import ProductSpace, ProductTerm, SumState, sparse_vector
 
 
 def random_unit(rng, d):
@@ -36,6 +36,25 @@ def random_triortho(seed, dims=(5, 6, 7), k=3, tie=False, min_ratio=1.5,
                     tuple(sparse_vector(c[:, i]) for c in comps))
         for i in range(k))
     return TriDecomposition(ProductSpace(dims), terms, Variant.ORTHONORMAL)
+
+
+def private_column_state(rng, k, shared=3, owners=None):
+    """k random terms whose factor vectors fill ``shared`` common columns and
+    two columns private to the term: term j owns columns shared + 2 o and
+    shared + 2 o + 1 with o = owners[j] (default j)."""
+    owners = np.arange(k) if owners is None else np.asarray(owners)
+    dim = shared + 2 * k
+    columns = []
+    for _ in range(3):
+        mat = np.zeros((dim, k), dtype=complex)
+        mat[:shared] = (rng.standard_normal((shared, k))
+                        + 1j * rng.standard_normal((shared, k)))
+        for j, o in enumerate(owners):
+            mat[shared + 2 * o:shared + 2 * o + 2, j] = (
+                rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        columns.append(mat / np.linalg.norm(mat, axis=0))
+    coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return SumState.from_columns(ProductSpace((dim,) * 3), coeffs, columns)
 
 
 def random_psd(rng, d, top=1.0):

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tridecomp import decomp, states
-from tridecomp.cli import main
+from tridecomp import cli, decomp, states
+from tridecomp.cli import build_parser, main
 from tridecomp.config import Tolerances
 from tridecomp.constructions import instability_pair
 from tridecomp.errors import InvalidStateError
@@ -332,28 +332,72 @@ class TestVerifyBuildsOneGram:
     def test_pair_documents_take_one_overlap_per_factor(self, tmp_path,
                                                         capsys, monkeypatch):
         # phi2 and its decomposition carry the same 729 rows: the certificate
-        # needs each factor's overlap once and no separate term Gram
+        # walks each factor's overlap rows once, in blocks, and builds no
+        # separate term Gram
         psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
                          normalized=True)
         pair = instability_pair(psi, 0.7)
         state, dec = tmp_path / "phi2.json", tmp_path / "dec.json"
         dump(state_to_json(pair.phi2), str(state))
         dump(decomposition_to_json(pair.decomposition2), str(dec))
-        calls = {"_factor_overlap": 0, "term_gram": 0}
+        rows_per_factor, blocks, grams = [], [], []
+        overlap_rows = states._overlap_rows
 
-        def count(module, name):
-            original = getattr(module, name)
+        def counted_plan(pack_a, pack_b):
+            rows = overlap_rows(pack_a, pack_b)
+            slot = len(rows_per_factor)
+            rows_per_factor.append(0)
 
-            def counted(*args):
-                calls[name] += 1
-                return original(*args)
-            monkeypatch.setattr(module, name, counted)
+            def counted_rows(lo, hi):
+                rows_per_factor[slot] += hi - lo
+                blocks.append(lo)
+                return rows(lo, hi)
+            return counted_rows
 
+        monkeypatch.setattr(states, "_overlap_rows", counted_plan)
         for module in (states, decomp):
-            for name in calls:
-                if hasattr(module, name):
-                    count(module, name)
+            monkeypatch.setattr(module, "term_gram",
+                                lambda *args: grams.append(args))
         code, out, _ = run(capsys, "verify", "--decomposition", str(dec),
                            "--state", str(state))
         assert code == 0 and json.loads(out)["passed"] is True
-        assert calls == {"_factor_overlap": 3, "term_gram": 0}
+        assert rows_per_factor == [729] * 3
+        assert len(set(blocks)) > 1
+        assert not grams
+
+
+class TestParserBuiltOnce:
+    def test_successive_calls_match_fresh_calls(self, tmp_path, capsys):
+        bundle, state = tmp_path / "bundle.json", tmp_path / "state.json"
+        run(capsys, "construct", "example31", "--theta", "0.4", "-o",
+            str(bundle))
+        dump(load(str(bundle))["states"]["phi_theta"], str(state))
+        calls = [("info",), ("construct", "pair", "--epsilon", "2"),
+                 ("schmidt", "--in", str(state), "--left", "0"),
+                 ("verify", "--decomposition", "missing.json", "--state",
+                  str(state)),
+                 ("extract", "--in", str(state))]
+
+        def call(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        def fresh(argv):
+            cli._parser.cache_clear()
+            return call(argv)
+
+        expected = [fresh(argv) for argv in calls]
+        assert [code for code, _, _ in expected] == [0, 1, 0, 1, 0]
+        cli._parser.cache_clear()
+        assert [call(argv) for argv in calls] == expected
+        assert cli._parser.cache_info().misses == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        # the shared parser stays private: a caller's edits to a parser
+        # from build_parser do not reach main
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()

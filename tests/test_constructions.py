@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tridecomp import states
 from tridecomp.constructions import (
     dft_basis,
     example31,
@@ -22,6 +23,7 @@ from tridecomp.decomp import (
     ordered_triortho,
 )
 from tridecomp.errors import (
+    CapacityError,
     DimensionMismatchError,
     InvalidStateError,
     PreconditionError,
@@ -226,6 +228,36 @@ class TestInstabilityPair:
                     if getattr(v, "shape", None) == (k, k)]
         fresh = math.sqrt(max(_sum_inner(pair.phi2, pair.phi2).real, 0.0))
         assert norm(pair.phi2) == fresh
+
+    @pytest.mark.parametrize("seed", [None, 1, 13])
+    def test_coefficient_norm_normalizes(self, seed, monkeypatch):
+        # the terms are orthonormal, so dividing by the coefficients' norm
+        # gives unit states; no term Gram is built on the way
+        space = ProductSpace((2, 2, 2))
+        psi = (DenseState(space, np.eye(8)[0], normalized=True)
+               if seed is None else haar_random_state(space, seed))
+        sum_inner = states._sum_inner
+        grams = []
+        monkeypatch.setattr(states, "_sum_inner",
+                            lambda a, b: grams.append(a) or sum_inner(a, b))
+        for eps in (0.9, 0.8, 0.7):
+            pair = instability_pair(psi, eps)
+            assert not grams
+            for phi in (pair.phi1, pair.phi2):
+                assert abs(norm(phi) - 1.0) <= 1e-14
+                fresh = math.sqrt(sum_inner(phi, phi).real)
+                assert abs(fresh - 1.0) <= 1e-14
+
+    def test_capacity_error_states_the_pack_bytes(self):
+        psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
+                         normalized=True)
+        # eps = 0.48 needs n = 18 and 18^3 = 5,832 flat-basis terms
+        with pytest.raises(CapacityError, match=(
+                r"5833 terms, with dense packs of about 1,637,625,600 bytes "
+                r"\(3 x 5832 x 5850 x 16 B\)")):
+            instability_pair(psi, 0.48)
+        with pytest.raises(CapacityError, match=r"\(3 x 729 x 738 x 16 B\)"):
+            instability_pair(psi, 0.7, term_ceiling=729)
 
     def test_explicit_theta_too_large(self, desk_pair):
         psi, _ = desk_pair

@@ -49,7 +49,7 @@ from tridecomp.states import (
     sv_scale,
 )
 
-from conftest import random_triortho, random_unit
+from conftest import private_column_state, random_triortho, random_unit
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -385,25 +385,58 @@ class TestResidualFromOneGram:
         assert cert.passed
         assert cert.reconstruction_error < 1e-14
         # a core too large for the ceiling: the three inner products,
-        # through term Grams
+        # through blocked term Grams
         n = 200
         pad = SumState.from_rows(embedded.space, np.zeros(n),
                                  [(np.arange(n + 1), np.arange(n),
                                    np.ones(n, dtype=complex))] * 3)
         target = states.combine(embedded.space, (1.0, 1.0), (embedded, pad))
-        grams = []
-        term_gram = states.term_gram
+        inners = []
+        sum_inner = states._sum_inner
 
         def counted(a, b):
-            grams.append((a, b))
-            return term_gram(a, b)
+            inners.append((a, b))
+            return sum_inner(a, b)
 
-        monkeypatch.setattr(states, "term_gram", counted)
+        monkeypatch.setattr(states, "_sum_inner", counted)
         expected = three_inner_residual(dec, target)
-        del grams[:]
+        del inners[:]
         cert = verify_tridecomposition(d, target)
-        assert grams
+        assert inners
         assert cert.reconstruction_error == expected
+
+
+class TestBlockedCertificate:
+    def test_maxima_match_the_whole_gram(self, rng, monkeypatch):
+        state = private_column_state(rng, 50)
+        d = TriDecomposition(state.space, state, Variant.LI_ALL)
+        pairs, offs = [], []
+        for pack in state._packed:
+            g = states._factor_overlap(pack, pack)
+            off = np.abs(g)
+            np.fill_diagonal(off, 0.0)
+            pairs.append(float(off.max()))
+            offs.append(max(pairs[-1],
+                            float(np.abs(np.diagonal(g) - 1.0).max())))
+        target = state.with_coeffs(state.coeffs * 1.01)
+        monkeypatch.setattr(states, "_BLOCK_BYTES", 16 * 50 * 12)
+        assert len(list(states._overlap_blocks(state, state))) >= 3
+        for psi in (state, target):
+            cert = verify_tridecomposition(d, psi)
+            assert cert.max_pairwise_overlaps == tuple(pairs)  # bitwise
+            assert cert.max_offdiag_overlaps == tuple(offs)
+        # the own-rows forms are summed block by block as _sum_inner sums
+        assert cert.reconstruction_error == three_inner_residual(state,
+                                                                 target)
+        assert cert.reconstruction_error == pytest.approx(
+            0.01 * norm(state), rel=1e-9)
+
+    def test_one_block_records_the_norm_of_a_fresh_inner(self, rng):
+        state = private_column_state(rng, 50)
+        assert states._nblocks(state, state) == 1
+        d = TriDecomposition(state.space, state, Variant.LI_ALL)
+        assert verify_tridecomposition(d, state).passed
+        assert state._self_inner == states._sum_inner(state, state)
 
 
 class TestCanonicalPhase:

@@ -33,7 +33,12 @@ from tridecomp.states import (
     trace_norm,
 )
 
-from conftest import random_orthonormal, random_psd, random_unit
+from conftest import (
+    private_column_state,
+    random_orthonormal,
+    random_psd,
+    random_unit,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SPACE3 = ProductSpace((2, 2, 2))
@@ -830,3 +835,54 @@ class TestDistance:
         for _ in range(200):
             s = experiments._random_triortho(rng, (6, 6, 6), 3).state
             assert distance(s, sparsify(densify(s))) < 1e-13
+
+
+class TestBlockedOverlaps:
+    @staticmethod
+    def pair(rng, k=50):
+        a = private_column_state(rng, k)
+        # the same private columns, owned by other rows of b
+        b = private_column_state(rng, k, owners=rng.permutation(k))
+        return a, b
+
+    @staticmethod
+    def walk(monkeypatch, a, b, rows_per_block):
+        monkeypatch.setattr(states, "_BLOCK_BYTES",
+                            16 * b.nterms * rows_per_block)
+        return list(states._overlap_blocks(a, b))
+
+    def test_blocks_are_rows_of_the_whole_overlap(self, rng, monkeypatch):
+        # 49 rows in steps of 12 would leave a one-row block, whose product
+        # takes matmul's vector path; the walk splits them evenly instead
+        a, b = self.pair(rng, k=49)
+        whole = [_factor_overlap(p, q) for p, q in zip(a._packed, b._packed)]
+        blocks = self.walk(monkeypatch, a, b, 12)
+        assert [(lo, lo + ovs[0].shape[0]) for lo, ovs in blocks] == [
+            (0, 12), (12, 24), (24, 36), (36, 49)]
+        for i, (pack_a, pack_b) in enumerate(zip(a._packed, b._packed)):
+            # both rows at the first block edge own columns private on both
+            # sides, so their entries are added in different blocks
+            private = (pack_a.owner >= 0) & np.isin(
+                pack_a[0], pack_b[0][pack_b.owner >= 0])
+            assert {11, 12} <= set(pack_a.owner[private].tolist())
+            rows = np.concatenate([ovs[i] for _, ovs in blocks])
+            assert np.array_equal(rows, whole[i])  # bitwise
+
+    def test_blocked_sum_inner_matches_whole_gram(self, rng, monkeypatch):
+        a, b = self.pair(rng)
+        whole = complex(a.coeffs.conj() @ states.term_gram(a, b) @ b.coeffs)
+        assert len(self.walk(monkeypatch, a, b, 12)) >= 3
+        assert abs(states._sum_inner(a, b) - whole) <= 1e-13 * abs(whole)
+        self_whole = complex(
+            a.coeffs.conj() @ states.term_gram(a, a) @ a.coeffs)
+        assert abs(states._sum_inner(a, a) - self_whole) \
+            <= 1e-13 * abs(self_whole)
+
+    def test_one_block_whole_gram_has_the_walks_bits(self, rng):
+        # a Gram that fits in one block is built whole by term_gram; the
+        # certificate's walk must give the same bits
+        a, b = self.pair(rng)
+        assert states._nblocks(a, b) == 1
+        for x, y in ((a, b), (a, a)):
+            walked = states._gram_forms(x, y, [(x.coeffs, y.coeffs)])[0]
+            assert states._sum_inner(x, y) == walked
