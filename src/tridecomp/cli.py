@@ -99,6 +99,13 @@ def _epsilon(text: str) -> float:
     return val
 
 
+def _match_epsilon(text: str) -> float:
+    val = float(text)
+    if not 0.0 < val < 0.25:
+        raise argparse.ArgumentTypeError("epsilon must lie in (0, 1/4)")
+    return val
+
+
 def _positive_int(text: str) -> int:
     val = int(text)
     if val < 1:
@@ -197,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decomposition file for the reference state")
     p.add_argument("--other", required=True,
                    help="decomposition file for the neighbour state")
-    p.add_argument("--epsilon", type=_epsilon, required=True)
+    p.add_argument("--epsilon", type=_match_epsilon, required=True)
     p.add_argument("--level", type=_positive_int, default=None,
                    help="number of leading blocks to match (default: all)")
     _add_tolerance_flags(p)

@@ -339,10 +339,7 @@ def _perturbed_sum(expansion, cols, n, theta, space) -> tuple:
     # base span, and the base products are distinct members of one
     # orthonormal product basis, so the terms are orthonormal and the norm
     # is that of the coefficients
-    nrm = float(np.linalg.norm(state.coeffs))
-    # divide the real and imaginary parts exactly; numpy's complex division
-    # multiplies by a reciprocal
-    scaled = (state.coeffs.view(np.float64) / nrm).view(np.complex128)
+    scaled = state.coeffs / np.linalg.norm(state.coeffs)
     return state.with_coeffs(scaled), tuple(map(tuple, multi.tolist()))
 
 

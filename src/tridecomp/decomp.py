@@ -11,7 +11,6 @@ components.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -286,9 +285,8 @@ class OrderedTriortho:
 
 
 def _by_magnitude(state: SumState) -> tuple:
-    """(the terms sorted stably by descending |a|, and those |a|), taken with
-    Python's ``abs``, whose last bits the campaign reports carry."""
-    mags = np.array([abs(c) for c in state.coeffs.tolist()])
+    """(the terms sorted stably by descending |a|, and those |a|)."""
+    mags = np.abs(state.coeffs)
     order = np.argsort(-mags, kind="stable")
     return state.take(order), mags[order]
 
@@ -311,38 +309,12 @@ def truncate_terms(d: TriDecomposition, delta: float) -> TriDecomposition:
     return TriDecomposition(d.space, d.state.take(kept), d.variant)
 
 
-def _term_distance(a_coeff, b_coeff, overlap: complex) -> float:
-    """|| a x - b y || for unit products x, y with <x|y> = ``overlap``."""
-    val = (abs(a_coeff) ** 2 + abs(b_coeff) ** 2
-           - 2.0 * (complex(a_coeff).conjugate() * complex(b_coeff)
-                    * overlap).real)
-    return math.sqrt(max(val, 0.0))
-
-
-def reconstruction_error(d: TriDecomposition, psi) -> float:
-    """|| psi - sum_k a_k term_k ||, as ``states.distance`` measures it."""
-    return _residual(d.state, psi)
-
-
 def _on_own_rows(dec: SumState, psi) -> bool:
     """Whether ``psi`` is a SumState on the same space and rows as ``dec``."""
     return psi is dec or (
         isinstance(psi, SumState) and psi.space == dec.space
         and all(np.array_equal(x, y) for a, b in zip(psi.rows, dec.rows)
                 for x, y in zip(a, b)))
-
-
-def _residual(dec: SumState, psi, forms: list = None) -> float:
-    """|| psi - dec ||.  ``forms`` = [<psi|psi>, <psi|dec>, <dec|dec>], which
-    the certificate sums for a ``psi`` on dec's own rows, give the residual
-    and record both self products; any other target is measured by
-    ``distance``."""
-    if forms is not None:
-        pp, pd, dd = forms
-        psi.__dict__.setdefault("_self_inner", pp)
-        dec.__dict__.setdefault("_self_inner", dd)
-        return math.sqrt(max(pp.real - 2.0 * pd.real + dd.real, 0.0))
-    return distance(psi, dec)
 
 
 def verify_tridecomposition(d: TriDecomposition, psi,
@@ -361,8 +333,10 @@ def verify_tridecomposition(d: TriDecomposition, psi,
         min_sv.append(sv)
         li_method.append(method)
     # one walk over the factor overlaps' row blocks: running maxima per
-    # factor and, for a target on dec's own rows, the three quadratic forms
-    # of the term Gram, summed as _sum_inner sums them
+    # factor and, for a target on dec's own rows, three quadratic forms of
+    # the term Gram G: both self products, summed as _sum_inner sums them,
+    # and the squared residual (x - y)^H G (x - y), whose one form has no
+    # cancellation to round away a small difference
     max_pair, max_diag = [0.0] * len(min_sv), [0.0] * len(min_sv)
 
     def track(lo, ovs):
@@ -374,7 +348,7 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     pairs = ()
     if _on_own_rows(dec, psi):
         x, y = psi.coeffs, dec.coeffs
-        pairs = ((x, x), (x, y), (y, y))
+        pairs = ((x, x), (y, y), (x - y, x - y))
     forms = _gram_forms(dec, dec, pairs, track)
     max_off = [max(p, q) for p, q in zip(max_pair, max_diag)]
 
@@ -395,10 +369,16 @@ def verify_tridecomposition(d: TriDecomposition, psi,
 
     if not d.nterms:
         return certificate("no_terms", math.inf, 0.0)
-    min_coeff = min(abs(c) for c in dec.coeffs.tolist())
+    min_coeff = float(np.abs(dec.coeffs).min())
     if min_coeff <= tolerances.zero_coeff:
         return certificate("zero_coefficient", math.nan, min_coeff)
-    recon = _residual(dec, psi, forms)
+    if pairs:
+        pp, dd, rr = forms
+        psi.__dict__.setdefault("_self_inner", pp)
+        dec.__dict__.setdefault("_self_inner", dd)
+        recon = math.sqrt(max(rr.real, 0.0))
+    else:
+        recon = distance(psi, dec)
     if recon > tolerances.recon:
         return certificate("reconstruction", recon, min_coeff)
 
@@ -424,15 +404,6 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     return certificate("two_factor_independence", recon, min_coeff)
 
 
-def _python_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, rounded as Python's complex product rounds it;
-    numpy's may fuse a multiply-add, which moves the last bits."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None,
                     zero_tol: float = 1e-12) -> TriDecomposition:
     """Push component phases into the coefficients; rank-1 terms are unchanged.
@@ -445,19 +416,20 @@ def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None,
     coeffs, rows = state.coeffs, []
     for i, r in enumerate(state.rows):
         if reference is None:  # each row's first significant amplitude
-            lead = [next((a for a in r.data[lo:hi].tolist()
-                          if abs(a) > zero_tol), 0j)
-                    for lo, hi in zip(r.indptr.tolist(), r.indptr[1:].tolist())]
+            sig = np.nonzero(np.abs(r.data) > zero_tol)[0]
+            term, first = np.unique(r.entry_terms()[sig], return_index=True)
+            lead = np.zeros(state.nterms, dtype=np.complex128)
+            lead[term] = r.data[sig[first]]
             turn = -1j
         else:
             lead = np.diagonal(_factor_overlap(
-                state._packed[i], reference.state._packed[i])).tolist()
+                state._packed[i], reference.state._packed[i]))
             turn = 1j
-        mult = np.array([cmath.exp(turn * cmath.phase(v)) if abs(v) > zero_tol
-                         else 1.0 for v in lead], dtype=np.complex128)
-        rows.append(_frozen_rows(r.indptr, r.indices, _python_product(
-            r.data, mult.repeat(np.diff(r.indptr)))))
-        coeffs = _python_product(coeffs, mult.conj())
+        mult = np.where(np.abs(lead) > zero_tol,
+                        np.exp(turn * np.angle(lead)), 1.0)
+        rows.append(_frozen_rows(r.indptr, r.indices,
+                                 r.data * mult.repeat(np.diff(r.indptr))))
+        coeffs = coeffs * mult.conj()
     return replace(d, state=SumState._trusted(d.space, coeffs, rows))
 
 
@@ -485,8 +457,7 @@ def decompositions_equivalent(d1: TriDecomposition, d2: TriDecomposition,
         for a, b in zip(rows + i, cols + i):
             if abs(mags1[a] - mags2[b]) > tol:
                 return False
-            if _term_distance(complex(s1.coeffs[a]), complex(s2.coeffs[b]),
-                              complex(gram[a, b])) > tol:
+            if distance(s1.take([a]), s2.take([b])) > tol:
                 return False
     return True
 

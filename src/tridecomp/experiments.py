@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances
+from .config import (
+    DEFAULT_TOLERANCES,
+    DENSIFY_CEILING,
+    Tolerances,
+    json_fields,
+)
 from .constructions import (
     example31,
     example32,
@@ -76,17 +81,7 @@ class TrialConfig:
             raise InvalidStateError("dims exceed the dense capacity ceiling")
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "selector": self.selector,
-            "tolerances": self.tolerances.as_dict(),
-            "delta_scan": self.delta_scan,
-            "witness_size": self.witness_size,
-            "epsilon_grid": list(self.epsilon_grid),
-            "theta_grid": list(self.theta_grid),
-        }
+        return json_fields(self)
 
 
 @dataclass(frozen=True)

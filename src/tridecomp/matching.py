@@ -18,13 +18,13 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances, json_fields
 from .decomp import OrderedTriortho, TriDecomposition, Variant
-from .errors import PreconditionError, VerificationError
+from .errors import InvalidStateError, PreconditionError, VerificationError
 from .states import (
     FactorPack,
     ProductSpace,
     SumState,
-    _factor_gram,
     _factor_overlap,
+    _split_diagonal,
     aligned_density_matrices,
     distance,
     norm,
@@ -62,7 +62,7 @@ class ProductMatchReport:
 
 def _check_orthonormal_factors(phi: SumState, tol: float):
     for i, pack in enumerate(phi._packed):
-        if _factor_gram(pack)[1] >= tol:
+        if _split_diagonal(_factor_overlap(pack, pack), 0)[0] >= tol:
             raise PreconditionError(
                 f"precondition failed: factor {i} sequence of the "
                 "product sum is not orthonormal")
@@ -194,7 +194,10 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
             "precondition failed: orthonormal decompositions required")
     _require(0.0 < eps < 0.25, "eps in (0, 1/4)")
     level = int(level)
-    _require(1 <= level <= psi.nblocks, "1 <= level <= number of blocks")
+    if not 1 <= level <= psi.nblocks:
+        raise InvalidStateError(
+            f"level {level} is not in 1..{psi.nblocks}, the reference's "
+            "block count")
     psi_state = dpsi.state
     phi_state = phi.state
     for name, st in (("psi", psi_state), ("phi", phi_state)):

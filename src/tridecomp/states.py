@@ -541,15 +541,13 @@ def _overlap_rows(pack_a, pack_b):
             return zeros
     if not (pack_a.has_private and pack_b.has_private):
         if ca.size == fa.shape[1] == fb.shape[1]:  # every column is common
-            right = fb.T.copy()
-            return lambda lo, hi: fa[lo:hi].conj() @ right
-        # C-ordered as fb[:, cb].T is, since matmul's bits follow the layout
-        right = fb.take(cb, axis=1).T.copy()
+            return lambda lo, hi: fa[lo:hi].conj() @ fb.T
+        right = fb.take(cb, axis=1).T
         return lambda lo, hi: fa[lo:hi].take(ca, axis=1).conj() @ right
     ra, rb = pack_a.owner[ca], pack_b.owner[cb]
     both = (ra >= 0) & (rb >= 0)
     shared = ~both
-    left, right = ca[shared], fb.take(cb[shared], axis=1).T.copy()
+    left, right = ca[shared], fb.take(cb[shared], axis=1).T
     ra, rb = ra[both], rb[both]
     private = fa[ra, ca[both]].conj() * fb[rb, cb[both]]
 
@@ -585,11 +583,9 @@ def _overlap_blocks(a: SumState, b: SumState):
 
 
 def _nblocks(a: SumState, b: SumState) -> int:
-    """How many row blocks ``_overlap_blocks`` splits ``a``'s terms into:
-    equal blocks of at least two rows, since a one-row product takes
-    matmul's vector path, whose bits differ from the rows of the whole
-    product."""
-    step = max(2, _BLOCK_BYTES // (16 * max(b.nterms, 1)))
+    """How many equal row blocks ``_overlap_blocks`` splits ``a``'s terms
+    into."""
+    step = max(1, _BLOCK_BYTES // (16 * max(b.nterms, 1)))
     return max(1, a.nterms // step)
 
 
@@ -599,26 +595,18 @@ def _block_form(x: np.ndarray, gram_rows: np.ndarray, y: np.ndarray,
     return complex(x[lo:lo + gram_rows.shape[0]].conj() @ gram_rows @ y)
 
 
-def _gram_forms(a: SumState, b: SumState, pairs, each=None):
+def _gram_forms(a: SumState, b: SumState, pairs, each=None) -> list:
     """[x^H G y for x, y in pairs], G the term Gram of ``a`` against ``b``,
-    summed over the row blocks of ``_overlap_blocks``, or None when nothing
-    was summed; ``each(lo, ovs)`` is first shown every block's factor
-    overlaps.
-
-    The blocks are summed from the first, not from 0, so a single block
-    keeps the bits of ``_block_form`` on the whole ``term_gram``, signed
-    zeros included: a norm the certificate records equals a fresh
-    ``inner`` bit for bit.
-    """
-    sums = None
+    summed over the row blocks of ``_overlap_blocks``; ``each(lo, ovs)`` is
+    first shown every block's factor overlaps."""
+    sums = [0j] * len(pairs)
     for lo, ovs in _overlap_blocks(a, b):
         if each is not None:
             each(lo, ovs)
         if pairs:
             g = reduce(np.multiply, ovs)
-            parts = [_block_form(x, g, y, lo) for x, y in pairs]
-            sums = parts if sums is None else [
-                s + p for s, p in zip(sums, parts)]
+            sums = [s + _block_form(x, g, y, lo)
+                    for s, (x, y) in zip(sums, pairs)]
     return sums
 
 
@@ -628,12 +616,6 @@ def _split_diagonal(rows: np.ndarray, lo: int) -> tuple:
     off = np.abs(rows, order="C")  # so reshape(-1) is a view
     off.reshape(-1)[lo::rows.shape[1] + 1] = 0.0  # entries (j, lo + j)
     return float(off.max()), np.diagonal(rows, offset=lo)
-
-
-def _factor_gram(pack) -> tuple:
-    """(G, max |G[k, l]| over k != l) for one factor's packed terms."""
-    g = _factor_overlap(pack, pack)
-    return g, _split_diagonal(g, 0)[0]
 
 
 def term_gram(a: SumState, b: SumState) -> np.ndarray:
@@ -650,15 +632,13 @@ def _padded_tensor(state, dims: tuple) -> np.ndarray:
         if math.prod(dims) > DENSIFY_CEILING:
             raise CapacityError(f"dense dimension {math.prod(dims)} exceeds "
                                 f"the ceiling {DENSIFY_CEILING}")
-        *lead, last = [_dense_factor(state, i, d) for i, d in enumerate(dims)]
-        # transposed, so the long axis is the inner loop of every product;
-        # the products associate as ((v1 v2) v3) either way
-        out = np.zeros((last.shape[1], math.prod(dims) // last.shape[1]),
-                       dtype=np.complex128)
-        for k, coeff in enumerate(state.coeffs.tolist()):
-            head = reduce(np.multiply.outer, [m[k] for m in lead]).ravel()
-            out += coeff * np.multiply(head[None, :], last[k][:, None])
-        return np.ascontiguousarray(out.T).reshape(dims)
+        first, *rest = [_dense_factor(state, i, d) for i, d in enumerate(dims)]
+        # coeff v1 (x) (v2 (x) v3): the long tail is every product's inner loop
+        out = np.zeros((dims[0], math.prod(dims[1:])), dtype=np.complex128)
+        for k, coeff in enumerate(state.coeffs):
+            tail = reduce(np.multiply.outer, [m[k] for m in rest]).ravel()
+            out += np.multiply.outer(coeff * first[k], tail)
+        return out.reshape(dims)
     if state.space.dims == tuple(dims):
         return state.tensor
     out = np.zeros(dims, dtype=np.complex128)
@@ -691,8 +671,7 @@ def _dense_term_brackets(state: DenseState, s: SumState) -> np.ndarray:
 def _sum_inner(a: SumState, b: SumState) -> complex:
     """c_a^H (G_1 o G_2 o G_3) c_b.  A term Gram that fits in one row block
     is built whole by ``term_gram``, which spares the many tiny calls the
-    walk's set-up; a larger one is summed block by block by ``_gram_forms``,
-    which gives the same bits on a single block."""
+    walk's set-up; a larger one is summed block by block by ``_gram_forms``."""
     if not a.nterms or not b.nterms:
         return 0j
     if _nblocks(a, b) == 1:

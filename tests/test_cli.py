@@ -124,18 +124,41 @@ class TestConstructAndRoundTrip:
 
 
 class TestMatchCommand:
-    def test_identity_match(self, tmp_path, capsys):
+    @staticmethod
+    def product_decomposition(tmp_path, capsys) -> str:
         state = tmp_path / "s.json"
         dump({"schema": "tridecomp/1", "dims": [2, 2, 2], "format": "dense",
               "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}, str(state))
         _, out, _ = run(capsys, "extract", "--in", str(state))
         dec = tmp_path / "d.json"
         dump(json.loads(out), str(dec))
-        code, out, _ = run(capsys, "match", "--ordered", str(dec),
-                           "--other", str(dec), "--epsilon", "0.2")
+        return str(dec)
+
+    def test_identity_match(self, tmp_path, capsys):
+        dec = self.product_decomposition(tmp_path, capsys)
+        code, out, _ = run(capsys, "match", "--ordered", dec,
+                           "--other", dec, "--epsilon", "0.2")
         assert code == 0
         doc = json.loads(out)
         assert doc["all_bounds_hold"]
+
+    @pytest.mark.parametrize("value", ["0.3", "0.25", "0", "nan"])
+    def test_epsilon_outside_a_quarter_exits_one(self, tmp_path, capsys,
+                                                 value):
+        dec = self.product_decomposition(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "--ordered", dec, "--other", dec,
+                  "--epsilon", value])
+        assert exc.value.code == 1
+        assert "epsilon must lie in (0, 1/4)" in capsys.readouterr().err
+
+    def test_level_above_the_block_count_exits_one(self, tmp_path, capsys):
+        dec = self.product_decomposition(tmp_path, capsys)
+        code, out, err = run(capsys, "match", "--ordered", dec, "--other",
+                             dec, "--epsilon", "0.2", "--level", "99")
+        assert code == 1
+        assert out == ""
+        assert "level 99" in err and "precondition" not in err
 
     def test_inadmissible_pair_exits_two(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -7,6 +7,7 @@ import pytest
 from tridecomp import experiments, states
 from tridecomp.constructions import (
     example31,
+    instability_pair,
     isolation_witness_3,
     non_triortho_perturb,
 )
@@ -353,15 +354,24 @@ class TestResidualFromOneGram:
     @pytest.mark.parametrize("kind, passed", [
         ("identical", True), ("serialized", True), ("tampered", False)])
     def test_own_rows_match_three_inner_products(self, kind, passed):
+        # the one Gram's forms give the residual from the coefficient
+        # difference: exactly zero for equal coefficients, and the exact
+        # distance otherwise
         d = random_triortho(6)
         dec = d.state
         target = self.own_rows_target(dec, kind)
-        expected = three_inner_residual(dec, target)
         cert = verify_tridecomposition(d, target)
-        assert cert.reconstruction_error == expected
-        assert cert.passed is passed
-        if not passed:
+        if passed:
+            assert cert.reconstruction_error == 0.0
+        else:
+            oracle = np.linalg.norm(densify(target).amplitudes
+                                    - densify(dec).amplitudes)
+            assert cert.reconstruction_error == pytest.approx(oracle,
+                                                              abs=1e-14)
             assert cert.failed_condition == "reconstruction"
+        assert cert.passed is passed
+        assert dec._self_inner == states._sum_inner(dec, dec)
+        assert target._self_inner == states._sum_inner(target, target)
 
     def test_other_rows_take_the_inner_path(self, monkeypatch):
         d = random_triortho(7)
@@ -406,6 +416,25 @@ class TestResidualFromOneGram:
         assert cert.reconstruction_error == expected
 
 
+class TestRoundingIndependentVerdict:
+    @pytest.mark.parametrize("epsilon", [0.9, 0.8])
+    def test_coefficients_within_rounding_pass(self, epsilon):
+        # the residual's cancelling (x, y) form read 1.5-1.8e-8 for
+        # coefficients 4e-16 (relative) off the target's and rejected a
+        # quarter of these draws
+        psi = haar_random_state(ProductSpace((2, 2, 2)), 1)
+        d = instability_pair(psi, epsilon).decomposition2
+        coeffs = d.state.coeffs
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            target = d.state.with_coeffs(
+                coeffs * (1.0 + 4e-16 * rng.standard_normal(coeffs.size)))
+            cert = verify_tridecomposition(d, target)
+            assert cert.passed, cert.reconstruction_error
+            exact = np.linalg.norm(target.coeffs - coeffs)
+            assert abs(cert.reconstruction_error - exact) <= 1e-15
+
+
 class TestBlockedCertificate:
     def test_maxima_match_the_whole_gram(self, rng, monkeypatch):
         state = private_column_state(rng, 50)
@@ -425,9 +454,10 @@ class TestBlockedCertificate:
             cert = verify_tridecomposition(d, psi)
             assert cert.max_pairwise_overlaps == tuple(pairs)  # bitwise
             assert cert.max_offdiag_overlaps == tuple(offs)
-        # the own-rows forms are summed block by block as _sum_inner sums
-        assert cert.reconstruction_error == three_inner_residual(state,
-                                                                 target)
+        # the own-rows residual is summed block by block to its exact value
+        oracle = np.linalg.norm(densify(target).amplitudes
+                                - densify(state).amplitudes)
+        assert cert.reconstruction_error == pytest.approx(oracle, abs=1e-14)
         assert cert.reconstruction_error == pytest.approx(
             0.01 * norm(state), rel=1e-9)
 
@@ -452,21 +482,35 @@ class TestCanonicalPhase:
             assert np.allclose(self._term_tensor(d.space, a),
                                self._term_tensor(d.space, b), atol=1e-13)
 
-    def test_rounds_as_python_complex_products(self):
-        # extraction certificates carry these bits, so the array version
-        # rounds each product as the per-entry Python loop does
-        d = random_triortho(31, dims=(6, 7, 8), k=4)
-        canon = canonical_phase(d).state
-        for k, t in enumerate(d.terms):
+    def test_first_significant_entry_turns_real_positive(self):
+        # the per-row loop the array version replaced is the reference; the
+        # first two terms' first entries lie below zero_tol, so their lead
+        # is the next entry
+        rng = np.random.default_rng(31)
+        space = ProductSpace((6, 7, 8))
+        cols = []
+        for dim in space.dims:
+            z = (rng.standard_normal((dim, 4))
+                 + 1j * rng.standard_normal((dim, 4)))
+            z[0, :2] = 1e-13j
+            cols.append(z / np.linalg.norm(z, axis=0))
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        d = TriDecomposition(space, SumState.from_columns(space, coeffs, cols),
+                             Variant.LI_ALL)
+        canon = canonical_phase(d)
+        for t, c in zip(d.terms, canon.terms):
             coeff = t.coeff
-            for i, comp in enumerate(t.factors):
-                amp = next(a for _, a in comp if abs(a) > 1e-12)
-                mult = cmath.exp(-1j * cmath.phase(amp))
+            for comp, got in zip(t.factors, c.factors):
+                lead = next(a for _, a in comp if abs(a) > 1e-12)
+                mult = cmath.exp(-1j * cmath.phase(lead))
                 coeff *= mult.conjugate()
-                rows = canon.rows[i]
-                got = rows.data[rows.indptr[k]:rows.indptr[k + 1]].tolist()
-                assert got == [a * mult for _, a in comp]
-            assert complex(canon.coeffs[k]) == coeff
+                assert [i for i, _ in got] == [i for i, _ in comp]
+                assert np.allclose([a for _, a in got],
+                                   [a * mult for _, a in comp],
+                                   rtol=0.0, atol=1e-15)
+                first = next(a for _, a in got if abs(a) > 1e-12)
+                assert first.real > 0.0 and abs(first.imag) <= 1e-15
+            assert c.coeff == pytest.approx(coeff, abs=1e-15)
 
     def test_gauge_invariance(self):
         d = random_triortho(7)
