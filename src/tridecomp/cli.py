@@ -6,6 +6,9 @@ treat bound violations as defects:
 * 0 - success, outputs written
 * 1 - usage or input error (bad flags, malformed files, bad ranges)
 * 2 - verification or bound failure; the failed condition goes to stderr
+
+``_FLAGS`` declares each flag once; each command, generator and campaign
+reads only the flags its table entry names, and any other flag exits 1.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import argparse
 import functools
 import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances
@@ -32,17 +33,13 @@ from .constructions import (
 from .decomp import (
     NotTriorthogonal,
     OrderedTriortho,
+    TriDecomposition,
     ordered_triortho,
     schmidt,
     extract_triortho,
     verify_tridecomposition,
 )
-from .errors import (
-    PreconditionError,
-    SchemaError,
-    TridecompError,
-    VerificationError,
-)
+from .errors import PreconditionError, TridecompError, VerificationError
 from .experiments import (
     TrialConfig,
     run_closure_test,
@@ -56,13 +53,12 @@ from .serialize import (
     SCHEMA,
     decomposition_from_json,
     decomposition_to_json,
-    dump,
     dumps,
     load,
     state_from_json,
     state_to_json,
 )
-from .states import DenseState, ProductSpace, densify, norm
+from .states import DenseState, ProductSpace, SumState
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,167 +70,102 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _dims(text: str) -> tuple:
-    try:
-        dims = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad dims {text!r}")
-    if not 2 <= len(dims) <= 4 or any(d < 2 for d in dims):
-        raise argparse.ArgumentTypeError(
-            "dims must be 2-4 comma-separated integers, each >= 2")
-    return dims
+def _checked(convert, ok, message):
+    """An argparse type: ``convert`` the text, then require ``ok`` of it."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(message)
+    return parse
 
 
-def _theta(text: str) -> float:
-    val = float(text)
-    if not 0.0 < val <= math.pi / 2.0:
-        raise argparse.ArgumentTypeError("theta must lie in (0, pi/2]")
-    return val
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
 
 
-def _epsilon(text: str) -> float:
-    val = float(text)
-    if not 0.0 < val < 1.0:
-        raise argparse.ArgumentTypeError("epsilon must lie in (0, 1)")
-    return val
+def _flag(*options, **keywords):
+    return options, keywords
 
 
-def _match_epsilon(text: str) -> float:
-    val = float(text)
-    if not 0.0 < val < 0.25:
-        raise argparse.ArgumentTypeError("epsilon must lie in (0, 1/4)")
-    return val
+_POSITIVE = _checked(int, lambda v: v >= 1, "must be a positive integer")
+_TOLERANCE_HELP = {"li": "linear-independence floor",
+                   "orth": "orthonormality slack",
+                   "deg": "degeneracy grouping width"}
 
-
-def _positive_int(text: str) -> int:
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return val
-
-
-def _index_list(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad factor indices {text!r}")
+# Every flag, keyed by the attribute it parses into.  A command's table
+# entry maps the names it reads to their defaults; _REQUIRED marks a flag
+# that must be given.
+_REQUIRED = object()
+_FLAGS = {
+    "infile": _flag("--in", help="input state or decomposition file"),
+    "infile2": _flag("--in2", help="second input state"),
+    "left": _flag("--left", type=_checked(_ints, bool, "bad factor indices"),
+                  help="comma-separated factor indices of the left side"),
+    "decomposition": _flag("--decomposition", help="decomposition file"),
+    "state": _flag("--state", help="state file"),
+    "ordered": _flag("--ordered", help="reference decomposition file"),
+    "other": _flag("--other", help="neighbour decomposition file"),
+    "match_epsilon": _flag("--epsilon", metavar="EPSILON", type=_checked(
+        float, lambda v: 0.0 < v < 0.25, "epsilon must lie in (0, 1/4)")),
+    "level": _flag("--level", type=_POSITIVE,
+                   help="number of leading blocks to match (default: all)"),
+    "theta": _flag("--theta", type=_checked(
+        float, lambda v: 0.0 < v <= math.pi / 2.0,
+        "theta must lie in (0, pi/2]")),
+    "epsilon": _flag("--epsilon", type=_checked(
+        float, lambda v: 0.0 < v < 1.0, "epsilon must lie in (0, 1)")),
+    "dims": _flag("--dims", type=_checked(
+        _ints, lambda d: 2 <= len(d) <= 4 and min(d) >= 2,
+        "dims must be 2-4 comma-separated integers, each >= 2")),
+    "size": _flag("--n1", type=_POSITIVE, help="witness size parameter"),
+    "trials": _flag("--trials", type=_POSITIVE),
+    "seed": _flag("--seed", type=int),
+    "selector": _flag("--selector", help="stability campaign family",
+                      choices=["all", "product-match", "component-match"]),
+    "fmt": _flag("--format", choices=["json", "csv"]),
+    **{f"tol_{name}": _flag(
+        f"--tol-{name}", type=float,
+        help=f"{text} (default {getattr(DEFAULT_TOLERANCES, name)!r})")
+       for name, text in _TOLERANCE_HELP.items()},
+    "out": _flag("-o", "--out", help="output path (else stdout)"),
+}
+_TOLERANCE_FLAGS = {f"tol_{name}": None for name in _TOLERANCE_HELP}
 
 
 def _tolerances(args) -> Tolerances:
-    flags = {name: getattr(args, f"tol_{name}", None)
-             for name in ("li", "orth", "deg")}
-    return Tolerances(**{name: value for name, value in flags.items()
-                         if value is not None})
+    given = {name: getattr(args, f"tol_{name}") for name in _TOLERANCE_HELP}
+    return Tolerances(**{k: v for k, v in given.items() if v is not None})
 
 
-def _add_tolerance_flags(p):
-    p.add_argument("--tol-li", type=float, default=None,
-                   help="linear-independence floor (default 1e-8)")
-    p.add_argument("--tol-orth", type=float, default=None,
-                   help="orthonormality slack (default 1e-8)")
-    p.add_argument("--tol-deg", type=float, default=None,
-                   help="degeneracy grouping width (default 1e-7)")
-
-
-def _add_output_flag(p):
-    p.add_argument("-o", "--out", default=None, help="output path (else stdout)")
-
-
-def _emit(doc: dict, args) -> int:
-    if getattr(args, "out", None):
-        dump(doc, args.out)
+def _emit(doc, args) -> int:
+    """Write a JSON document, or text as it is, to ``--out`` or stdout."""
+    text = doc if isinstance(doc, str) else dumps(doc)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(dumps(doc))
+        sys.stdout.write(text)
     return 0
 
 
-def _load_state(path: str):
-    return state_from_json(load(path))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tridecomp",
-                     description="Decomposition analysis for multipartite "
-                                 "pure states")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    p = sub.add_parser("schmidt", help="Schmidt decomposition across a "
-                                       "bipartition")
-    p.add_argument("--in", dest="infile", required=True, help="state file")
-    p.add_argument("--left", type=_index_list, default=(0,),
-                   help="comma-separated factor indices of the left side")
-    _add_tolerance_flags(p)
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_schmidt)
-
-    p = sub.add_parser("extract", help="extract a triorthogonal decomposition")
-    p.add_argument("--in", dest="infile", required=True, help="state file")
-    _add_tolerance_flags(p)
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("verify", help="verify a decomposition against a state")
-    p.add_argument("--decomposition", required=True)
-    p.add_argument("--state", required=True)
-    _add_tolerance_flags(p)
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("construct", help="run a named generator")
-    p.add_argument("generator",
-                   choices=["example31", "example32", "example33", "pair",
-                            "mover", "witness3", "witness4", "perturb"])
-    p.add_argument("--theta", type=_theta, default=None)
-    p.add_argument("--epsilon", type=_epsilon, default=None)
-    p.add_argument("--dims", type=_dims, default=None)
-    p.add_argument("--n1", type=_positive_int, default=3,
-                   help="witness size parameter")
-    p.add_argument("--in", dest="infile", default=None,
-                   help="input state/decomposition for pair, mover, perturb")
-    p.add_argument("--in2", dest="infile2", default=None,
-                   help="second input state for mover")
-    _add_tolerance_flags(p)
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("match", help="match two orthonormal decompositions")
-    p.add_argument("--ordered", required=True,
-                   help="decomposition file for the reference state")
-    p.add_argument("--other", required=True,
-                   help="decomposition file for the neighbour state")
-    p.add_argument("--epsilon", type=_match_epsilon, required=True)
-    p.add_argument("--level", type=_positive_int, default=None,
-                   help="number of leading blocks to match (default: all)")
-    _add_tolerance_flags(p)
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("campaign", help="run a seeded verification campaign")
-    p.add_argument("name",
-                   choices=["instability", "stability", "isolation",
-                            "closure"])
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=_dims, default=None)
-    p.add_argument("--selector", default="all",
-                   choices=["all", "product-match", "component-match"],
-                   help="stability campaign family")
-    p.add_argument("--format", dest="fmt", default="json",
-                   choices=["json", "csv"])
-    _add_tolerance_flags(p)
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser("info", help="print versions, tolerances, and schemas")
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_info)
-    return parser
+def _document(value):
+    """A builder's output as JSON: states and decompositions become their
+    documents, dicts are mapped entry by entry and the rest is kept."""
+    if isinstance(value, (DenseState, SumState)):
+        return state_to_json(value)
+    if isinstance(value, TriDecomposition):
+        return decomposition_to_json(value)
+    if isinstance(value, dict):
+        return {key: _document(v) for key, v in value.items()}
+    return value
 
 
 def cmd_schmidt(args) -> int:
-    state = _load_state(args.infile)
+    state = state_from_json(load(args.infile))
     sd = schmidt(state, args.left, tolerances=_tolerances(args))
     doc = {
         "schema": SCHEMA,
@@ -251,7 +182,7 @@ def cmd_schmidt(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    state = _load_state(args.infile)
+    state = state_from_json(load(args.infile))
     result = extract_triortho(state, tolerances=_tolerances(args))
     if isinstance(result, OrderedTriortho):
         doc = decomposition_to_json(result)
@@ -266,7 +197,7 @@ def cmd_extract(args) -> int:
 
 def cmd_verify(args) -> int:
     d = decomposition_from_json(load(args.decomposition))
-    state = _load_state(args.state)
+    state = state_from_json(load(args.state))
     cert = verify_tridecomposition(d, state, tolerances=_tolerances(args))
     code = _emit(cert.to_json(), args)
     if not cert.passed:
@@ -275,109 +206,103 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _default_product_state(dims) -> DenseState:
-    space = ProductSpace(dims or (2, 2, 2))
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[0] = 1.0
-    return DenseState(space, amps, normalized=True)
+def _example31(args, tol, provenance):
+    res = example31(args.theta, tol)
+    return {
+        "states": {"limit": res.psi, "phi_theta": res.phi_theta,
+                   "psi_theta": res.psi_theta},
+        "decompositions": {"phi_theta": res.phi_decomposition,
+                           "psi_theta": res.psi_decomposition},
+    }
+
+
+def _example32(args, tol, provenance):
+    res = example32(args.theta, tol)
+    return {
+        "weights": list(res.weights),
+        "trace_norm_gap": res.trace_norm_gap,
+        "cross_overlaps": res.cross_overlaps.tolist(),
+        "cross_ceiling": 1.0 / math.sqrt(2.0),
+    }
+
+
+def _example33(args, tol, provenance):
+    res = example33(args.theta, tol)
+    return {
+        "raw_coefficients": list(res.raw_coefficients),
+        "states": {"psi_theta": res.psi_theta, "limit": res.limit},
+        "decompositions": {"psi_theta": res.decomposition},
+    }
+
+
+def _pair(args, tol, provenance):
+    if args.infile:
+        psi = state_from_json(load(args.infile))
+    else:
+        space = ProductSpace(args.dims or (2, 2, 2))
+        psi = DenseState(space, [1.0] + [0.0] * (space.dim - 1),
+                         normalized=True)
+    pair = instability_pair(psi, args.epsilon, theta=args.theta,
+                            tolerances=tol)
+    provenance["theta"] = pair.theta
+    provenance["truncation_size"] = pair.truncation_size
+    return {
+        "states": {"phi1": pair.phi1, "phi2": pair.phi2},
+        "decompositions": {"phi1": pair.decomposition1,
+                           "phi2": pair.decomposition2},
+        "distances": list(pair.distances),
+        "basis_overlap_min": pair.basis_overlap_min,
+        "cross_overlap_max": pair.cross_overlap_max,
+    }
+
+
+def _mover(args, tol, provenance):
+    s1, s2 = (state_from_json(load(p)) for p in (args.infile, args.infile2))
+    mover = structure_mover(s1, s2, tol).mover
+    return {
+        "alpha": [mover.alpha.real, mover.alpha.imag],
+        "beta": mover.beta,
+        "identity": mover.identity,
+        "trace_norm_minus_identity": mover.trace_norm_minus_identity(),
+    }
+
+
+def _perturb(args, tol, provenance):
+    """Tilt a triorthogonal decomposition off the triorthogonal set."""
+    d = decomposition_from_json(load(args.infile))
+    return non_triortho_perturb(d, args.epsilon, tol)
+
+
+# generator: (flags it reads with their defaults, builder).  A builder
+# returns a state or the ordered fields of a bundle; the provenance records
+# each flag with a default, and a builder may add to it.
+_GENERATORS = {
+    "example31": ({"theta": 0.3}, _example31),
+    "example32": ({"theta": 0.3}, _example32),
+    "example33": ({"theta": 0.3}, _example33),
+    "pair": ({"epsilon": 0.7, "theta": None, "dims": None, "infile": None},
+             _pair),
+    "mover": ({"infile": _REQUIRED, "infile2": _REQUIRED}, _mover),
+    "witness3": ({"size": 3, "dims": None}, lambda args, tol, _:
+                 isolation_witness_3(args.size, args.dims)),
+    "witness4": ({"size": 3, "dims": None}, lambda args, tol, _:
+                 isolation_witness_4(args.size, args.dims)),
+    "perturb": ({"epsilon": 0.1, "infile": _REQUIRED}, _perturb),
+}
 
 
 def cmd_construct(args) -> int:
-    tol = _tolerances(args)
-    gen = args.generator
-    provenance = {"generator": gen}
-    if gen in ("example31", "example32", "example33"):
-        theta = args.theta if args.theta is not None else 0.3
-        provenance["theta"] = theta
-        if gen == "example31":
-            res = example31(theta, tol)
-            doc = {
-                "schema": SCHEMA, "kind": "bundle", "provenance": provenance,
-                "states": {
-                    "limit": state_to_json(res.psi),
-                    "phi_theta": state_to_json(res.phi_theta),
-                    "psi_theta": state_to_json(res.psi_theta),
-                },
-                "decompositions": {
-                    "phi_theta": decomposition_to_json(res.phi_decomposition),
-                    "psi_theta": decomposition_to_json(res.psi_decomposition),
-                },
-            }
-        elif gen == "example32":
-            res = example32(theta, tol)
-            doc = {
-                "schema": SCHEMA, "kind": "bundle", "provenance": provenance,
-                "weights": list(res.weights),
-                "trace_norm_gap": res.trace_norm_gap,
-                "cross_overlaps": res.cross_overlaps.tolist(),
-                "cross_ceiling": 1.0 / math.sqrt(2.0),
-            }
-        else:
-            res = example33(theta, tol)
-            doc = {
-                "schema": SCHEMA, "kind": "bundle", "provenance": provenance,
-                "raw_coefficients": list(res.raw_coefficients),
-                "states": {
-                    "psi_theta": state_to_json(res.psi_theta),
-                    "limit": state_to_json(res.limit),
-                },
-                "decompositions": {
-                    "psi_theta": decomposition_to_json(res.decomposition),
-                },
-            }
-        return _emit(doc, args)
-    if gen == "pair":
-        epsilon = args.epsilon if args.epsilon is not None else 0.7
-        provenance["epsilon"] = epsilon
-        psi = (_load_state(args.infile) if args.infile
-               else _default_product_state(args.dims))
-        pair = instability_pair(psi, epsilon, theta=args.theta,
-                                tolerances=tol)
-        provenance["theta"] = pair.theta
-        provenance["truncation_size"] = pair.truncation_size
-        doc = {
-            "schema": SCHEMA, "kind": "bundle", "provenance": provenance,
-            "states": {
-                "phi1": state_to_json(pair.phi1),
-                "phi2": state_to_json(pair.phi2),
-            },
-            "decompositions": {
-                "phi1": decomposition_to_json(pair.decomposition1),
-                "phi2": decomposition_to_json(pair.decomposition2),
-            },
-            "distances": list(pair.distances),
-            "basis_overlap_min": pair.basis_overlap_min,
-            "cross_overlap_max": pair.cross_overlap_max,
-        }
-        return _emit(doc, args)
-    if gen == "mover":
-        if not args.infile or not args.infile2:
-            raise SchemaError("mover needs --in and --in2 state files")
-        s1, s2 = _load_state(args.infile), _load_state(args.infile2)
-        pair = structure_mover(s1, s2, tol)
-        alpha = pair.mover.alpha
-        doc = {
-            "schema": SCHEMA, "kind": "bundle", "provenance": provenance,
-            "alpha": [alpha.real, alpha.imag],
-            "beta": pair.mover.beta,
-            "identity": pair.mover.identity,
-            "trace_norm_minus_identity": pair.mover.trace_norm_minus_identity(),
-        }
-        return _emit(doc, args)
-    if gen in ("witness3", "witness4"):
-        provenance["size"] = args.n1
-        state = (isolation_witness_3(args.n1, args.dims) if gen == "witness3"
-                 else isolation_witness_4(args.n1, args.dims))
-        doc = state_to_json(state, provenance=provenance)
-        return _emit(doc, args)
-    # perturb: tilt a triorthogonal decomposition off the triorthogonal set
-    if not args.infile:
-        raise SchemaError("perturb needs --in with a decomposition file")
-    epsilon = args.epsilon if args.epsilon is not None else 0.1
-    provenance["epsilon"] = epsilon
-    d = decomposition_from_json(load(args.infile))
-    state = non_triortho_perturb(d, epsilon, tol)
-    return _emit(state_to_json(state, provenance=provenance), args)
+    flags, builder = _GENERATORS[args.name]
+    provenance = {"generator": args.name, **{
+        name: getattr(args, name) for name, default in flags.items()
+        if default not in (None, _REQUIRED)}}
+    built = builder(args, _tolerances(args), provenance)
+    if isinstance(built, dict):
+        doc = {"schema": SCHEMA, "kind": "bundle", "provenance": provenance,
+               **_document(built)}
+    else:
+        doc = state_to_json(built, provenance=provenance)
+    return _emit(doc, args)
 
 
 def cmd_match(args) -> int:
@@ -386,7 +311,8 @@ def cmd_match(args) -> int:
     d_other = decomposition_from_json(load(args.other))
     ordered = ordered_triortho(d_ref, tol.deg)
     level = args.level if args.level is not None else ordered.nblocks
-    report = match_components(ordered, d_other, level, args.epsilon, tol)
+    report = match_components(ordered, d_other, level, args.match_epsilon,
+                              tol)
     code = _emit(report.to_json(), args)
     if not report.all_bounds_hold:
         print("matching bounds violated", file=sys.stderr)
@@ -394,27 +320,25 @@ def cmd_match(args) -> int:
     return code
 
 
+# campaign: (flags it reads with their defaults, runner).  Every runner
+# takes a TrialConfig, so a flag a campaign does not read keeps the
+# TrialConfig default in its report's config.
+_CAMPAIGNS = {
+    "instability": ({}, lambda cfg: run_instability_sweep(
+        tolerances=cfg.tolerances)),
+    "stability": ({"trials": 100, "seed": 0, "dims": (6, 6, 6),
+                   "selector": "all"}, run_stability_campaign),
+    "isolation": ({"trials": 100, "seed": 0, "dims": (4, 4, 4)},
+                  run_isolation_scan),
+    "closure": ({"seed": 0, "dims": (4, 4, 4)}, run_closure_test),
+}
+
+
 def cmd_campaign(args) -> int:
-    tol = _tolerances(args)
-    if args.name == "instability":
-        report = run_instability_sweep(tolerances=tol)
-    else:
-        dims = args.dims or ((4, 4, 4) if args.name in ("isolation", "closure")
-                             else (6, 6, 6))
-        cfg = TrialConfig(seed=args.seed, trials=args.trials, dims=dims,
-                          selector=args.selector, tolerances=tol)
-        runner = {"stability": run_stability_campaign,
-                  "isolation": run_isolation_scan,
-                  "closure": run_closure_test}[args.name]
-        report = runner(cfg)
-    if args.fmt == "csv":
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_csv())
-        else:
-            sys.stdout.write(report.to_csv())
-    else:
-        _emit(report.to_json(), args)
+    flags, runner = _CAMPAIGNS[args.name]
+    params = {name: getattr(args, name) for name in flags}
+    report = runner(TrialConfig(tolerances=_tolerances(args), **params))
+    _emit(report.to_csv() if args.fmt == "csv" else report.to_json(), args)
     if report.pass_rate < 1.0:
         failed = [r for r in report.records if not r.get("pass", True)]
         print(f"campaign failed: {len(failed)} trial(s) violated a bound",
@@ -437,6 +361,57 @@ def cmd_info(args) -> int:
     return _emit(doc, args)
 
 
+# command: (help, flags it reads with their defaults, handler)
+_COMMANDS = {
+    "schmidt": ("Schmidt decomposition across a bipartition",
+                {"infile": _REQUIRED, "left": (0,), **_TOLERANCE_FLAGS},
+                cmd_schmidt),
+    "extract": ("extract a triorthogonal decomposition",
+                {"infile": _REQUIRED, **_TOLERANCE_FLAGS}, cmd_extract),
+    "verify": ("verify a decomposition against a state",
+               {"decomposition": _REQUIRED, "state": _REQUIRED,
+                **_TOLERANCE_FLAGS}, cmd_verify),
+    "match": ("match two orthonormal decompositions",
+              {"ordered": _REQUIRED, "other": _REQUIRED,
+               "match_epsilon": _REQUIRED, "level": None,
+               **_TOLERANCE_FLAGS}, cmd_match),
+    "info": ("print versions, tolerances, and schemas", {}, cmd_info),
+}
+# command: (help, its subcommands' table, flags they all read, handler)
+_GROUPS = {
+    "construct": ("run a named generator", _GENERATORS, _TOLERANCE_FLAGS,
+                  cmd_construct),
+    "campaign": ("run a seeded verification campaign", _CAMPAIGNS,
+                 {"fmt": "json", **_TOLERANCE_FLAGS}, cmd_campaign),
+}
+
+
+def _leaf(sub, name, flags, func, help=None):
+    parser = sub.add_parser(name, help=help)
+    for flag, default in {**flags, "out": None}.items():
+        options, spec = _FLAGS[flag]
+        parser.add_argument(*options, dest=flag, default=default,
+                            required=default is _REQUIRED, **spec)
+    parser.set_defaults(func=func)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="tridecomp",
+                     description="Decomposition analysis for multipartite "
+                                 "pure states")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    for name, (text, flags, func) in _COMMANDS.items():
+        _leaf(sub, name, flags, func, help=text)
+    for name, (text, table, shared, func) in _GROUPS.items():
+        group = sub.add_parser(name, help=text).add_subparsers(
+            dest="name", required=True, parser_class=_Parser)
+        for leaf, (flags, _) in table.items():
+            _leaf(group, leaf, {**flags, **shared}, func)
+    return parser
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """``main``'s parser, built on first use and shared by later calls in
@@ -448,15 +423,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (VerificationError, PreconditionError) as exc:
+    except (TridecompError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TridecompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (VerificationError,
+                                     PreconditionError)) else 1
 
 
 if __name__ == "__main__":

@@ -190,8 +190,8 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
     dpsi = psi.decomposition
     if dpsi.variant is not Variant.ORTHONORMAL or \
             phi.variant is not Variant.ORTHONORMAL:
-        raise PreconditionError(
-            "precondition failed: orthonormal decompositions required")
+        raise InvalidStateError(
+            "matching is defined for orthonormal decompositions")
     _require(0.0 < eps < 0.25, "eps in (0, 1/4)")
     level = int(level)
     if not 1 <= level <= psi.nblocks:

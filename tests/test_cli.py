@@ -13,6 +13,7 @@ from tridecomp.config import Tolerances
 from tridecomp.constructions import instability_pair
 from tridecomp.errors import InvalidStateError
 from tridecomp.serialize import (
+    decomposition_from_json,
     decomposition_to_json,
     dump,
     load,
@@ -159,6 +160,20 @@ class TestMatchCommand:
         assert code == 1
         assert out == ""
         assert "level 99" in err and "precondition" not in err
+
+    @pytest.mark.parametrize("side", ["--ordered", "--other"])
+    def test_non_orthonormal_decomposition_exits_one(self, tmp_path, capsys,
+                                                     side):
+        dec = self.product_decomposition(tmp_path, capsys)
+        bundle, li_all = tmp_path / "e31.json", tmp_path / "li_all.json"
+        run(capsys, "construct", "example31", "-o", str(bundle))
+        dump(load(str(bundle))["decompositions"]["phi_theta"], str(li_all))
+        files = ["--ordered", dec, "--other", dec]
+        files[files.index(side) + 1] = str(li_all)
+        code, out, err = run(capsys, "match", *files, "--epsilon", "0.2")
+        assert code == 1
+        assert out == ""
+        assert "orthonormal" in err and "precondition" not in err
 
     def test_inadmissible_pair_exits_two(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -424,3 +439,136 @@ class TestParserBuiltOnce:
         # from build_parser do not reach main
         assert build_parser() is not build_parser()
         assert build_parser() is not cli._parser()
+
+
+# the flags each generator and campaign reads; any other exits 1
+READS = {
+    ("construct", "example31"): {"--theta"},
+    ("construct", "example32"): {"--theta"},
+    ("construct", "example33"): {"--theta"},
+    ("construct", "pair"): {"--epsilon", "--theta", "--dims", "--in"},
+    ("construct", "mover"): {"--in", "--in2"},
+    ("construct", "perturb"): {"--epsilon", "--in"},
+    ("construct", "witness3"): {"--n1", "--dims"},
+    ("construct", "witness4"): {"--n1", "--dims"},
+    ("campaign", "instability"): set(),
+    ("campaign", "stability"): {"--trials", "--seed", "--dims", "--selector"},
+    ("campaign", "isolation"): {"--trials", "--seed", "--dims"},
+    ("campaign", "closure"): {"--seed", "--dims"},
+}
+VALUES = {"--theta": "0.3", "--epsilon": "0.5", "--dims": "3,3,3",
+          "--in": "a.json", "--in2": "b.json", "--n1": "3", "--trials": "2",
+          "--seed": "1", "--selector": "product-match"}
+REQUIRED = {"mover": ["--in", "a.json", "--in2", "b.json"],
+            "perturb": ["--in", "a.json"]}
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("command", list(READS), ids="-".join)
+    def test_unread_flags_exit_one(self, capsys, command):
+        for flag in sorted(set(VALUES) - READS[command]):
+            argv = [*command, *REQUIRED.get(command[1], []), flag,
+                    VALUES[flag]]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1, argv
+            assert f"unrecognized arguments: {flag}" in \
+                capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(READS), ids="-".join)
+    def test_read_flags_parse(self, command):
+        argv = [x for flag in sorted(READS[command])
+                for x in (flag, VALUES[flag])]
+        args = build_parser().parse_args([*command, *argv, "--tol-li",
+                                          "1e-9", "-o", "out.json"])
+        assert args.tol_li == 1e-9 and args.out == "out.json"
+        if "--dims" in READS[command]:
+            assert args.dims == (3, 3, 3)
+
+    def test_witness_rejects_rotation_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "witness3", "--theta", "0.3",
+                  "--epsilon", "0.5"])
+        assert exc.value.code == 1
+        assert "--theta 0.3 --epsilon 0.5" in capsys.readouterr().err
+
+    def test_closure_rejects_trials_and_selector(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "closure", "--trials", "7",
+                  "--selector", "product-match"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_closure_config_keeps_trial_defaults(self, capsys):
+        code, out, _ = run(capsys, "campaign", "closure", "--seed", "1")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["trials"] == 100 and config["selector"] == "all"
+        assert config["dims"] == [4, 4, 4]
+
+
+@pytest.fixture
+def generator_inputs(tmp_path, capsys):
+    """The two example31 states (for mover) and a product decomposition
+    (for perturb) as files."""
+    bundle = tmp_path / "e31.json"
+    run(capsys, "construct", "example31", "-o", str(bundle))
+    paths = {}
+    for name in ("phi_theta", "psi_theta"):
+        paths[name] = str(tmp_path / f"{name}.json")
+        dump(load(str(bundle))["states"][name], paths[name])
+    state = tmp_path / "product.json"
+    dump({"schema": "tridecomp/2", "dims": [2, 2, 2], "format": "dense",
+          "amplitudes": PRODUCT_AMPLITUDES["tridecomp/2"]}, str(state))
+    _, out, _ = run(capsys, "extract", "--in", str(state))
+    paths["product_dec"] = str(tmp_path / "product_dec.json")
+    dump(json.loads(out), paths["product_dec"])
+    return paths
+
+
+BUNDLE = ["schema", "kind", "provenance"]
+GENERATED = [
+    (["example31", "--theta", "0.4"], {"theta": 0.4},
+     BUNDLE + ["states", "decompositions"]),
+    (["example32"], {"theta": 0.3},
+     BUNDLE + ["weights", "trace_norm_gap", "cross_overlaps",
+               "cross_ceiling"]),
+    (["example33", "--theta", "0.2"], {"theta": 0.2},
+     BUNDLE + ["raw_coefficients", "states", "decompositions"]),
+    (["pair", "--epsilon", "0.9"], {"epsilon": 0.9},
+     BUNDLE + ["states", "decompositions", "distances", "basis_overlap_min",
+               "cross_overlap_max"]),
+    (["mover", "--in", "{phi_theta}", "--in2", "{psi_theta}"], {},
+     BUNDLE + ["alpha", "beta", "identity", "trace_norm_minus_identity"]),
+    (["witness3", "--n1", "2"], {"size": 2}, None),
+    (["witness4"], {"size": 3}, None),
+    (["perturb", "--in", "{product_dec}"], {"epsilon": 0.1}, None),
+]
+
+
+class TestGeneratorDocuments:
+    @pytest.mark.parametrize("argv,provenance,keys", GENERATED,
+                             ids=[g[0][0] for g in GENERATED])
+    def test_document_layout(self, capsys, generator_inputs, argv,
+                             provenance, keys):
+        argv = [a.format(**generator_inputs) for a in argv]
+        code, out, _ = run(capsys, "construct", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        expected = {"generator": argv[0], **provenance}
+        if argv[0] == "pair":  # the chosen theta and size come last
+            assert list(doc["provenance"]) == [*expected, "theta",
+                                               "truncation_size"]
+            doc["provenance"] = {k: doc["provenance"][k] for k in expected}
+        assert doc["provenance"] == expected
+        assert list(doc["provenance"]) == list(expected)
+        if keys is None:  # a state document
+            assert list(doc)[-1] == "provenance"
+            state_from_json(doc)
+            return
+        assert list(doc) == keys
+        assert doc["schema"] == "tridecomp/2" and doc["kind"] == "bundle"
+        for state in doc.get("states", {}).values():
+            state_from_json(state)
+        for dec in doc.get("decompositions", {}).values():
+            assert decomposition_from_json(dec).certificate.passed

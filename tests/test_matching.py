@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tridecomp.decomp import TriDecomposition, Variant, ordered_triortho
-from tridecomp.errors import PreconditionError
+from tridecomp.errors import InvalidStateError, PreconditionError
 from tridecomp.matching import (
     _projected_pair,
     match_components,
@@ -221,6 +221,14 @@ class TestComponentMatch:
         po = ordered_triortho(d)
         with pytest.raises(PreconditionError, match="eps"):
             match_components(po, d, level=1, eps=0.3)
+
+    def test_non_orthonormal_neighbour_is_invalid_input(self):
+        # a variant the matching bound does not cover is bad input, not a
+        # failed inequality
+        d = random_triortho(34)
+        li_all = TriDecomposition(d.space, d.state, Variant.LI_ALL)
+        with pytest.raises(InvalidStateError, match="orthonormal"):
+            match_components(ordered_triortho(d), li_all, level=1, eps=0.2)
 
     def test_distance_hypothesis_enforced(self):
         d1 = random_triortho(35, dims=(5, 5, 5))
