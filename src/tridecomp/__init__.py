@@ -34,7 +34,6 @@ from .states import (
     project_factor,
     sparse_vector,
     sparsify,
-    sv_dense,
     sv_inner,
     sv_norm,
     trace_norm,

@@ -392,7 +392,7 @@ def _leaf(sub, name, flags, func, help=None):
         options, spec = _FLAGS[flag]
         parser.add_argument(*options, dest=flag, default=default,
                             required=default is _REQUIRED, **spec)
-    parser.set_defaults(func=func)
+    parser.set_defaults(func=func, leaf=parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,7 +420,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:  # reported by the command that did not read them
+        args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (TridecompError, OSError) as exc:

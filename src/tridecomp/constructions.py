@@ -35,12 +35,13 @@ from .states import (
     SumState,
     _dense_factor,
     _overlap_blocks,
+    _vector_row,
     combine,
     densify,
+    distance,
     inner,
     norm,
     partial_trace,
-    sparse_vector,
     sparsify,
     trace_norm,
 )
@@ -528,8 +529,8 @@ class TensorStructurePair:
 
     ``relabeled_overlap`` evaluates the bracket between a factor vector of
     the original structure and a moved factor vector of the new structure,
-    using auxiliary basis indices on the remaining factors; the value is
-    independent of that auxiliary choice.
+    each a 1-D array, using auxiliary basis indices on the remaining
+    factors; the value is independent of that auxiliary choice.
     """
 
     mover: MoverUnitary
@@ -544,10 +545,8 @@ class TensorStructurePair:
                 "need one auxiliary basis index per remaining factor")
 
         def embed(vec):
-            vec = sparse_vector(vec)
             rows = [([0, 1], [x], [1.0]) for x in aux]
-            rows.insert(i, ([0, len(vec)], [j for j, _ in vec],
-                            [a for _, a in vec]))
+            rows.insert(i, _vector_row(vec))
             return SumState.from_rows(self.space, [1.0], rows)
 
         return self.mover.moved_inner(embed(psi_vec), embed(phi_vec))
@@ -559,8 +558,9 @@ def structure_mover(phi1, phi2,
     """Build the unitary mapping ``phi2`` to ``phi1`` (identity elsewhere)
     and the relabeled-overlap evaluator between the two induced structures.
 
-    Equal inputs give the identity mover; collinear-but-unequal inputs have
-    no rank-2 mover and are rejected.
+    Inputs within ``tolerances.norm`` of each other in ``distance`` give
+    the identity mover; other collinear inputs (a phase apart) have no
+    rank-2 mover and are rejected.
     """
     for name, st in (("phi1", phi1), ("phi2", phi2)):
         if abs(norm(st) - 1.0) > tolerances.norm:
@@ -572,14 +572,15 @@ def structure_mover(phi1, phi2,
     space = ProductSpace(dims)
     s1, s2 = s1.embedded(space), s2.embedded(space)
     alpha = inner(s2, s1)
-    dist = math.sqrt(max(2.0 - 2.0 * alpha.real, 0.0))
-    if dist <= tolerances.norm:
-        mover = MoverUnitary(s1, s2, 1.0 + 0j, 0.0, identity=True)
-        return TensorStructurePair(mover, space)
     beta_sq = max(1.0 - abs(alpha) ** 2, 0.0)
     if beta_sq <= 1e-10:
-        raise InvalidStateError(
-            "states are collinear up to phase; no rank-2 mover exists")
+        # decided by the exact distance: sqrt(2 - 2 Re alpha) has a
+        # rounding floor near 1.5e-8, above the norm tolerance
+        if distance(s1, s2) > tolerances.norm:
+            raise InvalidStateError(
+                "states are collinear up to phase; no rank-2 mover exists")
+        mover = MoverUnitary(s1, s2, 1.0 + 0j, 0.0, identity=True)
+        return TensorStructurePair(mover, space)
     beta = math.sqrt(beta_sq)
     mover = MoverUnitary(s1, s2, alpha, beta)
 

@@ -30,10 +30,10 @@ from .states import (
     _frozen_rows,
     _gram_forms,
     _split_diagonal,
+    _term_distance,
     as_dense,
     distance,
     norm,
-    sparse_vector,
     term_gram,
 )
 
@@ -152,33 +152,21 @@ def schmidt_rank(psi, left, tol: float) -> int:
 def linear_independence(vectors, tol: float, dim: int = None):
     """Smallest singular value of the column matrix, and whether it beats tol.
 
-    More vectors than dimensions is structural dependence: (0.0, False).
-    Sparse vectors are compressed onto their touched indices before the SVD.
+    The vectors are 1-D arrays of one length, coordinates in a space of
+    ``dim`` (default: that length).  More vectors than dimensions or than
+    coordinates is structural dependence: (0.0, False).
     """
     vectors = list(vectors)
     if not vectors:
         raise InvalidStateError("need at least one vector")
-    if all(isinstance(v, np.ndarray) for v in vectors):
-        lens = {v.shape[0] for v in vectors}
-        if len(lens) != 1:
-            raise DimensionMismatchError("vectors have mixed dimensions")
-        d = lens.pop()
-        mat = np.column_stack([np.asarray(v, dtype=np.complex128)
-                               for v in vectors])
-    else:
-        svs = [v if isinstance(v, tuple) else sparse_vector(v) for v in vectors]
-        touched = sorted({i for v in svs for i, _ in v})
-        pos = {i: p for p, i in enumerate(touched)}
-        d = dim if dim is not None else (max(touched) + 1 if touched else 0)
-        mat = np.zeros((max(len(touched), 1), len(svs)), dtype=np.complex128)
-        for c, v in enumerate(svs):
-            for i, a in v:
-                mat[pos[i], c] = a
-    k = len(vectors)
-    if dim is not None:
-        d = int(dim)
-    if k > d or mat.shape[0] < k:
+    if not all(isinstance(v, np.ndarray) and v.ndim == 1 for v in vectors):
+        raise InvalidStateError("vectors must be 1-D arrays")
+    length = vectors[0].shape[0]
+    if any(v.shape[0] != length for v in vectors):
+        raise DimensionMismatchError("vectors have mixed dimensions")
+    if len(vectors) > min(length, length if dim is None else int(dim)):
         return 0.0, False
+    mat = np.column_stack(vectors).astype(np.complex128, copy=False)
     smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
     return smin, smin > tol
 
@@ -231,8 +219,7 @@ class TriDecomposition:
 
     ``state`` may also be given as ``ProductTerm`` objects, which are built
     into a SumState (and validated) at construction.  A decomposition built
-    from a state shares it, so its packs are computed once.  ``terms``
-    reads the terms back as ``ProductTerm`` objects.
+    from a state shares it, so its packs are computed once.
     """
 
     space: ProductSpace
@@ -249,10 +236,6 @@ class TriDecomposition:
             raise DimensionMismatchError(
                 "the state's space differs from the decomposition's")
         object.__setattr__(self, "variant", Variant(self.variant))
-
-    @property
-    def terms(self) -> tuple:
-        return self.state.terms
 
     @property
     def nterms(self) -> int:
@@ -457,7 +440,7 @@ def decompositions_equivalent(d1: TriDecomposition, d2: TriDecomposition,
         for a, b in zip(rows + i, cols + i):
             if abs(mags1[a] - mags2[b]) > tol:
                 return False
-            if distance(s1.take([a]), s2.take([b])) > tol:
+            if _term_distance(s1, a, s2, b) > tol:
                 return False
     return True
 

@@ -345,11 +345,20 @@ def _component_match_trial(rng, dims, trial, tolerances) -> dict:
     }
 
 
+def _three_factors(name: str, dims: tuple):
+    if len(dims) != 3:  # checked before any trial runs
+        raise InvalidStateError(
+            f"{name} trials need 3 factor dims, got {len(dims)}")
+
+
 def run_stability_campaign(cfg: TrialConfig) -> CampaignReport:
     """Randomized admissible pairs inside each matching hypothesis; every
-    conclusion inequality is asserted and the worst margins recorded."""
+    conclusion inequality is asserted and the worst margins recorded; only
+    product-match trials, which read two dims, run on other factor counts."""
     if min(cfg.dims) < 2:
         raise InvalidStateError("factor dimensions must be at least 2")
+    if cfg.selector != "product-match":
+        _three_factors("stability", cfg.dims)
     records = []
     for trial in range(cfg.trials):
         rng = _rng(cfg.seed, trial)
@@ -392,6 +401,7 @@ def _perturbed_within(rng, psi: DenseState, radius: float) -> DenseState:
 def run_isolation_scan(cfg: TrialConfig) -> CampaignReport:
     """Witness entropies, their neighbourhood floors, and the persistence of
     the reduced-spectra mismatch around the perturbed triorthogonal states."""
+    _three_factors("isolation", cfg.dims)
     tolerances = cfg.tolerances
     records = []
     n1 = max(int(cfg.witness_size), 2)
@@ -472,6 +482,7 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
     """A convergent sequence of triorthogonal states: the limit state's
     extracted decomposition must match the constructed limit, coefficients
     included, with the proof-style phase alignment exercised along the way."""
+    _three_factors("closure", cfg.dims)
     tolerances = cfg.tolerances
     dims = cfg.dims
     rng = _rng(cfg.seed, 0)

@@ -20,11 +20,11 @@ from .config import DEFAULT_TOLERANCES, Tolerances, json_fields
 from .decomp import OrderedTriortho, TriDecomposition, Variant
 from .errors import InvalidStateError, PreconditionError, VerificationError
 from .states import (
-    FactorPack,
     ProductSpace,
     SumState,
     _factor_overlap,
     _split_diagonal,
+    _term_distance,
     aligned_density_matrices,
     distance,
     norm,
@@ -115,7 +115,7 @@ def match_single_product(psi: SumState, phi: SumState, eps: float,
     tdist, ov1, ov2 = math.nan, math.nan, math.nan
     holds = coeff_gap < eps_prime and max_other < eps_prime and unique
     if second:
-        tdist = distance(psi, phi.take([m]))
+        tdist = _term_distance(psi, 0, phi, m)
         ov1, ov2 = (abs(complex(_factor_overlap(p, q)[0, m]))
                     for p, q in zip(psi._packed, phi._packed))
         holds = holds and tdist < eps and ov1 > 1.0 - eps and ov2 > 1.0 - eps
@@ -169,7 +169,7 @@ def _projected_pair(space2: ProductSpace, keep: tuple, state: SumState,
     factors.  Both are built on their parent's rows and packs.
     """
     term = state.take([k])
-    overlap = _factor_overlap(FactorPack(term.rows[project_axis]),
+    overlap = _factor_overlap(term._packed[project_axis],
                               other._packed[project_axis])[0]
     return (term.on_factors(space2, keep, term.coeffs),
             other.on_factors(space2, keep, other.coeffs * overlap))
@@ -243,7 +243,7 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
             used[kp] = (bi, k)
             ov = (front.overlaps[0], front.overlaps[1], back.overlaps[1])
             coeff_gap = abs(a ** 2 - abs(complex(phi_state.coeffs[kp])) ** 2)
-            tdist = distance(psi_state.take([k]), phi_state.take([kp]))
+            tdist = _term_distance(psi_state, k, phi_state, kp)
             rec = PairRecord(
                 block=bi + 1, index=k, matched=kp,
                 coeff_sq_gap=coeff_gap, coeff_bound=3.0 * eps,

@@ -57,22 +57,6 @@ def sv_norm(a: SparseVec) -> float:
     return math.sqrt(sum(abs(av) ** 2 for _, av in a))
 
 
-def sv_scale(a: SparseVec, c: complex) -> SparseVec:
-    c = complex(c)
-    return tuple((i, av * c) for i, av in a)
-
-
-def sv_dense(a: SparseVec, dim: int) -> np.ndarray:
-    """Densify into ``dim`` entries; indices beyond ``dim`` must not occur."""
-    out = np.zeros(dim, dtype=np.complex128)
-    for i, av in a:
-        if i >= dim:
-            raise DimensionMismatchError(
-                f"sparse index {i} does not fit factor dimension {dim}")
-        out[i] = av
-    return out
-
-
 @dataclass(frozen=True)
 class ProductSpace:
     """Product of 2-4 finite factor spaces, immutable after creation."""
@@ -305,8 +289,8 @@ class SumState:
     entry per term and ``rows[i]`` holds every term's unit vector on factor
     i as CSR ``Rows``.  Both are validated once, at construction, and are
     read-only.  ``SumState(space, terms)`` is the input adapter from
-    ``ProductTerm`` objects onto ``from_rows``, and ``terms`` reads the
-    terms back as ``ProductTerm`` objects; the library reads the arrays.
+    ``ProductTerm`` objects onto ``from_rows``; a state is read only
+    through its arrays.
     """
 
     def __init__(self, space: ProductSpace, terms):
@@ -382,15 +366,6 @@ class SumState:
     @property
     def nterms(self) -> int:
         return self.coeffs.size
-
-    @cached_property
-    def terms(self) -> tuple:
-        """The terms as validated ``ProductTerm`` objects, built from the
-        rows on first use."""
-        return tuple(ProductTerm(c, tuple(
-            zip(r.indices[r.indptr[k]:r.indptr[k + 1]].tolist(),
-                r.data[r.indptr[k]:r.indptr[k + 1]].tolist())
-            for r in self.rows)) for k, c in enumerate(self.coeffs.tolist()))
 
     @cached_property
     def _self_inner(self) -> complex:
@@ -471,7 +446,8 @@ def distance(a, b) -> float:
     """
     _check_same_nfactors(a, b)
     if isinstance(a, SumState) and isinstance(b, SumState):
-        core = _difference_core(a, b)
+        core = _difference_core(zip(a._packed, b._packed),
+                                np.concatenate([a.coeffs, -b.coeffs]))
         if core is not None:
             return float(np.linalg.norm(core))
         val = inner(a, a).real - 2.0 * inner(a, b).real + inner(b, b).real
@@ -481,35 +457,50 @@ def distance(a, b) -> float:
                                 - _padded_tensor(b, dims)))
 
 
-def _difference_core(a: SumState, b: SumState):
-    """a - b in one orthonormal basis per factor spanning both states'
-    rows (a Tucker core; Kolda and Bader, section 4), or None when the
-    terms-by-core buffer would exceed ``DENSIFY_CEILING`` entries.
+def _term_distance(a: SumState, k: int, b: SumState, l: int) -> float:
+    """||term k of a - term l of b||, coefficients included, as ``distance``
+    measures it; each row is read in place as the one-term pack it is."""
+    def row(r: Rows, j: int) -> tuple:
+        lo, hi = r.indptr[j:j + 2]
+        return r.indices[lo:hi], r.data[None, lo:hi]
 
-    R of a QR of factor i's support-by-terms matrix holds each row's
-    coordinates, so the core is sum_k w_k (x)_i R_i[:, k] with
-    w = (a.coeffs, -b.coeffs); its axes have at most min(support, terms)
-    entries, whatever the ambient dims.
+    return float(np.linalg.norm(_difference_core(
+        [(row(ra, k), row(rb, l)) for ra, rb in zip(a.rows, b.rows)],
+        np.array([a.coeffs[k], -b.coeffs[l]]))))
+
+
+def _difference_core(factors, weights: np.ndarray):
+    """The weighted sum of the terms of two (touched, terms-by-touched)
+    matrices per factor, in one orthonormal basis per factor spanning both
+    sides' rows (a Tucker core; Kolda and Bader, section 4), or None when
+    the terms-by-core buffer would exceed ``DENSIFY_CEILING`` entries.
+
+    With ``weights`` (a.coeffs, -b.coeffs) this is a - b.  R of a QR of
+    factor i's support-by-terms matrix holds each row's coordinates, so the
+    core is sum_k w_k (x)_i R_i[:, k]; its axes have at most
+    min(support, terms) entries, whatever the ambient dims, and that
+    ceiling is checked before any QR.
     """
-    weights = np.concatenate([a.coeffs, -b.coeffs])
     if not weights.size:
         return weights
+    factors = list(factors)
+    supports = [ia if ia is ib or (ia.size == ib.size and (ia == ib).all())
+                else np.union1d(ia, ib) for (ia, _), (ib, _) in factors]
+    if math.prod(min(s.size, weights.size) for s in supports[1:]) \
+            * weights.size > DENSIFY_CEILING:
+        return None
     coords = []
-    for (ia, fa), (ib, fb) in zip(a._packed, b._packed):
-        if ia is ib or (ia.size == ib.size and (ia == ib).all()):
+    for ((ia, fa), (ib, fb)), support in zip(factors, supports):
+        if support is ia:
             mat = np.concatenate([fa, fb]).T
         else:
-            support = np.union1d(ia, ib)
             mat = np.zeros((support.size, weights.size), dtype=np.complex128)
-            mat[support.searchsorted(ia), :a.nterms] = fa.T
-            mat[support.searchsorted(ib), a.nterms:] = fb.T
+            mat[support.searchsorted(ia), :fa.shape[0]] = fa.T
+            mat[support.searchsorted(ib), fa.shape[0]:] = fb.T
         r = zgeqrf(mat)[0][:min(mat.shape)]
         for j in range(1, r.shape[0]):
             r[j, :j] = 0.0  # below the diagonal: the Householder vectors
         coords.append(r)
-    if math.prod(c.shape[0] for c in coords[1:]) * weights.size \
-            > DENSIFY_CEILING:
-        return None
     rest = reduce(lambda x, y: (x[:, None, :] * y[None, :, :]).reshape(
         -1, weights.size), coords[1:])
     return (coords[0] * weights) @ rest.T
@@ -893,6 +884,13 @@ def aligned_density_matrices(a: DensityMatrix, b: DensityMatrix):
     return embed(a, ba), embed(b, bb)
 
 
+def _vector_row(vec) -> tuple:
+    if not isinstance(vec, np.ndarray) or vec.ndim != 1:
+        raise InvalidStateError("a factor vector must be a 1-D array")
+    idx = np.nonzero(vec)[0]
+    return (0, idx.size), idx, vec[idx]
+
+
 def project_factor(s, i: int, phi,
                    tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Collapse factor ``i`` onto the unit vector ``phi``: returns P_phi s.
@@ -902,19 +900,17 @@ def project_factor(s, i: int, phi,
     i = int(i)
     if not 0 <= i < s.space.nfactors:
         raise DimensionMismatchError(f"factor index {i} out of range")
-    phi_sv = sparse_vector(phi)
-    n = sv_norm(phi_sv)
+    row = _canonical_rows(i, s.space.dims[i], 1, *_vector_row(phi))
+    n = float(np.linalg.norm(row.data))
     if abs(n - 1.0) > tolerances.norm:
         raise InvalidStateError(f"projection vector has norm {n!r}, expected 1")
     if isinstance(s, DenseState):
-        d = s.space.dims[i]
-        v = sv_dense(phi_sv, d)
+        v = np.zeros(s.space.dims[i], dtype=np.complex128)
+        v[row.indices] = row.data
         contracted = np.tensordot(v.conj(), s.tensor, axes=(0, i))
         out = np.moveaxis(np.multiply.outer(v, contracted), 0, i)
         return DenseState(s.space, out.ravel(), normalized=None)
     if isinstance(s, SumState):
-        row = _canonical_rows(i, s.space.dims[i], 1, (0, len(phi_sv)),
-                              [j for j, _ in phi_sv], [a for _, a in phi_sv])
         overlap = _factor_overlap(FactorPack(row), s._packed[i])[0]
         k, width = s.nterms, row.indices.size
         rows = list(s.rows)

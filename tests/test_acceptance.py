@@ -44,13 +44,13 @@ from tridecomp.states import (
     ProductSpace,
     ProductTerm,
     SumState,
+    _dense_factor,
     densify,
     distance,
     norm,
     partial_trace,
     partial_trace_matrix,
     sparse_vector,
-    sv_inner,
     trace_norm,
 )
 
@@ -117,7 +117,7 @@ def test_criterion_04_dense_pair_at_desk_scale():
     elapsed = time.perf_counter() - start
     checks = {
         "truncation": pair.truncation_size == 9,
-        "terms": len(pair.phi2.terms) == 729,
+        "terms": pair.phi2.nterms == 729,
         "sparse": pair.space.dim > DENSIFY_CEILING,
         "distance": max(pair.distances) < 0.7,
         "basis margin": pair.basis_overlap_min > (1 - 0.7) + 0.3,
@@ -142,11 +142,11 @@ def test_criterion_05_structure_mover_on_the_pair():
 
     worst = 0.0
     aux_worst = 0.0
-    for i in range(3):
-        psi_comp = pair.decomposition1.terms[0].factors[i]
-        for m, term in enumerate(pair.decomposition2.terms):
-            phi_comp = term.factors[i]
-            plain = sv_inner(psi_comp, phi_comp)
+    for i, dim in enumerate(pair.space.dims):
+        psi_comp = _dense_factor(pair.decomposition1.state, i, dim)[0]
+        phi_comps = _dense_factor(pair.decomposition2.state, i, dim)
+        for m, phi_comp in enumerate(phi_comps):
+            plain = np.vdot(psi_comp, phi_comp)
             moved = mover_pair.relabeled_overlap(i, psi_comp, phi_comp, (0, 1))
             worst = max(worst, abs(moved - plain))
             if m % 181 == 0:  # aux-independence spot checks
@@ -210,9 +210,7 @@ def test_criterion_07_entropy_ceilings_and_witnesses():
                               for _ in range(3)))
             for _ in range(k))
         raw = SumState(ProductSpace((9, 9, 9)), terms)
-        scale = 1.0 / norm(raw)
-        state = SumState(raw.space, tuple(
-            ProductTerm(t.coeff * scale, t.factors) for t in raw.terms))
+        state = raw.with_coeffs(raw.coeffs / norm(raw))
         rep = entropy_decomposition_bound(state, k, slack=1e-9)
         worst_excess = max(worst_excess,
                            max(rep.entropies) - math.log(k) if k > 1

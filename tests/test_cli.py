@@ -260,6 +260,19 @@ class TestExitCodes:
         assert code == 1
         assert err
 
+    def test_mover_of_one_state_given_twice_is_the_identity(self, tmp_path,
+                                                             capsys):
+        # <s|s> of this state rounds to 0.9999999999999998
+        path = tmp_path / "haar.json"
+        dump(state_to_json(states.haar_random_state(ProductSpace((2, 3, 2)),
+                                                    1)), str(path))
+        code, out, err = run(capsys, "construct", "mover", "--in", str(path),
+                             "--in2", str(path))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["identity"] is True
+        assert doc["trace_norm_minus_identity"] == 0.0
+
     def test_theta_too_large_is_bound_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, "construct", "pair", "--epsilon", "0.9",
                            "--theta", "1.5")
@@ -315,6 +328,17 @@ class TestCampaignCommand:
         run(capsys, "campaign", "closure", "--seed", "3", "--dims", "4,4,4",
             "-o", str(b))
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--trials", "1", "--dims", "2,2"],
+        ["stability", "--trials", "2", "--dims", "2,2"],
+        ["isolation", "--dims", "3,3,3,3"],
+        ["closure", "--dims", "2,2"],
+    ])
+    def test_dims_without_three_factors_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, "campaign", *argv)
+        assert code == 1 and not out
+        assert "trials need 3 factor dims" in err
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "campaign", "instability", "--format",
@@ -491,6 +515,15 @@ class TestFlagsPerCommand:
                   "--epsilon", "0.5"])
         assert exc.value.code == 1
         assert "--theta 0.3 --epsilon 0.5" in capsys.readouterr().err
+
+    def test_unread_flag_error_names_its_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "witness3", "--theta", "0.3"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tridecomp construct witness3 ")
+        assert "tridecomp construct witness3: error: unrecognized " \
+            "arguments: --theta 0.3" in err
 
     def test_closure_rejects_trials_and_selector(self, capsys):
         with pytest.raises(SystemExit) as exc:

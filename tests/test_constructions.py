@@ -47,7 +47,6 @@ from tridecomp.states import (
     norm,
     partial_trace,
     sparse_vector,
-    sv_dense,
 )
 
 from conftest import random_triortho
@@ -58,8 +57,8 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 class TestExample31:
     def test_right_angle_tilts_to_second_direction(self):
         fam = example31(math.pi / 2)
-        tilted = dict(fam.phi_decomposition.terms[1].factors[0])
-        assert tilted.get(0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        tilted = states._dense_factor(fam.phi_decomposition.state, 0, 2)[1]
+        assert tilted[0] == pytest.approx(0.0, abs=1e-12)
         assert tilted[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_limit_component(self):
@@ -187,9 +186,9 @@ class TestInstabilityPair:
     def test_truncation_and_term_counts(self, desk_pair):
         _, pair = desk_pair
         assert pair.truncation_size == 9
-        assert len(pair.phi1.terms) == 1
-        assert len(pair.phi2.terms) == 729
-        mags = {round(abs(t.coeff), 12) for t in pair.phi2.terms}
+        assert pair.phi1.nterms == 1
+        assert pair.phi2.nterms == 729
+        mags = {round(abs(c), 12) for c in pair.phi2.coeffs.tolist()}
         assert mags == {round(9 ** -1.5, 12)}
 
     def test_conclusions(self, desk_pair):
@@ -213,7 +212,7 @@ class TestInstabilityPair:
     def test_component_overlap_is_cos_theta(self, desk_pair):
         _, pair = desk_pair
         k = 0
-        comp = dict(pair.phi1.terms[k].factors[0])
+        comp = states._dense_factor(pair.phi1, 0, pair.space.dims[0])[k]
         base_idx = pair.basis_indices1[k][0]
         assert abs(comp[base_idx]) == pytest.approx(math.cos(pair.theta),
                                                     abs=1e-12)
@@ -289,6 +288,20 @@ class TestMover:
         assert pair.mover.identity
         assert pair.mover.trace_norm_minus_identity() == 0.0
 
+    def test_identity_for_one_state_given_twice(self):
+        # <s|s> rounds below 1 for many Haar states (0.9999999999999998 at
+        # seed 1), and the chord sqrt(2 - 2 Re <s|s>) then reads about
+        # 1.5e-8, above the norm tolerance; a phase apart stays collinear
+        for seed in range(40):
+            psi = haar_random_state(ProductSpace((2, 3, 2)), seed)
+            again = DenseState(psi.space, psi.amplitudes.copy())
+            pair = structure_mover(psi, again)
+            assert pair.mover.identity, seed
+            assert pair.mover.trace_norm_minus_identity() == 0.0
+            turned = DenseState(psi.space, psi.amplitudes * np.exp(1e-6j))
+            with pytest.raises(InvalidStateError, match="collinear"):
+                structure_mover(psi, turned)
+
     def test_trace_norm_closed_form(self):
         a = haar_random_state(ProductSpace((2, 3)), 4)
         b = haar_random_state(ProductSpace((2, 3)), 5)
@@ -348,7 +361,7 @@ class TestMover:
         space = mover.phi1.space
 
         def dense(s):
-            mats = [np.array([sv_dense(t.factors[i], d) for t in s.terms])
+            mats = [states._dense_factor(s, i, d)
                     for i, d in enumerate(space.dims)]
             return np.einsum("k,ka,kb,kc->abc", s.coeffs, *mats,
                              optimize=True).ravel()

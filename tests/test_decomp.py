@@ -45,9 +45,6 @@ from tridecomp.states import (
     partial_trace,
     sparse_vector,
     sparsify,
-    sv_dense,
-    sv_inner,
-    sv_scale,
 )
 
 from conftest import private_column_state, random_triortho, random_unit
@@ -177,10 +174,21 @@ class TestLinearIndependence:
         vecs = [random_unit(rng, 2) for _ in range(3)]
         assert linear_independence(vecs, 1e-8) == (0.0, False)
 
-    def test_sparse_input(self):
-        vecs = [(((0, 1.0 + 0j),)), (((5, 1.0 + 0j),))]
+    def test_vectors_must_be_one_dimensional_arrays(self):
+        with pytest.raises(InvalidStateError, match="1-D arrays"):
+            linear_independence([((0, 1.0 + 0j),), ((5, 1.0 + 0j),)], 1e-8,
+                                dim=10)
+        with pytest.raises(InvalidStateError, match="1-D arrays"):
+            linear_independence([np.eye(2, dtype=complex)], 1e-8)
+
+    def test_entries_of_a_larger_dimension(self):
+        # the rows of a pack: coordinates on the touched columns of dim 10
+        vecs = [np.array([1.0, 0.0], dtype=complex),
+                np.array([0.0, 1.0], dtype=complex)]
         sv, ok = linear_independence(vecs, 1e-8, dim=10)
         assert ok and sv == pytest.approx(1.0)
+        assert linear_independence(vecs + vecs[:1], 1e-8, dim=10) == (0.0,
+                                                                     False)
 
 
 class TestPrivateSupportBound:
@@ -307,15 +315,13 @@ class TestVerify:
         # break reconstruction
         fam = example31(0.7)
         d = fam.phi_decomposition
-        bad = sv_scale(d.terms[0].factors[2], cmath.exp(0.3j))
-        bumped = np.array([dict(bad).get(i, 0.0) for i in range(2)])
+        cols = experiments._columns(d.state)
+        bumped = cols[2][:, 0] * cmath.exp(0.3j)
         bumped[0] += 0.25
-        bumped /= np.linalg.norm(bumped)
-        terms = (ProductTerm(d.terms[0].coeff,
-                             d.terms[0].factors[:2] + (sparse_vector(bumped),)),
-                 d.terms[1])
+        cols[2][:, 0] = bumped / np.linalg.norm(bumped)
+        bent = SumState.from_columns(d.space, d.state.coeffs, cols)
         cert = verify_tridecomposition(
-            TriDecomposition(d.space, terms, Variant.LI_ALL), fam.phi_theta)
+            TriDecomposition(d.space, bent, Variant.LI_ALL), fam.phi_theta)
         assert not cert.passed
         assert cert.failed_condition == "reconstruction"
 
@@ -469,18 +475,30 @@ class TestBlockedCertificate:
         assert state._self_inner == states._sum_inner(state, state)
 
 
-class TestCanonicalPhase:
-    @staticmethod
-    def _term_tensor(space, term):
-        return densify(SumState(space, (term,))).amplitudes
+def term_tensor(d, k):
+    """Term ``k`` of a decomposition, coefficient included, densified."""
+    return densify(d.state.take([k])).amplitudes
 
+
+def rephased(d, phases, order=None):
+    """``d`` with its terms in ``order``, each coefficient times its phase
+    and its factor-0 vector divided by it: the same term tensors."""
+    order = np.arange(d.nterms) if order is None else np.asarray(order)
+    cols = [c[:, order] for c in experiments._columns(d.state)]
+    cols[0] = cols[0] / phases
+    return TriDecomposition(d.space, SumState.from_columns(
+        d.space, d.state.coeffs[order] * phases, cols), d.variant)
+
+
+class TestCanonicalPhase:
     def test_idempotent(self):
         d = canonical_phase(random_triortho(6))
         again = canonical_phase(d)
-        for a, b in zip(d.terms, again.terms):
-            assert a.coeff == pytest.approx(b.coeff, abs=1e-14)
-            assert np.allclose(self._term_tensor(d.space, a),
-                               self._term_tensor(d.space, b), atol=1e-13)
+        assert np.allclose(d.state.coeffs, again.state.coeffs, rtol=0.0,
+                           atol=1e-14)
+        for k in range(d.nterms):
+            assert np.allclose(term_tensor(d, k), term_tensor(again, k),
+                               atol=1e-13)
 
     def test_first_significant_entry_turns_real_positive(self):
         # the per-row loop the array version replaced is the reference; the
@@ -498,63 +516,53 @@ class TestCanonicalPhase:
         d = TriDecomposition(space, SumState.from_columns(space, coeffs, cols),
                              Variant.LI_ALL)
         canon = canonical_phase(d)
-        for t, c in zip(d.terms, canon.terms):
-            coeff = t.coeff
-            for comp, got in zip(t.factors, c.factors):
-                lead = next(a for _, a in comp if abs(a) > 1e-12)
+        for k in range(d.nterms):
+            coeff = complex(d.state.coeffs[k])
+            for r, g in zip(d.state.rows, canon.state.rows):
+                span = slice(r.indptr[k], r.indptr[k + 1])
+                comp = r.data[span]
+                got = g.data[g.indptr[k]:g.indptr[k + 1]]
+                lead = next(a for a in comp if abs(a) > 1e-12)
                 mult = cmath.exp(-1j * cmath.phase(lead))
                 coeff *= mult.conjugate()
-                assert [i for i, _ in got] == [i for i, _ in comp]
-                assert np.allclose([a for _, a in got],
-                                   [a * mult for _, a in comp],
-                                   rtol=0.0, atol=1e-15)
-                first = next(a for _, a in got if abs(a) > 1e-12)
+                assert np.array_equal(g.indices[g.indptr[k]:g.indptr[k + 1]],
+                                      r.indices[span])
+                assert np.allclose(got, comp * mult, rtol=0.0, atol=1e-15)
+                first = next(a for a in got if abs(a) > 1e-12)
                 assert first.real > 0.0 and abs(first.imag) <= 1e-15
-            assert c.coeff == pytest.approx(coeff, abs=1e-15)
+            assert canon.state.coeffs[k] == pytest.approx(coeff, abs=1e-15)
 
     def test_gauge_invariance(self):
         d = random_triortho(7)
-        t = d.terms[0]
-        rotated = ProductTerm(t.coeff * cmath.exp(-0.9j),
-                              (sv_scale(t.factors[0], cmath.exp(0.9j)),)
-                              + t.factors[1:])
-        d2 = TriDecomposition(d.space, (rotated,) + d.terms[1:], d.variant)
+        d2 = rephased(d, [cmath.exp(-0.9j), 1.0, 1.0])
         c1, c2 = canonical_phase(d), canonical_phase(d2)
-        assert c1.terms[0].coeff == pytest.approx(c2.terms[0].coeff, abs=1e-12)
-        assert np.allclose(self._term_tensor(d.space, c1.terms[0]),
-                           self._term_tensor(d.space, c2.terms[0]), atol=1e-12)
+        assert c1.state.coeffs[0] == pytest.approx(c2.state.coeffs[0],
+                                                   abs=1e-12)
+        assert np.allclose(term_tensor(c1, 0), term_tensor(c2, 0), atol=1e-12)
 
     def test_rank_one_terms_invariant(self):
         d = random_triortho(8)
         canon = canonical_phase(d)
-        for a, b in zip(d.terms, canon.terms):
-            assert np.allclose(self._term_tensor(d.space, a),
-                               self._term_tensor(d.space, b), atol=1e-12)
+        for k in range(d.nterms):
+            assert np.allclose(term_tensor(d, k), term_tensor(canon, k),
+                               atol=1e-12)
 
     def test_reference_alignment(self):
         d = random_triortho(9)
-        t = d.terms[0]
-        rotated = ProductTerm(t.coeff * cmath.exp(1.3j),
-                              (sv_scale(t.factors[0], cmath.exp(-1.3j)),)
-                              + t.factors[1:])
-        d2 = TriDecomposition(d.space, (rotated,) + d.terms[1:], d.variant)
+        d2 = rephased(d, [cmath.exp(1.3j), 1.0, 1.0])
         aligned = canonical_phase(d2, reference=d)
-        for k in range(d.nterms):
-            for i in range(3):
-                ov = sv_inner(aligned.terms[k].factors[i], d.terms[k].factors[i])
+        for got, want in zip(experiments._columns(aligned.state),
+                             experiments._columns(d.state)):
+            for k in range(d.nterms):
+                ov = np.vdot(got[:, k], want[:, k])
                 assert ov.real > 0 and abs(ov.imag) < 1e-10
 
 
 class TestEquivalence:
     def test_permuted_and_rephased(self):
         d = random_triortho(10)
-        scrambled = []
-        for j, t in enumerate(reversed(d.terms)):
-            phase = cmath.exp(1j * (0.3 + j))
-            scrambled.append(ProductTerm(
-                t.coeff * phase,
-                (sv_scale(t.factors[0], 1.0 / phase),) + t.factors[1:]))
-        d2 = TriDecomposition(d.space, tuple(scrambled), d.variant)
+        d2 = rephased(d, np.exp(1j * (0.3 + np.arange(d.nterms))),
+                      order=np.arange(d.nterms)[::-1])
         assert decompositions_equivalent(d, d2, 1e-7)
 
     def test_rotation_families_differ(self):
@@ -565,21 +573,20 @@ class TestEquivalence:
     def test_changed_coefficient_detected(self):
         tol = 1e-7
         d = random_triortho(11)
-        t = d.terms[0]
-        shifted = ProductTerm(t.coeff * (1 + 10 * tol / abs(t.coeff)),
-                              t.factors)
-        d2 = TriDecomposition(d.space, (shifted,) + d.terms[1:], d.variant)
+        coeffs = d.state.coeffs.copy()
+        coeffs[0] *= 1 + 10 * tol / abs(coeffs[0])
+        d2 = TriDecomposition(d.space, d.state.with_coeffs(coeffs), d.variant)
         assert not decompositions_equivalent(d, d2, tol)
 
     def test_term_count_mismatch(self):
         d = random_triortho(12, k=3)
-        d2 = truncate_terms(d, abs(d.terms[-1].coeff) + 1e-12)
+        d2 = truncate_terms(d, abs(d.state.coeffs[-1]) + 1e-12)
         assert d2.nterms == 2
         assert not decompositions_equivalent(d, d2, 1e-7)
 
     def test_degenerate_blocks_matched_by_assignment(self):
         d = random_triortho(13, k=3, tie=True)
-        d2 = TriDecomposition(d.space, tuple(reversed(d.terms)), d.variant)
+        d2 = TriDecomposition(d.space, d.state.take([2, 1, 0]), d.variant)
         assert decompositions_equivalent(d, d2, 1e-7)
 
 
@@ -595,7 +602,7 @@ class TestExtraction:
         out = extract_triortho(product_state(rng))
         assert isinstance(out, OrderedTriortho)
         assert out.decomposition.nterms == 1
-        assert abs(out.decomposition.terms[0].coeff) == pytest.approx(1.0)
+        assert abs(out.decomposition.state.coeffs[0]) == pytest.approx(1.0)
 
     def test_singlet_family_rejected(self):
         out = extract_triortho(singlet_state())
@@ -658,18 +665,20 @@ class TestExtraction:
         # first factor and check equivalence
         fam = example31(0.8)
         d = fam.phi_decomposition
-        cols = np.column_stack([sv_dense(t.factors[0], 2) for t in d.terms])
+        cols = experiments._columns(d.state)[0]
         dual = np.linalg.inv(cols.conj().T @ cols) @ cols.conj().T
         tensor = fam.phi_theta.tensor
-        rederived = []
+        coeffs, mids, rights = [], [], []
         for k in range(d.nterms):
             block = np.einsum("a,abc->bc", dual[k].conj(), tensor)
             u, s, vh = np.linalg.svd(block)
             assert s[1] < 1e-10
-            rederived.append(ProductTerm(
-                s[0], (d.terms[k].factors[0], sparse_vector(u[:, 0]),
-                       sparse_vector(vh[0, :]))))
-        d2 = TriDecomposition(d.space, tuple(rederived), Variant.LI_ALL)
+            coeffs.append(s[0])
+            mids.append(u[:, 0])
+            rights.append(vh[0, :])
+        d2 = TriDecomposition(d.space, SumState.from_columns(
+            d.space, coeffs, [cols, np.column_stack(mids),
+                              np.column_stack(rights)]), Variant.LI_ALL)
         assert verify_tridecomposition(d2, fam.phi_theta).passed
         assert decompositions_equivalent(d, d2, 1e-7)
 

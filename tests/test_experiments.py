@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tridecomp import experiments
 from tridecomp.errors import InvalidStateError
 from tridecomp.experiments import (
     TrialConfig,
@@ -30,6 +31,22 @@ class TestConfig:
     def test_unknown_selector(self):
         with pytest.raises(InvalidStateError):
             run_stability_campaign(TrialConfig(trials=1, selector="nope"))
+
+    @pytest.mark.parametrize("runner,selector,dims", [
+        (run_stability_campaign, "all", (2, 2)),
+        (run_stability_campaign, "component-match", (3, 3, 3, 3)),
+        (run_isolation_scan, "all", (3, 3, 3, 3)),
+        (run_closure_test, "all", (2, 2)),
+    ])
+    def test_dims_without_three_factors_fail_before_any_trial(
+            self, monkeypatch, runner, selector, dims):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_rng", no_trial)
+        monkeypatch.setattr(experiments, "isolation_witness_3", no_trial)
+        with pytest.raises(InvalidStateError, match="3 factor dims"):
+            runner(TrialConfig(trials=2, dims=dims, selector=selector))
 
 
 class TestInstabilitySweep:

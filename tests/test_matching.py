@@ -14,9 +14,9 @@ from tridecomp.states import (
     ProductSpace,
     ProductTerm,
     SumState,
+    _dense_factor,
     distance,
     sparse_vector,
-    sv_inner,
 )
 
 from conftest import random_orthonormal, random_triortho, random_unit
@@ -154,9 +154,7 @@ def perturbed_decomposition(d_psi, bound, seed):
     k = d_psi.nterms
     mags = np.abs(d_psi.coefficients)
     phases = d_psi.coefficients / mags
-    from tridecomp.states import sv_dense
-    base = [np.column_stack([sv_dense(t.factors[i], dims[i])
-                             for t in d_psi.terms]) for i in range(3)]
+    base = [_dense_factor(d_psi.state, i, dims[i]).T for i in range(3)]
     psi_state = d_psi.state
     angle = bound / 4
     for _ in range(20):
@@ -249,16 +247,22 @@ class TestComponentMatch:
         assert len(set(matched)) == len(matched)
 
 
-def projected_pair_reference(space2, keep, term, other, project_axis):
-    """The projected pair rebuilt from ProductTerms, as it once was built."""
-    comp = term.factors[project_axis]
-    single = SumState(space2, (ProductTerm(
-        term.coeff, (term.factors[keep[0]], term.factors[keep[1]])),))
-    projected = tuple(
-        ProductTerm(t.coeff * sv_inner(comp, t.factors[project_axis]),
-                    (t.factors[keep[0]], t.factors[keep[1]]))
-        for t in other.terms)
-    return single, SumState(space2, projected)
+def projected_pair_reference(space2, keep, state, k, other, project_axis):
+    """The projected pair built from dense factor columns: term ``k`` of
+    ``state`` on ``keep``, and ``other`` on ``keep`` with each coefficient
+    times its component's overlap with term ``k``'s on ``project_axis``."""
+    dims = state.space.dims
+
+    def columns(s):
+        return [_dense_factor(s, i, dims[i]).T for i in keep]
+
+    comp = _dense_factor(state, project_axis, dims[project_axis])[k]
+    overlaps = _dense_factor(other, project_axis,
+                             dims[project_axis]) @ comp.conj()
+    single = SumState.from_columns(space2, state.coeffs[[k]],
+                                   [c[:, [k]] for c in columns(state)])
+    return single, SumState.from_columns(space2, other.coeffs * overlaps,
+                                         columns(other))
 
 
 class TestProjectedPair:
@@ -280,7 +284,7 @@ class TestProjectedPair:
                 got = _projected_pair(space2, keep, psi_state, k, phi_state,
                                       axis)
                 want = projected_pair_reference(
-                    space2, keep, po.decomposition.terms[k], d_phi, axis)
+                    space2, keep, psi_state, k, phi_state, axis)
                 for g, w in zip(got, want):
                     assert g.space == w.space
                     assert np.allclose(g.coeffs, w.coeffs, rtol=0.0,

@@ -168,7 +168,8 @@ class TestProductSumDocuments:
             [[2, [half / 2, 0.0]], [0, [half, 0.0]], [2, [half / 2, 0.0]]],
             [[1, [0.0, 1.0]]]])
         s = state_from_json(doc)
-        assert s.terms[0].factors[0] == ((0, half + 0j), (2, half + 0j))
+        assert s.rows[0].indices.tolist() == [0, 2]
+        assert s.rows[0].data.tolist() == [half + 0j, half + 0j]
 
     def test_indented_files_from_earlier_versions_load(self):
         state = state_from_json(load(str(DATA / "indented_product_sum.json")))

@@ -238,9 +238,7 @@ class TestEntropyTermBound:
                                  for _ in range(3))))
             raw = SumState(ProductSpace((7, 7, 7)), tuple(terms))
             from tridecomp.states import norm as state_norm
-            scale = 1.0 / state_norm(raw)
-            s = SumState(raw.space, tuple(ProductTerm(t.coeff * scale, t.factors)
-                                          for t in raw.terms))
+            s = raw.with_coeffs(raw.coeffs / state_norm(raw))
             rep = entropy_decomposition_bound(s, k)
             assert not rep.violated
             assert max(rep.entropies) <= math.log(k) + 1e-9

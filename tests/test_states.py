@@ -278,9 +278,7 @@ class TestPartialTrace:
 
     def test_trace_matches_squared_norm(self, rng):
         raw = random_sum_state(rng)
-        scale = 0.7 / norm(raw)
-        s = SumState(raw.space, tuple(ProductTerm(t.coeff * scale, t.factors)
-                                      for t in raw.terms))
+        s = raw.with_coeffs(raw.coeffs * (0.7 / norm(raw)))
         rho = partial_trace(s, (0, 2))
         assert rho.trace == pytest.approx(norm(s) ** 2, abs=1e-10)
 
@@ -394,6 +392,18 @@ class TestProjectFactor:
         psi = singlet_state()
         with pytest.raises(InvalidStateError):
             project_factor(psi, 0, np.array([0.5, 0.0], dtype=complex))
+
+    @pytest.mark.parametrize("as_sum", [False, True])
+    def test_vector_is_a_one_dimensional_array(self, as_sum):
+        psi = sparsify(singlet_state()) if as_sum else singlet_state()
+        for bad in (((0, 1.0),), [1.0, 0.0], np.eye(2, dtype=complex)):
+            with pytest.raises(InvalidStateError, match="1-D array"):
+                project_factor(psi, 0, bad)
+        with pytest.raises(DimensionMismatchError, match="index 3"):
+            project_factor(psi, 0, np.array([0.0, 0.0, 0.0, 1.0]))
+        shorter = project_factor(psi, 1, np.array([1.0]))
+        want = project_factor(psi, 1, np.array([1.0, 0.0]))
+        assert distance(shorter, want) == 0.0
 
 
 class TestTraceNorm:
@@ -612,8 +622,9 @@ class TestArrayBackedSumState:
         for lo, hi in zip(indptr, indptr[1:]):
             idx[lo:hi], amps[lo:hi] = idx[lo:hi][::-1], amps[lo:hi][::-1]
         shuffled = SumState.from_rows(space, [t.coeff for t in terms], rows)
-        for k, t in enumerate(terms):
-            assert shuffled.terms[k].factors == t.factors
+        for got, want in zip(shuffled.rows, SumState(space, terms).rows):
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
 
     def test_duplicates_merge_and_zeros_drop(self):
         space = ProductSpace((4, 2))
@@ -625,8 +636,8 @@ class TestArrayBackedSumState:
         s = SumState.from_rows(space, [1.0], [
             ([0, 7], [j for j, _ in pairs], amps), ([0, 1], [1], [1.0])])
         want = sparse_vector(zip((j for j, _ in pairs), amps))
-        assert s.terms[0].factors[0] == want
-        assert s.rows[0].indices.tolist() == [1, 2, 3]
+        assert s.rows[0].indices.tolist() == [j for j, _ in want] == [1, 2, 3]
+        assert s.rows[0].data.tolist() == [a for _, a in want]
         assert s.rows[0].indptr.tolist() == [0, 3]
 
     def test_errors_match_product_terms(self):
@@ -665,8 +676,9 @@ class TestArrayBackedSumState:
         order = [2, 0, 3]
         picked = s.take(order)
         assert np.array_equal(picked.coeffs, s.coeffs[order])
-        for k, j in enumerate(order):
-            assert picked.terms[k].factors == s.terms[j].factors
+        for i, d in enumerate(s.space.dims):
+            assert np.array_equal(states._dense_factor(picked, i, d),
+                                  states._dense_factor(s, i, d)[order])
         big = s.embedded(ProductSpace((5, 4, 6)))
         assert big.space.dims == (5, 4, 6)
         assert np.allclose(densify(big).tensor[:3, :, :5], densify(s).tensor,
@@ -828,6 +840,33 @@ class TestDistance:
             distance(s, np.ones(4))
         with pytest.raises(CapacityError):
             distance(s.embedded(ProductSpace((4096, 4096))), densify(s))
+
+    def test_term_distance_reads_the_rows_of_one_term_states(self, rng):
+        # a term distance read in place agrees bit for bit with the
+        # distance of the two one-term states take() builds
+        a = private_column_state(rng, 4)
+        b = random_sum_state(rng, a.space.dims, k=3)
+        for k, l in itertools.product(range(4), range(3)):
+            assert states._term_distance(a, k, b, l) == distance(
+                a.take([k]), b.take([l]))
+            assert states._term_distance(a, k, a, k) < 1e-14
+
+    def test_core_ceiling_is_checked_before_any_qr(self, rng, monkeypatch):
+        a, b = (random_sum_state(rng, (3, 4, 5), k=4) for _ in range(2))
+        want = distance(a, b)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return zgeqrf(*args, **kwargs)
+
+        zgeqrf = states.zgeqrf
+        monkeypatch.setattr(states, "zgeqrf", counted)
+        monkeypatch.setattr(states, "DENSIFY_CEILING", 8 * 4 * 5 - 1)
+        assert distance(a, b) == pytest.approx(want, abs=1e-7)
+        assert not calls  # the inner-product form, with no QR first
+        monkeypatch.setattr(states, "DENSIFY_CEILING", 8 * 4 * 5)
+        assert distance(a, b) == want and len(calls) == 3
 
     def test_dense_round_trip_is_exact(self):
         # the Gram form read up to 2.3e-8 here, the size of tolerances.recon
