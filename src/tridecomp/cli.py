@@ -58,7 +58,7 @@ from .serialize import (
     state_from_json,
     state_to_json,
 )
-from .states import DenseState, ProductSpace, SumState
+from .states import DenseState, ProductSpace, SumState, _dense_zeros
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,8 +240,9 @@ def _pair(args, tol, provenance):
         psi = state_from_json(load(args.infile))
     else:
         space = ProductSpace(args.dims or (2, 2, 2))
-        psi = DenseState(space, [1.0] + [0.0] * (space.dim - 1),
-                         normalized=True)
+        amps = _dense_zeros(space.dims)
+        amps.flat[0] = 1.0  # |0...0>
+        psi = DenseState(space, amps, normalized=True)
     pair = instability_pair(psi, args.epsilon, theta=args.theta,
                             tolerances=tol)
     provenance["theta"] = pair.theta

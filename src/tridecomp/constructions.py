@@ -33,7 +33,8 @@ from .states import (
     DensityMatrix,
     ProductSpace,
     SumState,
-    _dense_factor,
+    _columns,
+    _dense_zeros,
     _overlap_blocks,
     _vector_row,
     combine,
@@ -182,8 +183,8 @@ def example32(theta: float,
     rho_psi = partial_trace(base.psi_theta, (0, 1))
 
     def products(d: TriDecomposition):
-        state = d.state
-        return tuple(zip(_dense_factor(state, 0, 2), _dense_factor(state, 1, 2)))
+        first, second, _ = _columns(d.state)
+        return tuple(zip(first.T, second.T))
 
     phi_products = products(base.phi_decomposition)
     psi_products = products(base.psi_decomposition)
@@ -296,9 +297,9 @@ def _truncation_size(psi: DenseState, epsilon: float) -> int:
     return max(dims)
 
 
-def _flat_expansion_entries(psi: DenseState, n: int, zero_tol: float = 1e-12):
+def _flat_expansion_entries(psi: DenseState, n: int, zero: float):
     """Multi-indices (one row per term) and coefficients of the truncation
-    in the u- and v-product bases, and the v-basis columns."""
+    in the u- and v-product bases (above ``zero``), and the v-basis columns."""
     dims = psi.space.dims
     a = np.zeros((n, n, n), dtype=np.complex128)
     sl = tuple(slice(0, min(n, d)) for d in dims)
@@ -306,8 +307,8 @@ def _flat_expansion_entries(psi: DenseState, n: int, zero_tol: float = 1e-12):
     a /= np.linalg.norm(a)
     cols = dft_basis(n)
     b = np.einsum("ai,bj,ck,abc->ijk", cols.conj(), cols.conj(), cols.conj(), a)
-    multi_u = np.argwhere(np.abs(a) > zero_tol)
-    multi_v = np.argwhere(np.abs(b) > zero_tol)
+    multi_u = np.argwhere(np.abs(a) > zero)
+    multi_v = np.argwhere(np.abs(b) > zero)
     return ((multi_u, a[tuple(multi_u.T)]), (multi_v, b[tuple(multi_v.T)]),
             cols)
 
@@ -391,7 +392,8 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
     n = n0
     while 1.0 / math.sqrt(n) >= epsilon / 2.0:
         n += 1
-    expansion_u, expansion_v, cols = _flat_expansion_entries(psi, n)
+    expansion_u, expansion_v, cols = _flat_expansion_entries(
+        psi, n, tolerances.zero_coeff)
     sizes = (len(expansion_u[1]), len(expansion_v[1]))
     if sum(sizes) > term_ceiling:
         # each factor of the larger expansion packs K terms by its n base
@@ -519,8 +521,7 @@ class MoverUnitary:
         return e.conj().T @ g @ c @ g @ e
 
     def trace_norm_minus_identity(self) -> float:
-        return float(np.linalg.svd(self.minus_identity_matrix(),
-                                   compute_uv=False).sum())
+        return trace_norm(self.minus_identity_matrix())
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,7 +613,7 @@ def isolation_witness_3(n1: int, dims: tuple = None) -> DenseState:
     if len(dims) != 3 or dims[0] < n1 or dims[1] < 2 or dims[2] < n1 + 1:
         raise InvalidStateError(
             f"dims {dims} too small for the witness with n1 = {n1}")
-    amp = np.zeros(dims, dtype=np.complex128)
+    amp = _dense_zeros(dims)
     w = 1.0 / math.sqrt(n1 + 1.0)
     for k in range(n1):
         amp[k, 0, k] = w
@@ -631,7 +632,7 @@ def isolation_witness_4(n: int, dims: tuple = None) -> DenseState:
     if len(dims) != 4 or any(d < n for d in dims):
         raise InvalidStateError(
             f"dims {dims} must all be at least {n} (padding above is fine)")
-    amp = np.zeros(dims, dtype=np.complex128)
+    amp = _dense_zeros(dims)
     w = 1.0 / math.sqrt(n + 1.0)
     for k in range(n):
         amp[k, k, 0, 0] = w
@@ -673,8 +674,7 @@ def non_triortho_perturb(psi, epsilon: float,
     eta = math.sqrt(1.0 - epsilon)
     eta_p = math.sqrt(epsilon)
     coeffs = state.coeffs
-    cols = [_dense_factor(state, i, dim).T
-            for i, dim in enumerate(state.space.dims)]
+    cols = _columns(state)
     if state.nterms == 1:
         coeffs = coeffs[0] * np.array([eta, eta_p])
         cols = [np.column_stack((c[:, 0], _orthogonal_unit(c[:, 0])))

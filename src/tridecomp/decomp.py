@@ -29,7 +29,9 @@ from .states import (
     _factor_overlap,
     _frozen_rows,
     _gram_forms,
+    _matricize,
     _split_diagonal,
+    _split_factors,
     _term_distance,
     as_dense,
     distance,
@@ -69,29 +71,14 @@ class SchmidtDecomposition:
                           tensor.transpose(inverse).ravel(), normalized=None)
 
 
-def _bipartition(space: ProductSpace, left) -> tuple:
-    left = tuple(sorted({int(i) for i in left}))
-    if not left or len(left) >= space.nfactors:
-        raise InvalidStateError("bipartition must be a nonempty proper subset")
-    if any(i < 0 or i >= space.nfactors for i in left):
-        raise InvalidStateError(f"factor index out of range: {left}")
-    right = tuple(i for i in range(space.nfactors) if i not in left)
-    return left, right
-
-
-def _matricize(psi: DenseState, left, right) -> np.ndarray:
-    dl = math.prod(psi.space.dims[i] for i in left)
-    return psi.tensor.transpose(left + right).reshape(dl, -1)
-
-
-def _canonical_column_phases(left: np.ndarray, right: np.ndarray,
-                             zero_tol: float = 1e-12):
-    """Make each left column's first significant entry real positive."""
+def _canonical_column_phases(left: np.ndarray, right: np.ndarray):
+    """Make each left column's first entry above the default zero cut real
+    positive; a phase convention decides no verdict."""
     left = left.copy()
     right = right.copy()
     for j in range(left.shape[1]):
         col = left[:, j]
-        sig = np.nonzero(np.abs(col) > zero_tol)[0]
+        sig = np.nonzero(np.abs(col) > DEFAULT_TOLERANCES.zero_coeff)[0]
         if sig.size == 0:
             continue
         phase = col[sig[0]] / abs(col[sig[0]])
@@ -114,21 +101,22 @@ def _degenerate_groups(values, width: float) -> list:
     return groups
 
 
-def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES,
-            sv_floor: float = 1e-12) -> SchmidtDecomposition:
+def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES
+            ) -> SchmidtDecomposition:
     """SVD of the amplitude matrix across ``left`` | complement.
 
-    Coefficients come back descending with numerically-zero tails dropped.
-    Ties within the degeneracy width are ordered deterministically by
-    lexicographic comparison of the phase-canonicalized left columns.
+    Coefficients come back descending; those at or below
+    ``tolerances.zero_coeff`` are dropped.  Ties within the degeneracy width
+    are ordered deterministically by lexicographic comparison of the
+    phase-canonicalized left columns.
     """
     psi_d = as_dense(psi)
-    left, right = _bipartition(psi_d.space, left)
+    left, right = _split_factors(left, psi_d.space.nfactors)
     if np.linalg.norm(psi_d.amplitudes) == 0.0:
         raise InvalidStateError("cannot decompose the zero state")
     mat = _matricize(psi_d, left, right)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = s > sv_floor
+    keep = s > tolerances.zero_coeff
     u, s, v = u[:, keep], s[keep], vh[keep, :].T
     u, v = _canonical_column_phases(u, v)
     # deterministic tie-breaking inside degenerate groups
@@ -144,7 +132,7 @@ def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES,
 def schmidt_rank(psi, left, tol: float) -> int:
     """Number of Schmidt coefficients above ``tol``; 1 means a product."""
     psi_d = as_dense(psi)
-    left, right = _bipartition(psi_d.space, left)
+    left, right = _split_factors(left, psi_d.space.nfactors)
     s = np.linalg.svd(_matricize(psi_d, left, right), compute_uv=False)
     return int((s > tol).sum())
 
@@ -387,19 +375,19 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     return certificate("two_factor_independence", recon, min_coeff)
 
 
-def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None,
-                    zero_tol: float = 1e-12) -> TriDecomposition:
+def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None
+                    ) -> TriDecomposition:
     """Push component phases into the coefficients; rank-1 terms are unchanged.
 
-    Without a reference, each component's first significant entry becomes
-    real positive.  With a reference (terms matched positionally), phases are
-    chosen so <component | reference component> >= 0.
+    Without a reference, each component's first entry above the default
+    zero cut becomes real positive.  With a reference (terms matched
+    positionally), phases are chosen so <component | reference component> >= 0.
     """
     state = d.state
     coeffs, rows = state.coeffs, []
     for i, r in enumerate(state.rows):
         if reference is None:  # each row's first significant amplitude
-            sig = np.nonzero(np.abs(r.data) > zero_tol)[0]
+            sig = np.nonzero(np.abs(r.data) > DEFAULT_TOLERANCES.zero_coeff)[0]
             term, first = np.unique(r.entry_terms()[sig], return_index=True)
             lead = np.zeros(state.nterms, dtype=np.complex128)
             lead[term] = r.data[sig[first]]
@@ -408,7 +396,7 @@ def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None,
             lead = np.diagonal(_factor_overlap(
                 state._packed[i], reference.state._packed[i]))
             turn = 1j
-        mult = np.where(np.abs(lead) > zero_tol,
+        mult = np.where(np.abs(lead) > DEFAULT_TOLERANCES.zero_coeff,
                         np.exp(turn * np.angle(lead)), 1.0)
         rows.append(_frozen_rows(r.indptr, r.indices,
                                  r.data * mult.repeat(np.diff(r.indptr))))

@@ -48,7 +48,7 @@ from .states import (
     DenseState,
     ProductSpace,
     SumState,
-    _dense_factor,
+    _columns,
     densify,
     distance,
     partial_trace,
@@ -65,12 +65,9 @@ class TrialConfig:
     delta_scan: float = 0.05
     witness_size: int = 3
     epsilon_grid: tuple = (0.05, 0.1, 0.2)
-    theta_grid: tuple = (0.3, 0.1, 0.03, 0.01)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "theta_grid",
-                           tuple(float(t) for t in self.theta_grid))
         object.__setattr__(self, "epsilon_grid",
                            tuple(float(e) for e in self.epsilon_grid))
         if self.seed < 0:
@@ -185,12 +182,6 @@ def _random_triortho(rng, dims, k: int, tie: bool = False) -> TriDecomposition:
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k))
     comps = [_random_orthonormal(rng, d, k) for d in dims]
     return _orthonormal_decomposition(ProductSpace(dims), mags * phases, comps)
-
-
-def _columns(state: SumState) -> list:
-    """One dims[i] x terms matrix per factor: column k is term k's vector."""
-    return [np.ascontiguousarray(_dense_factor(state, i, d).T)
-            for i, d in enumerate(state.space.dims)]
 
 
 def _orthonormal_decomposition(space: ProductSpace, coeffs,

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -202,6 +203,15 @@ def decomposition_to_json(d, provenance: dict = None) -> dict:
     return doc
 
 
+def _certificate(cert: dict) -> TriCertificate:
+    """Every ``TriCertificate`` field from its JSON value, lists as tuples."""
+    cert = {**cert, "li_method": cert.get("li_method")
+            or ["svd"] * len(cert["min_singular_values"])}
+    values = [cert[f.name] for f in fields(TriCertificate)]
+    return TriCertificate(*(tuple(v) if isinstance(v, list) else v
+                            for v in values))
+
+
 def decomposition_from_json(doc) -> TriDecomposition:
     if not isinstance(doc, dict):
         raise SchemaError("decomposition document must be an object")
@@ -215,23 +225,8 @@ def decomposition_from_json(doc) -> TriDecomposition:
         state = (_terms_from_json(space, doc["terms"], "components") if v1
                  else _rows_from_json(space, doc))
         cert = doc.get("certificate")
-        certificate = TriCertificate(
-            passed=cert["passed"],
-            variant=cert["variant"],
-            failed_condition=cert["failed_condition"],
-            reconstruction_error=cert["reconstruction_error"],
-            min_coefficient=cert["min_coefficient"],
-            min_singular_values=tuple(cert["min_singular_values"]),
-            li_method=tuple(cert.get("li_method")
-                            or ("svd",) * len(cert["min_singular_values"])),
-            max_offdiag_overlaps=tuple(cert["max_offdiag_overlaps"]),
-            max_pairwise_overlaps=tuple(cert["max_pairwise_overlaps"]),
-            li_factors=(tuple(cert["li_factors"])
-                        if cert.get("li_factors") else None),
-            tolerances=dict(cert["tolerances"]),
-        ) if cert else None
         return TriDecomposition(space, state, Variant(doc["variant"]),
-                                certificate=certificate)
+                                _certificate(cert) if cert else None)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed decomposition document: {exc}") from exc
 

@@ -16,6 +16,7 @@ from .states import (
     DenseState,
     DensityMatrix,
     SumState,
+    _square_matrix,
     aligned_density_matrices,
     hermitian_eigvalsh,
     partial_trace,
@@ -53,15 +54,6 @@ class EntropyValue:
     base_note: str = LOG_BASE_NOTE
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    mat = np.asarray(rho, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidStateError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
-
-
 def spectrum(rho, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
     """Eigenvalues of a PSD matrix, descending, numerical dust clamped to 0.
 
@@ -73,7 +65,7 @@ def spectrum(rho, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
     if isinstance(rho, DensityMatrix):
         gap, vals, trace = rho.herm_gap, rho.eigenvalues, rho.trace
     else:
-        mat = _as_matrix(rho)
+        mat = _square_matrix(rho)
         gap, vals = hermitian_eigvalsh(mat)
         trace = float(np.trace(mat).real)
     if gap > tolerances.herm:
@@ -131,7 +123,7 @@ def verify_spectral_lemmas(r, s,
     if isinstance(r, DensityMatrix) and isinstance(s, DensityMatrix):
         rm, sm = aligned_density_matrices(r, s)
     else:
-        rm, sm = _as_matrix(r), _as_matrix(s)
+        rm, sm = _square_matrix(r), _square_matrix(s)
     if rm.shape != sm.shape:
         raise DimensionMismatchError(f"shapes differ: {rm.shape} vs {sm.shape}")
     rv = np.asarray(spectrum(rm, tolerances).values)

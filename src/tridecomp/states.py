@@ -616,16 +616,21 @@ def term_gram(a: SumState, b: SumState) -> np.ndarray:
                                 for i in range(a.space.nfactors)])
 
 
+def _dense_zeros(dims) -> np.ndarray:
+    """A zero tensor of ``dims``, refused above ``DENSIFY_CEILING``."""
+    if math.prod(dims) > DENSIFY_CEILING:
+        raise CapacityError(f"dense dimension {math.prod(dims)} exceeds "
+                            f"the ceiling {DENSIFY_CEILING}")
+    return np.zeros(dims, dtype=np.complex128)
+
+
 def _padded_tensor(state, dims: tuple) -> np.ndarray:
     """The amplitude tensor of ``state`` zero-padded to ``dims``; a
     SumState is built only up to ``DENSIFY_CEILING`` amplitudes."""
     if isinstance(state, SumState):
-        if math.prod(dims) > DENSIFY_CEILING:
-            raise CapacityError(f"dense dimension {math.prod(dims)} exceeds "
-                                f"the ceiling {DENSIFY_CEILING}")
+        out = _dense_zeros(dims).reshape(dims[0], -1)
         first, *rest = [_dense_factor(state, i, d) for i, d in enumerate(dims)]
         # coeff v1 (x) (v2 (x) v3): the long tail is every product's inner loop
-        out = np.zeros((dims[0], math.prod(dims[1:])), dtype=np.complex128)
         for k, coeff in enumerate(state.coeffs):
             tail = reduce(np.multiply.outer, [m[k] for m in rest]).ravel()
             out += np.multiply.outer(coeff * first[k], tail)
@@ -648,6 +653,12 @@ def _dense_factor(s: SumState, i: int, dim: int) -> np.ndarray:
     out = np.zeros((s.nterms, dim), dtype=np.complex128)
     out[term, indices] = data
     return out
+
+
+def _columns(s: SumState) -> list:
+    """One dims[i] x terms matrix per factor: column k is term k's vector."""
+    return [np.ascontiguousarray(_dense_factor(s, i, d).T)
+            for i, d in enumerate(s.space.dims)]
 
 
 def _dense_term_brackets(state: DenseState, s: SumState) -> np.ndarray:
@@ -761,25 +772,32 @@ class DensityMatrix:
         return math.prod(self.dims)
 
 
-def _normalize_keep(keep, nfactors: int) -> tuple:
+def _split_factors(keep, nfactors: int) -> tuple:
+    """(keep, rest): ``keep`` sorted and checked, and the other factors."""
     keep = tuple(sorted({int(k) for k in keep}))
     if not keep or len(keep) >= nfactors:
         raise InvalidStateError(
             "keep must be a nonempty proper subset of the factors")
     if any(k < 0 or k >= nfactors for k in keep):
         raise InvalidStateError(f"factor index out of range: {keep}")
-    return keep
+    return keep, tuple(i for i in range(nfactors) if i not in keep)
+
+
+def _matricize(s: DenseState, keep: tuple, rest: tuple) -> np.ndarray:
+    """The amplitudes with rows over the factors ``keep``, columns ``rest``."""
+    rows = math.prod(s.space.dims[i] for i in keep)
+    return s.tensor.transpose(keep + rest).reshape(rows, -1)
 
 
 def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace of an arbitrary (not necessarily PSD) square matrix.
 
     ``mat`` acts on the product space with factor ``dims``; the result acts
-    on the factors in ``keep`` (ascending order).
+    on the factors in ``keep``, a nonempty proper subset, in ascending order.
     """
     dims = tuple(int(d) for d in dims)
     nf = len(dims)
-    keep = tuple(sorted({int(k) for k in keep}))
+    keep, _ = _split_factors(keep, nf)
     d = math.prod(dims)
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.shape != (d, d):
@@ -803,14 +821,12 @@ def partial_trace(s, keep) -> DensityMatrix:
     """
     if isinstance(s, DenseState):
         # rho = M M^H for the matricization M of the kept factors: one GEMM
-        keep = _normalize_keep(keep, s.space.nfactors)
-        traced = tuple(i for i in range(s.space.nfactors) if i not in keep)
-        dims = tuple(s.space.dims[i] for i in keep)
-        mat = s.tensor.transpose(keep + traced).reshape(math.prod(dims), -1)
-        return DensityMatrix(mat @ mat.conj().T, dims, keep)
+        keep, traced = _split_factors(keep, s.space.nfactors)
+        mat = _matricize(s, keep, traced)
+        return DensityMatrix(mat @ mat.conj().T,
+                             tuple(s.space.dims[i] for i in keep), keep)
     if isinstance(s, SumState):
-        keep = _normalize_keep(keep, s.space.nfactors)
-        traced = [i for i in range(s.space.nfactors) if i not in keep]
+        keep, traced = _split_factors(keep, s.space.nfactors)
         nterms = s.nterms
         if nterms == 0:
             raise InvalidStateError("cannot reduce the zero state")
@@ -893,20 +909,22 @@ def _vector_row(vec) -> tuple:
 
 def project_factor(s, i: int, phi,
                    tolerances: Tolerances = DEFAULT_TOLERANCES):
-    """Collapse factor ``i`` onto the unit vector ``phi``: returns P_phi s.
+    """Collapse factor ``i`` onto ``phi``, a unit vector within
+    ``tolerances.norm``: returns |phi><phi| on factor ``i`` applied to ``s``.
 
     The result is generally subnormalized and keeps the input representation.
     """
     i = int(i)
     if not 0 <= i < s.space.nfactors:
         raise DimensionMismatchError(f"factor index {i} out of range")
-    row = _canonical_rows(i, s.space.dims[i], 1, *_vector_row(phi))
-    n = float(np.linalg.norm(row.data))
-    if abs(n - 1.0) > tolerances.norm:
+    indptr, indices, data = _vector_row(phi)
+    n = float(np.linalg.norm(data))
+    if not abs(n - 1.0) <= tolerances.norm:  # NaN fails too
         raise InvalidStateError(f"projection vector has norm {n!r}, expected 1")
+    row = _canonical_rows(i, s.space.dims[i], 1, indptr, indices, data / n)
     if isinstance(s, DenseState):
         v = np.zeros(s.space.dims[i], dtype=np.complex128)
-        v[row.indices] = row.data
+        v[indices] = data
         contracted = np.tensordot(v.conj(), s.tensor, axes=(0, i))
         out = np.moveaxis(np.multiply.outer(v, contracted), 0, i)
         return DenseState(s.space, out.ravel(), normalized=None)
@@ -916,16 +934,23 @@ def project_factor(s, i: int, phi,
         rows = list(s.rows)
         rows[i] = _frozen_rows(np.arange(k + 1) * width,
                                np.tile(row.indices, k), np.tile(row.data, k))
-        return SumState._trusted(s.space, s.coeffs * overlap, rows)
+        return SumState._trusted(s.space, s.coeffs * overlap * n * n, rows)
     raise TypeError(f"unsupported operand: {type(s).__name__}")
+
+
+def _square_matrix(a) -> np.ndarray:
+    """The matrix of a DensityMatrix, or ``a`` as a square complex array."""
+    if isinstance(a, DensityMatrix):
+        return a.matrix
+    mat = np.asarray(a, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise InvalidStateError(f"expected a square matrix, got shape {mat.shape}")
+    return mat
 
 
 def trace_norm(a) -> float:
     """Sum of singular values (trace-class norm)."""
-    mat = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a,
-                                                                   dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidStateError(f"expected a square matrix, got shape {mat.shape}")
+    mat = _square_matrix(a)
     if not np.all(np.isfinite(mat.view(np.float64))):
         raise InvalidStateError("matrix entries must be finite")
     return float(np.linalg.svd(mat, compute_uv=False).sum())

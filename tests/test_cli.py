@@ -349,6 +349,21 @@ class TestCampaignCommand:
         assert "theta" in lines[0]
 
 
+class TestDenseCeiling:
+    # each of these tensors would take over 1e11 bytes
+    @pytest.mark.parametrize("argv", [
+        ("witness3", "--n1", "100000"),
+        ("witness4", "--n1", "1000"),
+        ("witness3", "--dims", "3000,2000,3000"),
+        ("pair", "--dims", "100000,100000,100000"),
+    ])
+    def test_generator_refuses_before_allocating(self, capsys, argv):
+        code, out, err = run(capsys, "construct", *argv)
+        assert code == 1 and not out
+        assert err.startswith("error: dense dimension ")
+        assert err.count("\n") == 1
+
+
 class TestInfo:
     def test_reports_tolerances(self, capsys):
         code, out, _ = run(capsys, "info")

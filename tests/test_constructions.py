@@ -440,6 +440,16 @@ class TestWitnesses:
         with pytest.raises(InvalidStateError):
             isolation_witness_4(3, dims=(3, 3, 3, 2))
 
+    # each of these tensors would take over 1e11 bytes
+    @pytest.mark.parametrize("build", [
+        lambda: isolation_witness_3(100000),
+        lambda: isolation_witness_3(3, dims=(3000, 2000, 3000)),
+        lambda: isolation_witness_4(1000),
+    ])
+    def test_refused_above_the_dense_ceiling_before_allocating(self, build):
+        with pytest.raises(CapacityError, match="ceiling"):
+            build()
+
 
 class TestPerturbation:
     def test_single_term_distance_exact(self):

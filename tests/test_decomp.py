@@ -30,7 +30,7 @@ from tridecomp.decomp import (
     truncate_terms,
     verify_tridecomposition,
 )
-from tridecomp.config import DEFAULT_TOLERANCES, DENSIFY_CEILING
+from tridecomp.config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances
 from tridecomp.errors import InvalidStateError
 from tridecomp.serialize import state_from_json, state_to_json
 from tridecomp.spectral import spectrum
@@ -103,6 +103,14 @@ class TestSchmidt:
         b = schmidt(ghz, (0,))
         assert np.array_equal(a.left_vectors, b.left_vectors)
         assert np.array_equal(a.right_vectors, b.right_vectors)
+
+    def test_zero_cut_is_the_tolerances(self):
+        # Schmidt coefficients in the ratio 1 : 1e-4
+        psi = DenseState(ProductSpace((2, 2)),
+                         np.array([1.0, 0.0, 0.0, 1e-4]) / math.sqrt(1 + 1e-8))
+        assert schmidt(psi, (0,)).coefficients.size == 2
+        cut = schmidt(psi, (0,), Tolerances(zero_coeff=1e-3))
+        assert cut.coefficients.size == 1
 
     def test_bipartition_validation(self):
         psi = singlet_state()

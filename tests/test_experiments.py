@@ -28,6 +28,13 @@ class TestConfig:
         with pytest.raises(InvalidStateError):
             TrialConfig(dims=(300, 300, 300))
 
+    def test_theta_grid_is_the_instability_sweeps_alone(self):
+        with pytest.raises(TypeError):
+            TrialConfig(theta_grid=(0.3,))
+        assert "theta_grid" not in TrialConfig().as_dict()
+        rep = run_instability_sweep((0.3,))
+        assert rep.to_json()["config"]["theta_grid"] == [0.3]
+
     def test_unknown_selector(self):
         with pytest.raises(InvalidStateError):
             run_stability_campaign(TrialConfig(trials=1, selector="nope"))

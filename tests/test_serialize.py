@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 
 from tridecomp.cli import main
 from tridecomp.constructions import instability_pair
-from tridecomp.decomp import Variant, ordered_triortho, verify_tridecomposition
+from tridecomp.decomp import (
+    TriCertificate,
+    Variant,
+    ordered_triortho,
+    verify_tridecomposition,
+)
 from tridecomp.errors import DimensionMismatchError, InvalidStateError, SchemaError
 from tridecomp.serialize import (
     decomposition_from_json,
@@ -112,6 +118,19 @@ class TestDecompositionRoundTrip:
         del doc["certificate"]["li_method"]
         assert decomposition_from_json(doc).certificate.li_method == \
             ("svd",) * 3
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(TriCertificate)
+                                      if f.name != "li_method"])
+    def test_every_certificate_field_is_read(self, name):
+        d = replace(random_triortho(75, dims=(3, 4, 5), k=2),
+                    variant=Variant.LI_TWO_FACTORS)
+        cert = verify_tridecomposition(d, densify(d.state))
+        assert cert.li_factors == (0, 1)
+        doc = decomposition_to_json(replace(d, certificate=cert))
+        assert decomposition_from_json(doc).certificate == cert
+        del doc["certificate"][name]
+        with pytest.raises(SchemaError):
+            decomposition_from_json(doc)
 
     def test_rejects_non_decomposition(self):
         psi = haar_random_state(ProductSpace((2, 2)), 3)

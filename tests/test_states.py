@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tridecomp import experiments, states
+from tridecomp.config import Tolerances
 from tridecomp.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -32,6 +33,7 @@ from tridecomp.states import (
     sparsify,
     trace_norm,
 )
+from tridecomp.serialize import state_from_json, state_to_json
 
 from conftest import (
     private_column_state,
@@ -309,6 +311,13 @@ class TestPartialTrace:
             reduced = partial_trace_matrix(m, (3, 4), (1,))
             assert trace_norm(reduced) <= trace_norm(m) + 1e-10
 
+    @pytest.mark.parametrize("keep", [(2,), (-1,), (), (0, 1)])
+    def test_matrix_keep_is_a_nonempty_proper_subset(self, keep):
+        # the rule partial_trace applies: no einsum error, no whole trace
+        # and no matrix returned unchanged
+        with pytest.raises(InvalidStateError):
+            partial_trace_matrix(np.eye(12), (3, 4), keep)
+
 
 def einsum_reduction(tensor, keep):
     """Reference reduction: contract every traced index of psi with psi*."""
@@ -404,6 +413,36 @@ class TestProjectFactor:
         shorter = project_factor(psi, 1, np.array([1.0]))
         want = project_factor(psi, 1, np.array([1.0, 0.0]))
         assert distance(shorter, want) == 0.0
+
+
+class TestProjectFactorTolerance:
+    LOOSE = Tolerances(norm=1e-6)
+    PHI = (1.0 + 1e-8) * np.array([0.6, 0.8j])  # norm 1 + 1e-8
+
+    @pytest.mark.parametrize("as_sum", [False, True])
+    def test_norm_is_checked_against_the_callers_tolerance(self, as_sum):
+        psi = haar_random_state(ProductSpace((2, 3, 2)), 3)
+        s = sparsify(psi) if as_sum else psi
+        out = project_factor(s, 0, self.PHI, self.LOOSE)
+        assert isinstance(out, type(s))
+        assert distance(out, project_factor(psi, 0, self.PHI, self.LOOSE)) \
+            <= 1e-15
+        if as_sum:  # its rows are unit, so the document reads back
+            back = state_from_json(state_to_json(out))
+            assert distance(back, out) <= 1e-15
+
+    @pytest.mark.parametrize("as_sum", [False, True])
+    def test_errors_kept(self, as_sum):
+        psi = haar_random_state(ProductSpace((2, 3, 2)), 3)
+        s = sparsify(psi) if as_sum else psi
+        with pytest.raises(InvalidStateError, match="norm"):
+            project_factor(s, 0, self.PHI)  # the default 1e-9
+        with pytest.raises(DimensionMismatchError):
+            project_factor(s, 3, self.PHI, self.LOOSE)
+        with pytest.raises(DimensionMismatchError):
+            project_factor(s, 0, np.array([0.0, 0.0, 1.0]), self.LOOSE)
+        with pytest.raises(InvalidStateError):
+            project_factor(s, 0, np.array([np.nan, 1.0]), self.LOOSE)
 
 
 class TestTraceNorm:
