@@ -101,6 +101,33 @@ def _degenerate_groups(values, width: float) -> list:
     return groups
 
 
+def _short_side_svd(mat: np.ndarray, zero_cut: float) -> tuple:
+    """Thin SVD (u, s, vh) of ``mat`` at the rank it has (a direct SVD:
+    Halko, Martinsson and Tropp, SIAM Rev. 53 (2011), section 5.1).
+
+    On the short side M (``mat``, or its adjoint when tall, so M has
+    m <= n rows) the eigenvectors U of M M^H rotate M into B = U^H M.  The
+    smallest rows of B are dropped while their joint norm, which is exactly
+    ||M - U_k B_k||_F, stays within min(zero_cut, m eps ||M||_F); the kept
+    rows B_k = X S Y^H go to LAPACK, so every value and vector comes from
+    an SVD and none is read off an eigenvector as M^H u / s.
+    """
+    tall = mat.shape[0] > mat.shape[1]
+    m = mat.conj().T if tall else mat
+    rot = np.linalg.eigh(m @ m.conj().T)[1]
+    b = rot.conj().T @ m
+    sq = np.linalg.norm(b, axis=1) ** 2
+    order = np.argsort(sq)
+    # ||B||_F = ||M||_F, as U is unitary
+    floor = min(zero_cut, m.shape[0] * np.finfo(float).eps
+                * math.sqrt(sq.sum()))
+    keep = order[np.searchsorted(np.cumsum(sq[order]), floor ** 2,
+                                 side="right"):]
+    x, s, yh = np.linalg.svd(b[keep], full_matrices=False)
+    u = rot[:, keep] @ x
+    return (yh.conj().T, s, u.conj().T) if tall else (u, s, yh)
+
+
 def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES
             ) -> SchmidtDecomposition:
     """SVD of the amplitude matrix across ``left`` | complement.
@@ -115,7 +142,7 @@ def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES
     if np.linalg.norm(psi_d.amplitudes) == 0.0:
         raise InvalidStateError("cannot decompose the zero state")
     mat = _matricize(psi_d, left, right)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = _short_side_svd(mat, tolerances.zero_coeff)
     keep = s > tolerances.zero_coeff
     u, s, v = u[:, keep], s[keep], vh[keep, :].T
     u, v = _canonical_column_phases(u, v)

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .config import (
     DEFAULT_TOLERANCES,
-    DENSIFY_CEILING,
     Tolerances,
     json_fields,
 )
@@ -43,11 +42,17 @@ from .decomp import (
 )
 from .errors import InvalidStateError, VerificationError
 from .matching import match_components, match_single_product
-from .spectral import entropy, reduced_spectra, triortho_necessary_test
+from .spectral import (
+    entropy,
+    reduced_spectra,
+    spectrum,
+    triortho_necessary_test,
+)
 from .states import (
     DenseState,
     ProductSpace,
     SumState,
+    _check_dense,
     _columns,
     densify,
     distance,
@@ -74,8 +79,7 @@ class TrialConfig:
             raise InvalidStateError("seed must be non-negative")
         if self.trials < 1:
             raise InvalidStateError("trial count must be at least 1")
-        if math.prod(self.dims) > DENSIFY_CEILING:
-            raise InvalidStateError("dims exceed the dense capacity ceiling")
+        _check_dense(self.dims)
 
     def as_dict(self) -> dict:
         return json_fields(self)
@@ -411,18 +415,18 @@ def run_isolation_scan(cfg: TrialConfig) -> CampaignReport:
                        and min(floors) > math.log(n1))
     records.append(rec)
 
-    w4 = isolation_witness_4(n1)
-    ent4 = entropy(partial_trace(w4, (1, 2)), tolerances).nats
-    spec4 = np.asarray(
-        [v for v in np.round(np.sort(np.linalg.eigvalsh(
-            partial_trace(w4, (1, 2)).matrix))[::-1], 14) if v > 1e-12])
+    spec4 = spectrum(partial_trace(isolation_witness_4(n1), (1, 2)),
+                     tolerances)
+    ent4 = entropy(spec4, tolerances).nats
+    levels = np.asarray([v for v in np.round(spec4.values, 14)
+                         if v > tolerances.zero_coeff])
     records.append({
         "trial": 1, "kind": "witness-4", "n": n1,
         "entropy": ent4, "target": math.log(n1 + 1.0),
-        "uniform_levels": int(spec4.size),
+        "uniform_levels": int(levels.size),
         "pass": bool(abs(ent4 - math.log(n1 + 1.0)) <= 1e-10
-                     and spec4.size == n1 + 1
-                     and np.max(np.abs(spec4 - 1.0 / (n1 + 1.0))) <= 1e-10),
+                     and levels.size == n1 + 1
+                     and np.max(np.abs(levels - 1.0 / (n1 + 1.0))) <= 1e-10),
     })
 
     trial_id = 2

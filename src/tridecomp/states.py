@@ -616,11 +616,16 @@ def term_gram(a: SumState, b: SumState) -> np.ndarray:
                                 for i in range(a.space.nfactors)])
 
 
-def _dense_zeros(dims) -> np.ndarray:
-    """A zero tensor of ``dims``, refused above ``DENSIFY_CEILING``."""
+def _check_dense(dims) -> None:
+    """Refuse a dense tensor of ``dims`` above ``DENSIFY_CEILING``."""
     if math.prod(dims) > DENSIFY_CEILING:
         raise CapacityError(f"dense dimension {math.prod(dims)} exceeds "
                             f"the ceiling {DENSIFY_CEILING}")
+
+
+def _dense_zeros(dims) -> np.ndarray:
+    """A zero tensor of ``dims``, refused above ``DENSIFY_CEILING``."""
+    _check_dense(dims)
     return np.zeros(dims, dtype=np.complex128)
 
 

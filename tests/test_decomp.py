@@ -47,7 +47,12 @@ from tridecomp.states import (
     sparsify,
 )
 
-from conftest import private_column_state, random_triortho, random_unit
+from conftest import (
+    private_column_state,
+    random_orthonormal,
+    random_triortho,
+    random_unit,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -124,6 +129,76 @@ class TestSchmidt:
         amp = np.diag([1.0, 1.0 - 0.6 * deg, 1.0 - 1.2 * deg]).astype(complex)
         sd = schmidt(DenseState(ProductSpace((3, 3)), amp.ravel()), (0,))
         assert np.allclose(sd.left_vectors, np.eye(3)[:, ::-1], atol=1e-12)
+
+
+def sum_of_products(seed, dims, coeffs, orthonormal=False):
+    """Dense sum_k c_k a_k (x) b_k (x) c_k of random unit components
+    (orthonormal per factor, or generic), normalized."""
+    rng = np.random.default_rng(seed)
+    k = len(coeffs)
+    if orthonormal:
+        cols = [random_orthonormal(rng, d, k) for d in dims]
+    else:
+        cols = [np.column_stack([random_unit(rng, d) for _ in range(k)])
+                for d in dims]
+    amp = np.einsum("k,ak,bk,ck->abc", np.asarray(coeffs, dtype=complex),
+                    *cols).ravel()
+    return DenseState(ProductSpace(dims), amp / np.linalg.norm(amp))
+
+
+class TestShortSideSchmidt:
+    """``schmidt`` against LAPACK's SVD of the whole matricization."""
+
+    @staticmethod
+    def check(psi, left):
+        sd = schmidt(psi, left)
+        mat = states._matricize(psi, *states._split_factors(left, 3))
+        ref = np.linalg.svd(mat, compute_uv=False)
+        ref = ref[ref > DEFAULT_TOLERANCES.zero_coeff]
+        assert sd.coefficients.size == ref.size
+        assert np.abs(np.sort(sd.coefficients)[::-1] - ref).max() <= 1e-13
+        recon = np.linalg.norm(sd.reconstruct().amplitudes - psi.amplitudes)
+        assert recon <= 1e-13
+        for vecs in (sd.left_vectors, sd.right_vectors):
+            gram = vecs.conj().T @ vecs
+            assert np.abs(gram - np.eye(ref.size)).max() <= 1e-13
+        return sd
+
+    def test_low_rank_wide(self):
+        psi = sum_of_products(3, (32, 32, 32), [1.0, 0.7, 0.4, 0.2, 0.1, 0.05])
+        assert self.check(psi, (0,)).coefficients.size == 6
+
+    def test_low_rank_tall(self):
+        psi = sum_of_products(4, (32, 32, 32), [1.0, 0.6, 0.3, 0.1, 0.02])
+        sd = self.check(psi, (0, 1))
+        assert sd.left_vectors.shape == (1024, 5)
+        assert sd.right_vectors.shape == (32, 5)
+
+    def test_full_rank_haar(self):
+        psi = haar_random_state(ProductSpace((32, 32, 32)), 5)
+        assert self.check(psi, (0,)).coefficients.size == 32
+
+    def test_small_coefficients_either_side_of_the_zero_cut(self):
+        coeffs = [1.0, 0.5, 1e-11, 1e-13]
+        psi = sum_of_products(6, (6, 6, 6), coeffs, orthonormal=True)
+        sd = self.check(psi, (0,))
+        scale = np.linalg.norm(coeffs)
+        assert np.allclose(sd.coefficients, np.asarray(coeffs[:3]) / scale,
+                           rtol=0.0, atol=1e-13)
+
+    def test_spread_spectrum_extracts_and_certifies(self):
+        # Schmidt vectors taken as M^H u / s from an eigendecomposition of
+        # M M^H would carry errors of order u s_1^3 / s_2^3 = 1e2 here
+        coeffs = np.array([1.0, 1e-6]) / math.sqrt(1.0 + 1e-12)
+        rng = np.random.default_rng(7)
+        space = ProductSpace((5, 6, 7))
+        dec = TriDecomposition(space, SumState.from_columns(
+            space, coeffs, [random_orthonormal(rng, d, 2) for d in space.dims]),
+            Variant.ORTHONORMAL)
+        out = extract_triortho(densify(dec.state))
+        assert isinstance(out, OrderedTriortho)
+        assert out.decomposition.certificate.passed
+        assert decompositions_equivalent(out.decomposition, dec, 1e-9)
 
 
 class TestDegenerateGroups:

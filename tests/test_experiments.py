@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from tridecomp import experiments
-from tridecomp.errors import InvalidStateError
+from tridecomp.config import Tolerances
+from tridecomp.errors import CapacityError, InvalidStateError
 from tridecomp.experiments import (
     TrialConfig,
     run_closure_test,
@@ -25,7 +26,7 @@ class TestConfig:
             TrialConfig(seed=-1)
 
     def test_rejects_oversized_dims(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(CapacityError):
             TrialConfig(dims=(300, 300, 300))
 
     def test_theta_grid_is_the_instability_sweeps_alone(self):
@@ -114,6 +115,15 @@ class TestIsolationScan:
             assert r["distance_sq"] <= r["budget"] + 1e-12
             assert r["r1_gap_13"] > 1e-6
             assert r["neighbourhood_stays_non_triortho"]
+
+    def test_uniform_levels_read_the_zero_cut(self):
+        # witness 4 at n1 = 3 has four levels of 0.25, all below this cut
+        cfg = TrialConfig(trials=1, dims=(4, 4, 4), witness_size=3,
+                          tolerances=Tolerances(zero_coeff=0.5))
+        witness = run_isolation_scan(cfg).records[1]
+        assert witness["kind"] == "witness-4"
+        assert witness["uniform_levels"] == 0
+        assert not witness["pass"]
 
 
 class TestClosure:
