@@ -14,6 +14,14 @@ from dataclasses import asdict, dataclass, fields
 from .errors import InvalidStateError
 
 
+def check_tolerance(name: str, value) -> None:
+    """Raise InvalidStateError unless ``value`` is finite and > 0: a NaN,
+    infinite or non-positive tolerance would silently flip a comparison."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidStateError(
+            f"tolerance {name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     norm: float = 1e-9        # unit-norm slack for wavefunctions and components
@@ -27,10 +35,7 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidStateError(
-                    f"tolerance {f.name} must be finite and > 0, got {value!r}")
+            check_tolerance(f.name, getattr(self, f.name))
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -358,7 +358,7 @@ def _basis_overlap_min(state: SumState, indices: tuple) -> float:
     return out
 
 
-def _pair_metrics(psi, phi1, phi2, indices1, theta):
+def _pair_metrics(psi, phi1, phi2, indices1):
     d1 = math.sqrt(max(2.0 - 2.0 * inner(psi, phi1).real, 0.0))
     d2 = math.sqrt(max(2.0 - 2.0 * inner(psi, phi2).real, 0.0))
     basis_min = _basis_overlap_min(phi1, indices1)
@@ -406,37 +406,28 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
     ambient = n + max(sizes) + 1
     space = ProductSpace((ambient,) * 3)
 
-    def build(theta_val):
-        phi1, idx1 = _perturbed_sum(expansion_u, None, n, theta_val, space)
-        phi2, idx2 = _perturbed_sum(expansion_v, cols, n, theta_val, space)
-        return phi1, phi2, idx1, idx2
-
-    if theta is None:
-        chosen = None
-        for j in range(1, 41):
-            cand = 2.0 ** -j
-            phi1, phi2, idx1, idx2 = build(cand)
-            d1, d2, basis_min, cross = _pair_metrics(psi, phi1, phi2, idx1, cand)
-            if d1 <= 0.9 * epsilon and d2 <= 0.9 * epsilon and \
-                    basis_min >= 1.0 - 0.9 * epsilon and cross <= 0.9 * epsilon:
-                chosen = cand
-                break
-        if chosen is None:
-            raise VerificationError("no theta on the grid meets the bounds")
-        theta = chosen
-    else:
+    explicit = theta is not None
+    if explicit:
         _check_theta(theta)
-        phi1, phi2, idx1, idx2 = build(theta)
-        d1, d2, basis_min, cross = _pair_metrics(psi, phi1, phi2, idx1, theta)
-        failed = None
-        if not (d1 < epsilon and d2 < epsilon):
+        candidates, bound = [theta], epsilon
+    else:
+        candidates, bound = [2.0 ** -j for j in range(1, 41)], 0.9 * epsilon
+    for theta in candidates:
+        phi1, idx1 = _perturbed_sum(expansion_u, None, n, theta, space)
+        phi2, idx2 = _perturbed_sum(expansion_v, cols, n, theta, space)
+        d1, d2, basis_min, cross = _pair_metrics(psi, phi1, phi2, idx1)
+        if not (d1 < bound and d2 < bound):
             failed = f"||psi - phi_j|| < epsilon (got {max(d1, d2):.6f})"
-        elif not basis_min > 1.0 - epsilon:
+        elif not basis_min > 1.0 - bound:
             failed = f"basis overlap > 1 - epsilon (got {basis_min:.6f})"
-        elif not cross < epsilon:
+        elif not cross < bound:
             failed = f"cross overlap < epsilon (got {cross:.6f})"
-        if failed:
+        else:
+            break
+    else:
+        if explicit:
             raise PreconditionError(f"theta too large: {failed}")
+        raise VerificationError("no theta on the grid meets the bounds")
 
     dec1 = _verified(TriDecomposition(space, phi1, Variant.LI_ALL),
                      phi1, tolerances)
@@ -640,10 +631,10 @@ def isolation_witness_4(n: int, dims: tuple = None) -> DenseState:
     return DenseState(ProductSpace(dims), amp.ravel(), normalized=True)
 
 
-def _orthogonal_unit(vec: np.ndarray, zero_tol: float = 1e-9) -> np.ndarray:
+def _orthogonal_unit(vec: np.ndarray) -> np.ndarray:
     """First basis direction orthogonalized against ``vec``."""
     d = vec.shape[0]
-    for floor in (0.5, zero_tol):
+    for floor in (0.5, 1e-9):
         for j in range(d):
             cand = _basis_vec(d, j) - vec * vec.conj()[j]
             n = np.linalg.norm(cand)

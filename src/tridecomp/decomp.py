@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import DEFAULT_TOLERANCES, Tolerances, json_fields
+from .config import DEFAULT_TOLERANCES, Tolerances, check_tolerance, json_fields
 from .errors import DimensionMismatchError, InvalidStateError
 from .spectral import triortho_necessary_test
 from .states import (
@@ -158,6 +158,7 @@ def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES
 
 def schmidt_rank(psi, left, tol: float) -> int:
     """Number of Schmidt coefficients above ``tol``; 1 means a product."""
+    check_tolerance("tol", tol)
     psi_d = as_dense(psi)
     left, right = _split_factors(left, psi_d.space.nfactors)
     s = np.linalg.svd(_matricize(psi_d, left, right), compute_uv=False)
@@ -171,6 +172,7 @@ def linear_independence(vectors, tol: float, dim: int = None):
     ``dim`` (default: that length).  More vectors than dimensions or than
     coordinates is structural dependence: (0.0, False).
     """
+    check_tolerance("tol", tol)
     vectors = list(vectors)
     if not vectors:
         raise InvalidStateError("need at least one vector")
@@ -440,6 +442,7 @@ def decompositions_equivalent(d1: TriDecomposition, d2: TriDecomposition,
     pairing is the optimal assignment on the |<term|term>| matrix, since a
     greedy match can fail under degeneracy.
     """
+    check_tolerance("tol", tol)
     if d1.nterms != d2.nterms:
         return False
     if d1.nterms == 0:
@@ -487,7 +490,7 @@ def _rank_one_split(block: np.ndarray, tol: float):
     return u[:, 0], vh[0, :], residual
 
 
-def _resolve_degenerate_block(left_cols, right_cols, svals, d2, d3, seed, tol):
+def _resolve_degenerate_block(left_cols, right_cols, svals, d2, d3, tol):
     """Try to split a degenerate Schmidt block into orthonormal products.
 
     The right vectors are jointly reduced on factor 2 with a seeded generic
@@ -500,7 +503,7 @@ def _resolve_degenerate_block(left_cols, right_cols, svals, d2, d3, seed, tol):
     g = right_cols.shape[1]
     mats = [right_cols[:, j].reshape(d2, d3) for j in range(g)]
     for attempt in range(3):
-        rng = np.random.default_rng([seed, attempt])
+        rng = np.random.default_rng([0, attempt])
         b = rng.standard_normal((d3, d3)) + 1j * rng.standard_normal((d3, d3))
         h = b @ b.conj().T
         weight = np.eye(d3) + h / np.linalg.norm(h, 2)
@@ -543,8 +546,7 @@ def _resolve_degenerate_block(left_cols, right_cols, svals, d2, d3, seed, tol):
     return Undetermined("could not separate a degenerate coefficient block")
 
 
-def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES,
-                     seed: int = 0):
+def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Extract the triorthogonal decomposition of a three-factor wavefunction.
 
     Returns an OrderedTriortho on success, NotTriorthogonal when absence is
@@ -577,7 +579,7 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES,
         else:
             resolved = _resolve_degenerate_block(
                 sd.left_vectors[:, i:j], sd.right_vectors[:, i:j],
-                coeffs[i:j], d2, d3, seed, tolerances.deg)
+                coeffs[i:j], d2, d3, tolerances.deg)
             if isinstance(resolved, (NotTriorthogonal, Undetermined)):
                 return resolved
             triples.extend(resolved)

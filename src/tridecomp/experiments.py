@@ -67,14 +67,9 @@ class TrialConfig:
     dims: tuple = (6, 6, 6)
     selector: str = "all"
     tolerances: Tolerances = field(default_factory=Tolerances)
-    delta_scan: float = 0.05
-    witness_size: int = 3
-    epsilon_grid: tuple = (0.05, 0.1, 0.2)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "epsilon_grid",
-                           tuple(float(e) for e in self.epsilon_grid))
         if self.seed < 0:
             raise InvalidStateError("seed must be non-negative")
         if self.trials < 1:
@@ -393,13 +388,19 @@ def _perturbed_within(rng, psi: DenseState, radius: float) -> DenseState:
     return DenseState(psi.space, amps, normalized=True)
 
 
+# witness size n1, perturbation radius and tilt epsilons of the isolation scan
+ISOLATION_WITNESS_SIZE = 3
+ISOLATION_RADIUS = 0.05
+ISOLATION_EPSILONS = (0.05, 0.1, 0.2)
+
+
 def run_isolation_scan(cfg: TrialConfig) -> CampaignReport:
     """Witness entropies, their neighbourhood floors, and the persistence of
     the reduced-spectra mismatch around the perturbed triorthogonal states."""
     _three_factors("isolation", cfg.dims)
     tolerances = cfg.tolerances
     records = []
-    n1 = max(int(cfg.witness_size), 2)
+    n1 = ISOLATION_WITNESS_SIZE
     w3 = isolation_witness_3(n1)
     ent3 = entropy(partial_trace(w3, (2,)), tolerances).nats
     rec = {"trial": 0, "kind": "witness-3", "n1": n1,
@@ -407,7 +408,7 @@ def run_isolation_scan(cfg: TrialConfig) -> CampaignReport:
            "ceiling": math.log(n1)}
     floors = []
     for j in range(cfg.trials):
-        pert = _perturbed_within(_rng(cfg.seed, j), w3, cfg.delta_scan)
+        pert = _perturbed_within(_rng(cfg.seed, j), w3, ISOLATION_RADIUS)
         floors.append(entropy(partial_trace(pert, (2,)), tolerances).nats)
     rec["min_perturbed_entropy"] = min(floors)
     rec["margin"] = min(floors) - math.log(n1)
@@ -430,8 +431,8 @@ def run_isolation_scan(cfg: TrialConfig) -> CampaignReport:
     })
 
     trial_id = 2
-    for eps in cfg.epsilon_grid:
-        for case, build in (("single-term", None), ("multi-term", None)):
+    for eps in ISOLATION_EPSILONS:
+        for case in ("single-term", "multi-term"):
             rng = _rng(cfg.seed, 1000 + trial_id)
             if case == "single-term":
                 comps = [_random_orthonormal(rng, d, 1) for d in cfg.dims]
@@ -531,8 +532,7 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
             "equivalent_to_member": bool(equivalent),
             "component_distance": comp_dist,
             "coefficient_distance": coeff_dist,
-            "distance_to_limit": distance(dn.state,
-                                                 limit_dec.state),
+            "distance_to_limit": distance(dn.state, limit_dec.state),
             "pass": bool(ok_extract and equivalent and monotone),
         })
 
@@ -540,10 +540,8 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
     ok = isinstance(extracted_lim, OrderedTriortho)
     equivalent = ok and decompositions_equivalent(
         extracted_lim.decomposition, limit_dec, 1e-6, tolerances)
-    spec1 = np.sort(np.linalg.eigvalsh(
-        partial_trace(limit_state, (0,)).matrix))[::-1][:k]
-    coeff_gap = float(np.max(np.abs(np.sort(mags_inf)[::-1]
-                                    - np.sqrt(np.clip(spec1, 0.0, None)))))
+    spec1 = spectrum(partial_trace(limit_state, (0,)), tolerances).values[:k]
+    coeff_gap = float(np.max(np.abs(np.sort(mags_inf)[::-1] - np.sqrt(spec1))))
     records.append({
         "trial": len(steps), "n": "limit",
         "extraction_ok": ok,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, check_tolerance
 from .errors import DimensionMismatchError, InvalidStateError
 from .states import (
     DenseState,
@@ -193,6 +193,7 @@ def triortho_necessary_test(psi, tol: float = 1e-8,
     Agreement is necessary for a triorthogonal decomposition to exist, so a
     False return certifies non-triorthogonality.
     """
+    check_tolerance("tol", tol)
     if psi.space.nfactors != 3:
         raise InvalidStateError("the necessary condition is stated on 3 factors")
     s1, s2, s3 = reduced_spectra(psi, tolerances)

@@ -974,9 +974,9 @@ def densify(s: SumState) -> DenseState:
                       normalized=None)
 
 
-def sparsify(s: DenseState, tol: float = 0.0) -> SumState:
-    """Basis-aligned SumState: one term per amplitude with |amp| > tol."""
-    pos = np.nonzero(np.abs(s.amplitudes) > tol)[0]
+def sparsify(s: DenseState) -> SumState:
+    """Basis-aligned SumState: one term per nonzero amplitude."""
+    pos = np.nonzero(s.amplitudes)[0]
     ones = np.ones(pos.size, dtype=np.complex128)
     steps = np.arange(pos.size + 1)
     rows = [_frozen_rows(steps, multi, ones.copy())

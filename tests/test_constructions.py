@@ -263,6 +263,19 @@ class TestInstabilityPair:
         with pytest.raises(PreconditionError, match="theta too large"):
             instability_pair(psi, 0.7, theta=math.pi / 2)
 
+    def test_explicit_theta_reproduces_the_search(self):
+        # the searched theta, given back explicitly, builds the same pair
+        psi = haar_random_state(ProductSpace((2, 2, 2)), 13)
+        found = instability_pair(psi, 0.8)
+        given = instability_pair(psi, 0.8, theta=found.theta)
+        assert given.theta == found.theta
+        assert given.distances == found.distances
+        assert given.basis_overlap_min == found.basis_overlap_min
+        assert given.cross_overlap_max == found.cross_overlap_max
+        for a, b in ((given.decomposition1, found.decomposition1),
+                     (given.decomposition2, found.decomposition2)):
+            assert a.certificate.to_json() == b.certificate.to_json()
+
     def test_random_state_input(self):
         psi = haar_random_state(ProductSpace((2, 2, 2)), 13)
         pair = instability_pair(psi, 0.9)

@@ -33,7 +33,7 @@ from tridecomp.decomp import (
 from tridecomp.config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances
 from tridecomp.errors import InvalidStateError
 from tridecomp.serialize import state_from_json, state_to_json
-from tridecomp.spectral import spectrum
+from tridecomp.spectral import spectrum, triortho_necessary_test
 from tridecomp.states import (
     DenseState,
     ProductSpace,
@@ -673,6 +673,39 @@ class TestEquivalence:
         assert decompositions_equivalent(d, d2, 1e-7)
 
 
+class TestFreeTolerances:
+    # a NaN, infinite, zero or negative tolerance would flip a comparison
+    # and with it the answer, so each is refused as invalid input
+    BAD = [math.nan, math.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_decompositions_equivalent(self, tol):
+        d = random_triortho(40, dims=(4, 4, 4), k=3)
+        d2 = random_triortho(41, dims=(4, 4, 4), k=3)
+        assert not decompositions_equivalent(d, d2, 1e-6)
+        with pytest.raises(InvalidStateError, match="tolerance tol"):
+            decompositions_equivalent(d, d2, tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_triortho_necessary_test(self, tol):
+        psi = densify(random_triortho(42, dims=(4, 4, 4), k=3).state)
+        assert triortho_necessary_test(psi, 1e-8)
+        with pytest.raises(InvalidStateError, match="tolerance tol"):
+            triortho_necessary_test(psi, tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_linear_independence(self, tol):
+        v = np.array([1.0, 0.0], dtype=complex)
+        assert linear_independence([v, v], 1e-8) == (0.0, False)
+        with pytest.raises(InvalidStateError, match="tolerance tol"):
+            linear_independence([v, v], tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_schmidt_rank(self, tol):
+        with pytest.raises(InvalidStateError, match="tolerance tol"):
+            schmidt_rank(singlet_state(), (0,), tol)
+
+
 class TestExtraction:
     def test_round_trip_nondegenerate(self):
         d = random_triortho(14, dims=(4, 5, 6), k=4)
@@ -740,7 +773,7 @@ class TestExtraction:
         left = np.eye(2, dtype=complex)
         out = _resolve_degenerate_block(
             left, np.column_stack([r1, r2]).astype(complex),
-            np.array([0.5, 0.5]), 4, 4, 0, 1e-7)
+            np.array([0.5, 0.5]), 4, 4, 1e-7)
         assert isinstance(out, Undetermined)
 
     def test_uniqueness_against_independent_derivation(self):

@@ -29,10 +29,14 @@ class TestConfig:
         with pytest.raises(CapacityError):
             TrialConfig(dims=(300, 300, 300))
 
-    def test_theta_grid_is_the_instability_sweeps_alone(self):
+    @pytest.mark.parametrize("name", ["theta_grid", "delta_scan",
+                                      "witness_size", "epsilon_grid"])
+    def test_theta_grid_is_the_instability_sweeps_alone(self, name):
+        # the sweep's grid is its own argument; the isolation scan's witness
+        # size, radius and epsilons are constants
         with pytest.raises(TypeError):
-            TrialConfig(theta_grid=(0.3,))
-        assert "theta_grid" not in TrialConfig().as_dict()
+            TrialConfig(**{name: 3})
+        assert name not in TrialConfig().as_dict()
         rep = run_instability_sweep((0.3,))
         assert rep.to_json()["config"]["theta_grid"] == [0.3]
 
@@ -102,8 +106,7 @@ class TestStabilityCampaign:
 
 class TestIsolationScan:
     def test_scan_passes(self):
-        cfg = TrialConfig(seed=9, trials=60, dims=(4, 4, 4), witness_size=3,
-                          delta_scan=0.05)
+        cfg = TrialConfig(seed=9, trials=60, dims=(4, 4, 4))
         rep = run_isolation_scan(cfg)
         assert rep.pass_rate == 1.0
         witness = next(r for r in rep.records if r["kind"] == "witness-3")
@@ -118,7 +121,7 @@ class TestIsolationScan:
 
     def test_uniform_levels_read_the_zero_cut(self):
         # witness 4 at n1 = 3 has four levels of 0.25, all below this cut
-        cfg = TrialConfig(trials=1, dims=(4, 4, 4), witness_size=3,
+        cfg = TrialConfig(trials=1, dims=(4, 4, 4),
                           tolerances=Tolerances(zero_coeff=0.5))
         witness = run_isolation_scan(cfg).records[1]
         assert witness["kind"] == "witness-4"
