@@ -310,7 +310,7 @@ def cmd_match(args) -> int:
     tol = _tolerances(args)
     d_ref = decomposition_from_json(load(args.ordered))
     d_other = decomposition_from_json(load(args.other))
-    ordered = ordered_triortho(d_ref, tol.deg)
+    ordered = ordered_triortho(d_ref, tol)
     level = args.level if args.level is not None else ordered.nblocks
     report = match_components(ordered, d_other, level, args.match_epsilon,
                               tol)
@@ -325,8 +325,7 @@ def cmd_match(args) -> int:
 # takes a TrialConfig, so a flag a campaign does not read keeps the
 # TrialConfig default in its report's config.
 _CAMPAIGNS = {
-    "instability": ({}, lambda cfg: run_instability_sweep(
-        tolerances=cfg.tolerances)),
+    "instability": ({}, lambda cfg: run_instability_sweep(cfg.tolerances)),
     "stability": ({"trials": 100, "seed": 0, "dims": (6, 6, 6),
                    "selector": "all"}, run_stability_campaign),
     "isolation": ({"trials": 100, "seed": 0, "dims": (4, 4, 4)},

@@ -137,8 +137,8 @@ class SchmidtRotationResult:
 
 def schmidt_rotation(p1: float, p2: float, alpha: float) -> SchmidtRotationResult:
     """Rewrite sqrt(p1) u1 v1 + sqrt(p2) u2 v2 through a rotation by alpha."""
-    if not p1 >= p2 > 0:
-        raise InvalidStateError("need p1 >= p2 > 0")
+    if not (p1 >= p2 > 0 and math.isfinite(alpha)):
+        raise InvalidStateError("need p1 >= p2 > 0 and a finite alpha")
     space = ProductSpace((2, 2))
     e0, e1 = _basis_vec(2, 0), _basis_vec(2, 1)
     c, s = math.cos(alpha), math.sin(alpha)
@@ -150,7 +150,7 @@ def schmidt_rotation(p1: float, p2: float, alpha: float) -> SchmidtRotationResul
     )
     amp = r1 * np.outer(e0, e0) + r2 * np.outer(e1, e1)
     rebuilt = sum(np.outer(u, v) for u, v in rotated_terms)
-    if np.max(np.abs(amp - rebuilt)) > 1e-12:
+    if not np.max(np.abs(amp - rebuilt)) <= 1e-12:
         raise VerificationError("rotation identity failed to reconstruct")
     return SchmidtRotationResult(p1, p2, alpha, schmidt_terms, rotated_terms,
                                  DenseState(space, amp.ravel(), normalized=None))
@@ -387,6 +387,8 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
         raise InvalidStateError("epsilon must lie in (0, 1)")
     if abs(norm(psi) - 1.0) > tolerances.norm:
         raise InvalidStateError("psi must be a wavefunction")
+    if not (isinstance(term_ceiling, (int, np.integer)) and term_ceiling >= 1):
+        raise InvalidStateError("term_ceiling must be a positive integer")
 
     n0 = _truncation_size(psi, epsilon)
     n = n0
@@ -656,7 +658,7 @@ def non_triortho_perturb(psi, epsilon: float,
     if isinstance(psi, OrderedTriortho):
         ordered = psi
     elif isinstance(psi, TriDecomposition):
-        ordered = ordered_triortho(psi, tolerances.deg)
+        ordered = ordered_triortho(psi, tolerances)
     else:
         raise InvalidStateError("expected an (ordered) orthonormal decomposition")
     if not 0.0 < epsilon < 1.0:

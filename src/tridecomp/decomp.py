@@ -292,19 +292,22 @@ def _by_magnitude(state: SumState) -> tuple:
 
 
 def ordered_triortho(d: TriDecomposition,
-                     tol_deg: float = DEFAULT_TOLERANCES.deg) -> OrderedTriortho:
-    """Sort terms by descending |a| and group them into degeneracy blocks."""
+                     tolerances: Tolerances = DEFAULT_TOLERANCES
+                     ) -> OrderedTriortho:
+    """Sort terms by descending |a| and group them by ``tolerances.deg``."""
     if d.variant is not Variant.ORTHONORMAL:
         raise InvalidStateError("ordering is defined for orthonormal decompositions")
     state, mags = _by_magnitude(d.state)
     sorted_d = TriDecomposition(d.space, state, d.variant, d.certificate)
     blocks = tuple(Block(float(mags[i]), tuple(range(i, j)))
-                   for i, j in _degenerate_groups(mags, tol_deg))
+                   for i, j in _degenerate_groups(mags, tolerances.deg))
     return OrderedTriortho(sorted_d, blocks)
 
 
 def truncate_terms(d: TriDecomposition, delta: float) -> TriDecomposition:
     """Drop terms with |a_k| <= delta (preprocessing for near-infinite sums)."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise InvalidStateError(f"need a finite delta >= 0, got {delta!r}")
     kept = [k for k, c in enumerate(d.coefficients.tolist()) if abs(c) > delta]
     return TriDecomposition(d.space, d.state.take(kept), d.variant)
 
@@ -595,4 +598,4 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES):
             f"assembled candidate fails {cert.failed_condition}")
     certified = TriDecomposition(candidate.space, candidate.state,
                                  candidate.variant, cert)
-    return ordered_triortho(certified, tolerances.deg)
+    return ordered_triortho(certified, tolerances)

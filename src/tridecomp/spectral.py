@@ -25,6 +25,9 @@ from .states import (
 
 LOG_BASE_NOTE = "natural log"
 
+LEMMA_5_1_SLACK = 1e-10  # rounding headroom of the spectral shift check
+LEMMA_4_5_SLACK = 1e-9  # and of the ln k entropy ceiling
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -112,9 +115,8 @@ class SpectralShiftReport:
         }
 
 
-def verify_spectral_lemmas(r, s,
-                           tolerances: Tolerances = DEFAULT_TOLERANCES,
-                           slack: float = 1e-10) -> SpectralShiftReport:
+def verify_spectral_lemmas(r, s, tolerances: Tolerances = DEFAULT_TOLERANCES
+                           ) -> SpectralShiftReport:
     """Check max_n |r_n - s_n| <= ||R - S||_1 for two PSD trace-class operators.
 
     ``bound_holds`` must come back True; a False value flags a defect, not a
@@ -130,7 +132,7 @@ def verify_spectral_lemmas(r, s,
     sv = np.asarray(spectrum(sm, tolerances).values)
     max_gap = float(np.max(np.abs(rv - sv))) if rv.size else 0.0
     tn = trace_norm(rm - sm)
-    return SpectralShiftReport(max_gap, tn, max_gap <= tn + slack)
+    return SpectralShiftReport(max_gap, tn, max_gap <= tn + LEMMA_5_1_SLACK)
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,8 @@ class EntropyBoundReport:
 
 
 def entropy_decomposition_bound(psi, k: int,
-                                tolerances: Tolerances = DEFAULT_TOLERANCES,
-                                slack: float = 1e-9) -> EntropyBoundReport:
+                                tolerances: Tolerances = DEFAULT_TOLERANCES
+                                ) -> EntropyBoundReport:
     """Compare every single-factor reduced entropy of ``psi`` with ln k."""
     if not isinstance(psi, (DenseState, SumState)):
         raise InvalidStateError("expected a state")
@@ -173,7 +175,7 @@ def entropy_decomposition_bound(psi, k: int,
                  for i in range(3))
     ceiling = math.log(k)
     return EntropyBoundReport(k, ents, ceiling,
-                              any(e > ceiling + slack for e in ents))
+                              max(ents) > ceiling + LEMMA_4_5_SLACK)
 
 
 def reduced_spectra(psi, tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:

@@ -211,7 +211,7 @@ def test_criterion_07_entropy_ceilings_and_witnesses():
             for _ in range(k))
         raw = SumState(ProductSpace((9, 9, 9)), terms)
         state = raw.with_coeffs(raw.coeffs / norm(raw))
-        rep = entropy_decomposition_bound(state, k, slack=1e-9)
+        rep = entropy_decomposition_bound(state, k)
         worst_excess = max(worst_excess,
                            max(rep.entropies) - math.log(k) if k > 1
                            else max(rep.entropies))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tridecomp import states
+from tridecomp import constructions, states
 from tridecomp.constructions import (
     dft_basis,
     example31,
@@ -27,6 +27,7 @@ from tridecomp.errors import (
     DimensionMismatchError,
     InvalidStateError,
     PreconditionError,
+    VerificationError,
 )
 from tridecomp.spectral import (
     entropy,
@@ -113,6 +114,17 @@ class TestSchmidtRotation:
     def test_weight_ordering_enforced(self):
         with pytest.raises(InvalidStateError):
             schmidt_rotation(0.2, 0.5, 0.1)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # NaN returned NaN terms, inf escaped as a bare math domain error
+        with pytest.raises(InvalidStateError, match="alpha"):
+            schmidt_rotation(0.7, 0.3, alpha)
+
+    def test_self_check_fails_on_nan(self, monkeypatch):
+        monkeypatch.setattr(constructions.math, "cos", lambda a: math.nan)
+        with pytest.raises(VerificationError, match="rotation identity"):
+            schmidt_rotation(0.7, 0.3, 0.2)
 
 
 class TestExample32:
@@ -257,6 +269,20 @@ class TestInstabilityPair:
             instability_pair(psi, 0.48)
         with pytest.raises(CapacityError, match=r"\(3 x 729 x 738 x 16 B\)"):
             instability_pair(psi, 0.7, term_ceiling=729)
+
+    @pytest.mark.parametrize("ceiling", [math.nan, math.inf, 0, -5, 125.0])
+    def test_term_ceiling_must_be_a_positive_integer(self, monkeypatch,
+                                                     ceiling):
+        # a NaN ceiling passed the capacity guard: sum(sizes) > nan is False
+        def no_expansion(*args):
+            raise AssertionError("the expansion was built")
+
+        psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
+                         normalized=True)
+        monkeypatch.setattr(constructions, "_flat_expansion_entries",
+                            no_expansion)
+        with pytest.raises(InvalidStateError, match="term_ceiling"):
+            instability_pair(psi, 0.9, term_ceiling=ceiling)
 
     def test_explicit_theta_too_large(self, desk_pair):
         psi, _ = desk_pair

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -667,6 +668,14 @@ class TestEquivalence:
         assert d2.nterms == 2
         assert not decompositions_equivalent(d, d2, 1e-7)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -1.0])
+    def test_truncation_rejects_a_bad_delta(self, delta):
+        # a NaN delta used to drop every term, an infinite one too
+        d = random_triortho(12, k=3)
+        assert truncate_terms(d, 0.0).nterms == 3
+        with pytest.raises(InvalidStateError, match="delta"):
+            truncate_terms(d, delta)
+
     def test_degenerate_blocks_matched_by_assignment(self):
         d = random_triortho(13, k=3, tie=True)
         d2 = TriDecomposition(d.space, d.state.take([2, 1, 0]), d.variant)
@@ -842,3 +851,22 @@ class TestOrderedForm:
         fam = example31(0.5)
         with pytest.raises(InvalidStateError):
             ordered_triortho(fam.phi_decomposition)
+
+    def test_blocks_follow_the_degeneracy_width(self):
+        # magnitudes 0.6, 0.6 - 1e-4 and 0.2 are one block per value at the
+        # default width and a tie at Tolerances(deg=1e-3)
+        d = random_triortho(20, k=3)
+        a = np.array([0.6, 0.6 - 1e-4, 0.2])
+        a /= np.linalg.norm(a)
+        d = TriDecomposition(d.space, d.state.with_coeffs(a), d.variant)
+        assert "tol_deg" not in inspect.signature(ordered_triortho).parameters
+        assert [b.indices for b in ordered_triortho(d).blocks] == \
+            [(0,), (1,), (2,)]
+        wide = ordered_triortho(d, Tolerances(deg=1e-3))
+        assert [b.indices for b in wide.blocks] == [(0, 1), (2,)]
+
+    @pytest.mark.parametrize("width", [math.nan, -1.0])
+    def test_width_is_checked_by_the_tolerance_table(self, width):
+        # a NaN width merged distinct magnitudes, a negative one split ties
+        with pytest.raises(InvalidStateError, match="tolerance deg"):
+            Tolerances(deg=width)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from pathlib import Path
@@ -32,13 +33,13 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["theta_grid", "delta_scan",
                                       "witness_size", "epsilon_grid"])
     def test_theta_grid_is_the_instability_sweeps_alone(self, name):
-        # the sweep's grid is its own argument; the isolation scan's witness
-        # size, radius and epsilons are constants
+        # the sweep's grid and the isolation scan's witness size, radius and
+        # epsilons are constants; only the sweep's report echoes its grid
         with pytest.raises(TypeError):
             TrialConfig(**{name: 3})
         assert name not in TrialConfig().as_dict()
-        rep = run_instability_sweep((0.3,))
-        assert rep.to_json()["config"]["theta_grid"] == [0.3]
+        rep = run_instability_sweep()
+        assert rep.to_json()["config"]["theta_grid"] == [0.3, 0.1, 0.03, 0.01]
 
     def test_unknown_selector(self):
         with pytest.raises(InvalidStateError):
@@ -67,16 +68,12 @@ class TestInstabilitySweep:
         assert rep.pass_rate == 1.0
         assert rep.aggregate["family_gap_decreasing"]
         assert rep.aggregate["reduced_gap_decreasing"]
-
-    def test_grid_validation(self):
-        with pytest.raises(InvalidStateError):
-            run_instability_sweep((0.3, 2.0))
-
-    def test_degenerate_theta_recorded_not_run(self):
-        rep = run_instability_sweep((1.0, 0.5, 0.1))
-        skipped = [r for r in rep.records if "diverging_skipped" in r]
-        assert len(skipped) == 1
-        assert rep.pass_rate == 1.0
+        # the grid is a constant, and every theta on it runs Example 3.3
+        assert "theta_grid" not in inspect.signature(
+            run_instability_sweep).parameters
+        assert [r["theta"] for r in rep.records] == \
+            list(experiments.INSTABILITY_THETAS)
+        assert all(r["diverging_certified"] for r in rep.records)
 
 
 class TestStabilityCampaign:
@@ -190,11 +187,11 @@ class TestReportPlumbing:
                                     selector="all")
             fresh[f"stability/{seed}"] = \
                 run_stability_campaign(stability).to_json()
-        fresh["instability"] = run_instability_sweep((0.3, 0.1)).to_json()
+        fresh["instability"] = run_instability_sweep().to_json()
         assert_matches_pin(fresh, pinned, "")
 
     def test_environment_block(self):
-        rep = run_instability_sweep((0.3, 0.1))
+        rep = run_instability_sweep()
         env = rep.to_json()["environment"]
         assert env["log_base"] == "natural log"
         assert "binary64" in env["precision"]
@@ -211,5 +208,5 @@ class TestReportPlumbing:
         assert lines[1].startswith("tridecomp-report/1,")
 
     def test_report_schema_field(self):
-        rep = run_instability_sweep((0.3,))
+        rep = run_instability_sweep()
         assert rep.to_json()["schema"] == "tridecomp-report/1"

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -248,6 +249,23 @@ class TestEntropyTermBound:
         rep = entropy_decomposition_bound(w, 4)
         assert rep.violated
         assert max(rep.entropies) == pytest.approx(math.log(5), abs=1e-10)
+
+    def test_ghz_meets_its_two_term_ceiling(self):
+        # GHZ on 2^3 has a 2-term decomposition and entropies of exactly
+        # ln 2: k = 2 must not certify that none exists, k = 1 must
+        amp = np.zeros(8)
+        amp[0] = amp[7] = 1 / math.sqrt(2)
+        ghz = DenseState(ProductSpace((2, 2, 2)), amp, normalized=True)
+        assert not entropy_decomposition_bound(ghz, 2).violated
+        assert entropy_decomposition_bound(ghz, 1).violated
+
+
+@pytest.mark.parametrize("check", [verify_spectral_lemmas,
+                                   entropy_decomposition_bound])
+def test_lemma_slacks_are_constants(check):
+    # a caller-set slack could flip a certificate (a negative one makes GHZ
+    # "violate" its 2-term ceiling, a NaN one fails Lemma 5.1 on r = s)
+    assert "slack" not in inspect.signature(check).parameters
 
 
 class TestNecessaryCondition:
