@@ -9,6 +9,7 @@ can be overridden per call or through CLI flags.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidStateError
@@ -20,6 +21,14 @@ def check_tolerance(name: str, value) -> None:
     if not (math.isfinite(value) and value > 0):
         raise InvalidStateError(
             f"tolerance {name} must be finite and > 0, got {value!r}")
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise InvalidStateError unless ``value`` is an integer (``int`` or
+    ``np.integer``) >= ``minimum``, rather than silently truncate a float."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise InvalidStateError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

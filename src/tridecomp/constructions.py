@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, check_integer
 from .decomp import (
     TriDecomposition,
     Variant,
@@ -35,6 +35,7 @@ from .states import (
     SumState,
     _columns,
     _dense_zeros,
+    _khatri_rao,
     _overlap_blocks,
     _vector_row,
     combine,
@@ -189,8 +190,8 @@ def example32(theta: float,
     phi_products = products(base.phi_decomposition)
     psi_products = products(base.psi_decomposition)
     for rho, prods in ((rho_phi, phi_products), (rho_psi, psi_products)):
-        rebuilt = sum(0.5 * np.outer(np.kron(v1, v2), np.kron(v1, v2).conj())
-                      for v1, v2 in prods)
+        pairs = _khatri_rao([np.array(v) for v in zip(*prods)])
+        rebuilt = 0.5 * pairs.T @ pairs.conj()
         if np.max(np.abs(rho.matrix - rebuilt)) > 1e-12:
             raise VerificationError("reduced state does not match its "
                                     "product decomposition")
@@ -254,9 +255,7 @@ def dft_basis(n: int) -> np.ndarray:
 
     v[:, m] has entries exp(2 pi i (k+1)(m+1) / n) / sqrt(n).
     """
-    n = int(n)
-    if n < 1:
-        raise InvalidStateError("basis size must be at least 1")
+    check_integer("basis size", n, 1)
     k = np.arange(1, n + 1)
     return np.exp(2j * math.pi * np.outer(k, k) / n) / math.sqrt(n)
 
@@ -387,8 +386,7 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
         raise InvalidStateError("epsilon must lie in (0, 1)")
     if abs(norm(psi) - 1.0) > tolerances.norm:
         raise InvalidStateError("psi must be a wavefunction")
-    if not (isinstance(term_ceiling, (int, np.integer)) and term_ceiling >= 1):
-        raise InvalidStateError("term_ceiling must be a positive integer")
+    check_integer("term_ceiling", term_ceiling, 1)
 
     n0 = _truncation_size(psi, epsilon)
     n = n0
@@ -597,9 +595,7 @@ def structure_mover(phi1, phi2,
 def isolation_witness_3(n1: int, dims: tuple = None) -> DenseState:
     """Three-factor state whose factor-3 entropy is ln(n1 + 1), above the
     ceiling any expansion with n1 independent first-factor components allows."""
-    n1 = int(n1)
-    if n1 < 2:
-        raise InvalidStateError("n1 must be at least 2")
+    check_integer("n1", n1, 2)
     if dims is None:
         dims = (n1, 2, n1 + 1)
     dims = tuple(int(d) for d in dims)
@@ -616,9 +612,7 @@ def isolation_witness_3(n1: int, dims: tuple = None) -> DenseState:
 
 def isolation_witness_4(n: int, dims: tuple = None) -> DenseState:
     """Four-factor state whose (2,3)-entropy is ln(n + 1)."""
-    n = int(n)
-    if n < 2:
-        raise InvalidStateError("n must be at least 2")
+    check_integer("n", n, 2)
     if dims is None:
         dims = (n, n, n, n)
     dims = tuple(int(d) for d in dims)

@@ -29,6 +29,7 @@ from .states import (
     _factor_overlap,
     _frozen_rows,
     _gram_forms,
+    _khatri_rao,
     _matricize,
     _split_diagonal,
     _split_factors,
@@ -534,7 +535,7 @@ def _resolve_degenerate_block(left_cols, right_cols, svals, d2, d3, tol):
         if np.max(np.abs(gram3 - np.eye(g))) > math.sqrt(tol):
             return NotTriorthogonal(
                 "degenerate block components are not orthonormal")
-        xs = np.column_stack([np.kron(m, r) for m, r in zip(mids, rights)])
+        xs = _khatri_rao([np.array(mids), np.array(rights)]).T
         unitary = right_cols.conj().T @ xs
         defect = float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(g))))
         if defect > math.sqrt(tol):

@@ -20,6 +20,7 @@ from . import __version__
 from .config import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    check_integer,
     json_fields,
 )
 from .constructions import (
@@ -70,10 +71,8 @@ class TrialConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.seed < 0:
-            raise InvalidStateError("seed must be non-negative")
-        if self.trials < 1:
-            raise InvalidStateError("trial count must be at least 1")
+        check_integer("seed", self.seed, 0)
+        check_integer("trials", self.trials, 1)
         _check_dense(self.dims)
 
     def as_dict(self) -> dict:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, check_tolerance
+from .config import DEFAULT_TOLERANCES, Tolerances, check_integer, check_tolerance
 from .errors import DimensionMismatchError, InvalidStateError
 from .states import (
     DenseState,
@@ -168,13 +168,11 @@ def entropy_decomposition_bound(psi, k: int,
         raise InvalidStateError("expected a state")
     if psi.space.nfactors != 3:
         raise InvalidStateError("the term-count bound is stated on 3 factors")
-    k = int(k)
-    if k < 1:
-        raise InvalidStateError("k must be a positive integer")
+    check_integer("k", k, 1)
     ents = tuple(entropy(partial_trace(psi, (i,)), tolerances).nats
                  for i in range(3))
     ceiling = math.log(k)
-    return EntropyBoundReport(k, ents, ceiling,
+    return EntropyBoundReport(int(k), ents, ceiling,
                               max(ents) > ceiling + LEMMA_4_5_SLACK)
 
 

@@ -501,9 +501,7 @@ def _difference_core(factors, weights: np.ndarray):
         for j in range(1, r.shape[0]):
             r[j, :j] = 0.0  # below the diagonal: the Householder vectors
         coords.append(r)
-    rest = reduce(lambda x, y: (x[:, None, :] * y[None, :, :]).reshape(
-        -1, weights.size), coords[1:])
-    return (coords[0] * weights) @ rest.T
+    return (coords[0] * weights) @ _khatri_rao([c.T for c in coords[1:]])
 
 
 def _overlap_rows(pack_a, pack_b):
@@ -629,16 +627,33 @@ def _dense_zeros(dims) -> np.ndarray:
     return np.zeros(dims, dtype=np.complex128)
 
 
+def _khatri_rao(mats) -> np.ndarray:
+    """Row k is the Kronecker product of row k of each matrix, in order: the
+    row-wise Khatri-Rao product (Kolda and Bader, section 2.6)."""
+    return reduce(lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(
+        x.shape[0], -1), mats)
+
+
+def _term_blocks(s: SumState, dims: tuple):
+    """Yield (c o F_1, F_2 (.) ... (.) F_n), (.) the ``_khatri_rao`` product,
+    for blocks of ``s``'s terms with the factor rows F_i cut or zero-padded
+    to ``dims``: a block sums to (c o F_1)^T (F_2 (.) ... (.) F_n).  Its
+    Khatri-Rao rows hold at most max(a tensor of ``dims``, ``_BLOCK_BYTES``)."""
+    step = max(16 * math.prod(dims), _BLOCK_BYTES) // (16 * math.prod(dims[1:]))
+    for lo in range(0, s.nterms, step):
+        part = s.take(np.arange(lo, min(lo + step, s.nterms)))
+        first, *rest = [_dense_factor(part, i, d) for i, d in enumerate(dims)]
+        yield part.coeffs[:, None] * first, _khatri_rao(rest)
+
+
 def _padded_tensor(state, dims: tuple) -> np.ndarray:
-    """The amplitude tensor of ``state`` zero-padded to ``dims``; a
-    SumState is built only up to ``DENSIFY_CEILING`` amplitudes."""
+    """The amplitude tensor of ``state`` zero-padded to ``dims``.  A
+    SumState is built only up to ``DENSIFY_CEILING`` amplitudes, one GEMM
+    per block of ``_term_blocks``."""
     if isinstance(state, SumState):
         out = _dense_zeros(dims).reshape(dims[0], -1)
-        first, *rest = [_dense_factor(state, i, d) for i, d in enumerate(dims)]
-        # coeff v1 (x) (v2 (x) v3): the long tail is every product's inner loop
-        for k, coeff in enumerate(state.coeffs):
-            tail = reduce(np.multiply.outer, [m[k] for m in rest]).ravel()
-            out += np.multiply.outer(coeff * first[k], tail)
+        for first, rest in _term_blocks(state, dims):
+            out += first.T @ rest
         return out.reshape(dims)
     if state.space.dims == tuple(dims):
         return state.tensor
@@ -649,30 +664,18 @@ def _padded_tensor(state, dims: tuple) -> np.ndarray:
 
 def _dense_factor(s: SumState, i: int, dim: int) -> np.ndarray:
     """Terms-by-``dim`` matrix of factor ``i``; indices at or beyond ``dim``
-    (zero padding of a smaller dense operand) are left out."""
-    term, indices, data = s.rows[i].entry_terms(), s.rows[i].indices, \
-        s.rows[i].data
-    if dim < s.space.dims[i]:
-        inside = indices < dim
-        term, indices, data = term[inside], indices[inside], data[inside]
-    out = np.zeros((s.nterms, dim), dtype=np.complex128)
-    out[term, indices] = data
-    return out
+    (zero padding of a smaller dense operand) land in one extra column,
+    which is cut off."""
+    rows = s.rows[i]
+    out = np.zeros((s.nterms, dim + 1), dtype=np.complex128)
+    out[rows.entry_terms(), np.minimum(rows.indices, dim)] = rows.data
+    return out[:, :dim]
 
 
 def _columns(s: SumState) -> list:
     """One dims[i] x terms matrix per factor: column k is term k's vector."""
     return [np.ascontiguousarray(_dense_factor(s, i, d).T)
             for i, d in enumerate(s.space.dims)]
-
-
-def _dense_term_brackets(state: DenseState, s: SumState) -> np.ndarray:
-    """<dense | term_l> for every term of ``s`` (coefficients excluded)."""
-    dims = state.space.dims
-    operands = [state.tensor.conj(), list(range(len(dims)))]
-    for i, d in enumerate(dims):
-        operands.extend([_dense_factor(s, i, d), [len(dims), i]])
-    return np.einsum(*operands, [len(dims)])
 
 
 def _sum_inner(a: SumState, b: SumState) -> complex:
@@ -691,7 +694,7 @@ def inner(a, b) -> complex:
 
     Dense operands with unequal dims are zero-padded to the larger space;
     SumState operands are combined through factor Gram matrices without
-    densification.
+    densification; against a dense operand a SumState is cut to its dims.
     """
     _check_same_nfactors(a, b)
     if isinstance(a, DenseState) and isinstance(b, DenseState):
@@ -700,9 +703,11 @@ def inner(a, b) -> complex:
     if isinstance(a, SumState) and isinstance(b, SumState):
         return a._self_inner if a is b else _sum_inner(a, b)
     if isinstance(a, DenseState) and isinstance(b, SumState):
-        if not b.nterms:
-            return 0j
-        return complex(_dense_term_brackets(a, b) @ b.coeffs)
+        # vdot(A, F^T K) = vdot(conj(F) A, K): no block builds a dense tensor
+        mat = a.tensor.reshape(a.space.dims[0], -1)
+        return complex(sum((np.vdot(first.conj() @ mat, rest)
+                            for first, rest in _term_blocks(b, a.space.dims)),
+                           0j))
     if isinstance(a, SumState) and isinstance(b, DenseState):
         return complex(inner(b, a)).conjugate()
     raise TypeError(f"unsupported operands: {type(a).__name__}, {type(b).__name__}")
@@ -832,28 +837,21 @@ def partial_trace(s, keep) -> DensityMatrix:
                              tuple(s.space.dims[i] for i in keep), keep)
     if isinstance(s, SumState):
         keep, traced = _split_factors(keep, s.space.nfactors)
-        nterms = s.nterms
-        if nterms == 0:
+        if not s.nterms:
             raise InvalidStateError("cannot reduce the zero state")
         mix = np.outer(s.coeffs, s.coeffs.conj())
         for i in traced:
-            ov = _factor_overlap(s._packed[i], s._packed[i])
-            mix = mix * ov.T
-        cols = None
-        dims = []
-        bases = []
-        for i in keep:
-            idx, fmat = s._packed[i]
+            mix = mix * _factor_overlap(s._packed[i], s._packed[i]).T
+        touched, fmats = zip(*(s._packed[i] for i in keep))
+        for i, idx in zip(keep, touched):
             if idx.size == 0:
                 raise InvalidStateError(f"kept factor {i} is identically zero")
-            dims.append(idx.size)
-            bases.append(tuple(idx.tolist()))
-            block = fmat.T  # touched-by-terms
-            cols = block if cols is None else (
-                cols[:, None, :] * block[None, :, :]).reshape(-1, nterms)
+        # column k of cols is term k on the kept factors' touched indices
+        cols = _khatri_rao(fmats).T
         rho = cols @ mix @ cols.conj().T
         rho = (rho + rho.conj().T) / 2.0
-        return DensityMatrix(rho, tuple(dims), keep, basis=tuple(bases))
+        return DensityMatrix(rho, tuple(t.size for t in touched), keep,
+                             basis=tuple(tuple(t.tolist()) for t in touched))
     if isinstance(s, DensityMatrix):
         positions = tuple(sorted({int(k) for k in keep}))
         if not positions or not set(positions) <= set(s.kept_factors) \

@@ -184,6 +184,11 @@ class TestDftBasis:
             v = dft_basis(n)
             assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, 0])
+    def test_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(InvalidStateError, match="integer"):
+            dft_basis(n)
+
 
 @pytest.fixture(scope="module")
 def desk_pair():
@@ -472,6 +477,18 @@ class TestWitnesses:
             nonzero = vals[vals > 1e-12]
             assert nonzero.size == n + 1
             assert np.allclose(nonzero, 1.0 / (n + 1), atol=1e-10)
+
+    @pytest.mark.parametrize("build", [isolation_witness_3,
+                                       isolation_witness_4])
+    @pytest.mark.parametrize("n", [2.9, 3.0, math.nan, 1])
+    def test_size_must_be_an_integer_of_at_least_two(self, build, n):
+        # 2.9 used to build the n = 2 witness; NaN escaped as a ValueError
+        with pytest.raises(InvalidStateError, match="must be an integer"):
+            build(n)
+
+    def test_numpy_integer_sizes(self):
+        assert isolation_witness_3(np.int64(3)).space.dims == (3, 2, 4)
+        assert isolation_witness_4(np.int32(2)).space.dims == (2, 2, 2, 2)
 
     def test_dims_too_small(self):
         with pytest.raises(InvalidStateError):

@@ -26,6 +26,13 @@ class TestConfig:
         with pytest.raises(InvalidStateError, match="seed"):
             TrialConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["seed", "trials"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, float("nan")])
+    def test_seed_and_trials_are_integers(self, field, value):
+        # a float used to pass and fail mid-run with a bare TypeError
+        with pytest.raises(InvalidStateError, match=f"{field} must be an "):
+            TrialConfig(**{field: value})
+
     def test_rejects_oversized_dims(self):
         with pytest.raises(CapacityError):
             TrialConfig(dims=(300, 300, 300))

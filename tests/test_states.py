@@ -555,6 +555,94 @@ class TestDensifySparsify:
             densify(SumState(big, (t,)))
 
 
+def padded_oracle(tensor, dims):
+    """``tensor`` cut to ``dims`` where it is larger and zero-padded where it
+    is smaller."""
+    tensor = tensor[tuple(slice(0, d) for d in dims)]
+    return np.pad(tensor, [(0, d - n) for d, n in zip(dims, tensor.shape)])
+
+
+class TestSumsOfProducts:
+    """Every sum of products becomes a tensor through ``_khatri_rao``, one
+    GEMM per block of terms; an inner product with a dense operand contracts
+    the blocks without summing them into a tensor."""
+
+    def test_khatri_rao_rows_are_kronecker_products(self, rng):
+        mats = [rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+                for d in (2, 3, 5)]
+        out = states._khatri_rao(mats)
+        assert out.shape == (4, 30)
+        for k in range(4):
+            assert np.array_equal(
+                out[k], np.kron(np.kron(mats[0][k], mats[1][k]), mats[2][k]))
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 10])
+    def test_sparsify_round_trip_spans_term_blocks(self, monkeypatch,
+                                                   block_bytes):
+        # 1,728 one-entry terms; every amplitude gets exactly one product
+        if block_bytes is not None:
+            monkeypatch.setattr(states, "_BLOCK_BYTES", block_bytes)
+        x = haar_random_state(ProductSpace((12, 12, 12)), 41)
+        blocks = []
+        khatri_rao = states._khatri_rao
+
+        def record(mats):
+            out = khatri_rao(mats)
+            blocks.append(out.nbytes)
+            return out
+
+        monkeypatch.setattr(states, "_khatri_rao", record)
+        back = densify(sparsify(x))
+        assert np.max(np.abs(back.amplitudes - x.amplitudes)) <= 1e-15
+        assert len(blocks) > 1
+        assert max(blocks) <= max(x.amplitudes.nbytes, states._BLOCK_BYTES)
+
+    @pytest.mark.parametrize("sum_dims", [(6, 4, 5), (2, 3, 2), (4, 6, 2)])
+    def test_dense_operand_restricts_and_pads(self, rng, sum_dims):
+        dense_dims = (4, 4, 3)
+        k = 5
+        cols = [rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+                for d in sum_dims]
+        cols = [c / np.linalg.norm(c, axis=0) for c in cols]
+        coeffs = random_unit(rng, k)
+        s = SumState.from_columns(ProductSpace(sum_dims), coeffs, cols)
+        a = haar_random_state(ProductSpace(dense_dims), 43)
+        dims = tuple(max(x, y) for x, y in zip(sum_dims, dense_dims))
+        want = np.vdot(padded_oracle(a.tensor, dims), padded_oracle(
+            np.einsum("k,ak,bk,ck->abc", coeffs, *cols), dims))
+        assert abs(inner(a, s) - want) < 1e-15
+        assert abs(inner(s, a) - np.conj(want)) < 1e-15
+
+    def test_empty_sum_state(self):
+        space = ProductSpace((3, 4, 2))
+        empty = SumState(space, ())
+        dense = haar_random_state(space, 44)
+        assert inner(dense, empty) == 0 and inner(empty, dense) == 0
+        assert not densify(empty).amplitudes.any()
+
+    def test_dense_operand_above_the_ceiling(self):
+        # the dense operand already exists, so only densify and distance,
+        # which would build a new tensor, refuse it
+        g = np.random.default_rng(7)
+        dims = (40, 200, 162)
+        cols = [g.standard_normal((d, 3)) + 1j * g.standard_normal((d, 3))
+                for d in dims]
+        cols = [c / np.linalg.norm(c, axis=0) for c in cols]
+        s = SumState.from_columns(ProductSpace(dims),
+                                  [0.6, -0.3j, 0.2 + 0.1j], cols)
+        big = haar_random_state(ProductSpace((162,) * 3), 5)
+        assert big.space.dim > states.DENSIFY_CEILING
+        # the value of the einsum over every term's product that this
+        # contraction replaced
+        want = 6.264454407279984e-05 + 0.00010167767499080626j
+        assert abs(inner(big, s) - want) < 1e-15
+        assert abs(inner(s, big) - np.conj(want)) < 1e-15
+        with pytest.raises(CapacityError):
+            distance(s, big)
+        with pytest.raises(CapacityError):
+            densify(s.embedded(ProductSpace((162, 200, 162))))
+
+
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidStateError):
