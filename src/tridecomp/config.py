@@ -25,8 +25,9 @@ def check_tolerance(name: str, value) -> None:
 
 def check_integer(name: str, value, minimum: int) -> None:
     """Raise InvalidStateError unless ``value`` is an integer (``int`` or
-    ``np.integer``) >= ``minimum``, rather than silently truncate a float."""
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
+    ``np.integer``, not ``bool``) >= ``minimum``; a float is not truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and value >= minimum):
         raise InvalidStateError(
             f"{name} must be an integer >= {minimum}, got {value!r}")
 

@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .config import DEFAULT_TOLERANCES, Tolerances, check_tolerance, json_fields
 from .errors import DimensionMismatchError, InvalidStateError
-from .spectral import triortho_necessary_test
+from .spectral import _padded_spectra, _spectra_agree
 from .states import (
     DenseState,
     FactorPack,
@@ -28,6 +28,7 @@ from .states import (
     SumState,
     _factor_overlap,
     _frozen_rows,
+    _gram,
     _gram_forms,
     _khatri_rao,
     _matricize,
@@ -37,6 +38,7 @@ from .states import (
     as_dense,
     distance,
     norm,
+    partial_trace,
     term_gram,
 )
 
@@ -72,20 +74,15 @@ class SchmidtDecomposition:
                           tensor.transpose(inverse).ravel(), normalized=None)
 
 
-def _canonical_column_phases(left: np.ndarray, right: np.ndarray):
-    """Make each left column's first entry above the default zero cut real
-    positive; a phase convention decides no verdict."""
-    left = left.copy()
-    right = right.copy()
-    for j in range(left.shape[1]):
-        col = left[:, j]
-        sig = np.nonzero(np.abs(col) > DEFAULT_TOLERANCES.zero_coeff)[0]
-        if sig.size == 0:
-            continue
-        phase = col[sig[0]] / abs(col[sig[0]])
-        left[:, j] = col / phase
-        right[:, j] = right[:, j] * phase
-    return left, right
+def _leading_amplitudes(owner, data: np.ndarray, n: int) -> np.ndarray:
+    """Each of ``n`` vectors' first amplitude above the default zero cut (0
+    where none is), which the one phase rule turns real positive; ``data``
+    holds the vectors' entries in index order, ``owner`` their vectors."""
+    sig = np.nonzero(np.abs(data) > DEFAULT_TOLERANCES.zero_coeff)[0]
+    vec, first = np.unique(owner[sig], return_index=True)
+    lead = np.zeros(n, dtype=np.complex128)
+    lead[vec] = data[sig[first]]
+    return lead
 
 
 def _degenerate_groups(values, width: float) -> list:
@@ -102,31 +99,29 @@ def _degenerate_groups(values, width: float) -> list:
     return groups
 
 
-def _short_side_svd(mat: np.ndarray, zero_cut: float) -> tuple:
-    """Thin SVD (u, s, vh) of ``mat`` at the rank it has (a direct SVD:
-    Halko, Martinsson and Tropp, SIAM Rev. 53 (2011), section 5.1).
+def _short_side_svd(mat: np.ndarray, gram: np.ndarray,
+                    zero_cut: float) -> tuple:
+    """Thin SVD (u, s, vh) of ``mat`` = M, values above ``zero_cut`` only
+    (a direct SVD: Halko, Martinsson and Tropp, SIAM Rev. 53 (2011), 5.1).
 
-    On the short side M (``mat``, or its adjoint when tall, so M has
-    m <= n rows) the eigenvectors U of M M^H rotate M into B = U^H M.  The
-    smallest rows of B are dropped while their joint norm, which is exactly
-    ||M - U_k B_k||_F, stays within min(zero_cut, m eps ||M||_F); the kept
-    rows B_k = X S Y^H go to LAPACK, so every value and vector comes from
-    an SVD and none is read off an eigenvector as M^H u / s.
+    The eigenvectors U of ``gram`` = M M^H rotate M into B = U^H M; the
+    smallest rows of B are dropped while their joint norm, exactly
+    ||M - U_k B_k||_F, stays within min(zero_cut, m eps ||M||_F) for M's m
+    rows.  The kept rows B_k = X S Y^H go to LAPACK, so no vector is read off
+    an eigenvector as M^H u / s.  M is cheapest as the short side.
     """
-    tall = mat.shape[0] > mat.shape[1]
-    m = mat.conj().T if tall else mat
-    rot = np.linalg.eigh(m @ m.conj().T)[1]
-    b = rot.conj().T @ m
+    rot = np.linalg.eigh(gram)[1]
+    b = rot.conj().T @ mat
     sq = np.linalg.norm(b, axis=1) ** 2
     order = np.argsort(sq)
     # ||B||_F = ||M||_F, as U is unitary
-    floor = min(zero_cut, m.shape[0] * np.finfo(float).eps
+    floor = min(zero_cut, mat.shape[0] * np.finfo(float).eps
                 * math.sqrt(sq.sum()))
     keep = order[np.searchsorted(np.cumsum(sq[order]), floor ** 2,
                                  side="right"):]
     x, s, yh = np.linalg.svd(b[keep], full_matrices=False)
-    u = rot[:, keep] @ x
-    return (yh.conj().T, s, u.conj().T) if tall else (u, s, yh)
+    big = s > zero_cut
+    return (rot[:, keep] @ x)[:, big], s[big], yh[big]
 
 
 def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES
@@ -134,27 +129,31 @@ def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES
     """SVD of the amplitude matrix across ``left`` | complement.
 
     Coefficients come back descending; those at or below
-    ``tolerances.zero_coeff`` are dropped.  Ties within the degeneracy width
-    are ordered deterministically by lexicographic comparison of the
-    phase-canonicalized left columns.
+    ``tolerances.zero_coeff`` are dropped.  Each left vector's leading
+    amplitude is made real positive; ties within the degeneracy width are
+    ordered by lexicographic comparison of the left vectors.
     """
     psi_d = as_dense(psi)
     left, right = _split_factors(left, psi_d.space.nfactors)
     if np.linalg.norm(psi_d.amplitudes) == 0.0:
         raise InvalidStateError("cannot decompose the zero state")
     mat = _matricize(psi_d, left, right)
-    u, s, vh = _short_side_svd(mat, tolerances.zero_coeff)
-    keep = s > tolerances.zero_coeff
-    u, s, v = u[:, keep], s[keep], vh[keep, :].T
-    u, v = _canonical_column_phases(u, v)
+    tall = mat.shape[0] > mat.shape[1]
+    short = mat.conj().T if tall else mat
+    u, s, vh = _short_side_svd(short, _gram(short), tolerances.zero_coeff)
+    u, v = (vh.conj().T, u.conj()) if tall else (u, vh.T)
+    lead = _leading_amplitudes(np.arange(s.size).repeat(u.shape[0]),
+                               u.T.ravel(), s.size)
+    for j in np.nonzero(lead)[0]:
+        phase = lead[j] / abs(lead[j])
+        u[:, j], v[:, j] = u[:, j] / phase, v[:, j] * phase
     # deterministic tie-breaking inside degenerate groups
     order = list(range(s.size))
     for i, j in _degenerate_groups(s, tolerances.deg):
         order[i:j] = sorted(order[i:j], key=lambda k: tuple(
             x for e in u[:, k] for x in (e.real, e.imag)))
-    u, s, v = u[:, order], s[order], v[:, order]
-    return SchmidtDecomposition(psi_d.space, (left, right),
-                                s.copy(), u, v)
+    return SchmidtDecomposition(psi_d.space, (left, right), s[order],
+                                u[:, order], v[:, order])
 
 
 def schmidt_rank(psi, left, tol: float) -> int:
@@ -419,11 +418,8 @@ def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None
     state = d.state
     coeffs, rows = state.coeffs, []
     for i, r in enumerate(state.rows):
-        if reference is None:  # each row's first significant amplitude
-            sig = np.nonzero(np.abs(r.data) > DEFAULT_TOLERANCES.zero_coeff)[0]
-            term, first = np.unique(r.entry_terms()[sig], return_index=True)
-            lead = np.zeros(state.nterms, dtype=np.complex128)
-            lead[term] = r.data[sig[first]]
+        if reference is None:
+            lead = _leading_amplitudes(r.entry_terms(), r.data, state.nterms)
             turn = -1j
         else:
             lead = np.diagonal(_factor_overlap(
@@ -562,28 +558,27 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES):
     n = norm(psi_d)
     if abs(n - 1.0) > tolerances.norm:
         raise InvalidStateError(f"expected a wavefunction, norm = {n!r}")
-    if not triortho_necessary_test(psi_d, tol=tolerances.deg,
-                                   tolerances=tolerances):
+    # factor 0's reduction is the Gram of the matrix whose SVD is wanted
+    rhos = [partial_trace(psi_d, (i,)) for i in range(3)]
+    if not _spectra_agree(_padded_spectra(rhos, tolerances), tolerances.deg):
         return NotTriorthogonal("reduced spectra disagree across the factors")
 
-    sd = schmidt(psi_d, (0,), tolerances=tolerances)
-    d2, d3 = psi_d.space.dims[1], psi_d.space.dims[2]
-    coeffs = sd.coefficients
+    d2, d3 = psi_d.space.dims[1:]
+    lefts, coeffs, vh = _short_side_svd(_matricize(psi_d, (0,), (1, 2)),
+                                        rhos[0].matrix, tolerances.zero_coeff)
     triples = []
-    # schmidt permuted only inside these groups of the descending values
-    for i, j in _degenerate_groups(np.sort(coeffs)[::-1], tolerances.deg):
+    for i, j in _degenerate_groups(coeffs, tolerances.deg):
         if j - i == 1:
             mid, right, residual = _rank_one_split(
-                sd.right_vectors[:, i].reshape(d2, d3), 10 * tolerances.orth)
+                vh[i].reshape(d2, d3), 10 * tolerances.orth)
             if mid is None:
                 return NotTriorthogonal(
                     "a nondegenerate Schmidt vector is not a product "
                     f"(residual {residual:.3e})")
-            triples.append((coeffs[i], sd.left_vectors[:, i], mid, right))
+            triples.append((coeffs[i], lefts[:, i], mid, right))
         else:
             resolved = _resolve_degenerate_block(
-                sd.left_vectors[:, i:j], sd.right_vectors[:, i:j],
-                coeffs[i:j], d2, d3, tolerances.deg)
+                lefts[:, i:j], vh[i:j].T, coeffs[i:j], d2, d3, tolerances.deg)
             if isinstance(resolved, (NotTriorthogonal, Undetermined)):
                 return resolved
             triples.extend(resolved)

@@ -176,14 +176,24 @@ def entropy_decomposition_bound(psi, k: int,
                               max(ents) > ceiling + LEMMA_4_5_SLACK)
 
 
-def reduced_spectra(psi, tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    """Spectra of every single-factor reduction, zero-padded to equal length."""
-    specs = [spectrum(partial_trace(psi, (i,)), tolerances).values
-             for i in range(psi.space.nfactors)]
+def _padded_spectra(rhos, tolerances: Tolerances) -> np.ndarray:
+    """One row per reduction: its spectrum, zero-padded to equal length."""
+    specs = [spectrum(rho, tolerances).values for rho in rhos]
     out = np.zeros((len(specs), max(map(len, specs))))
     for row, vals in zip(out, specs):
         row[:len(vals)] = vals
-    return tuple(out)
+    return out
+
+
+def reduced_spectra(psi, tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """Spectra of every single-factor reduction, zero-padded to equal length."""
+    rhos = [partial_trace(psi, (i,)) for i in range(psi.space.nfactors)]
+    return tuple(_padded_spectra(rhos, tolerances))
+
+
+def _spectra_agree(spectra, tol: float) -> bool:
+    """Whether the rows agree elementwise within ``tol`` (max - min)."""
+    return bool(np.ptp(spectra, axis=0).max() <= tol)
 
 
 def triortho_necessary_test(psi, tol: float = 1e-8,
@@ -196,7 +206,4 @@ def triortho_necessary_test(psi, tol: float = 1e-8,
     check_tolerance("tol", tol)
     if psi.space.nfactors != 3:
         raise InvalidStateError("the necessary condition is stated on 3 factors")
-    s1, s2, s3 = reduced_spectra(psi, tolerances)
-    return bool(np.max(np.abs(s1 - s2)) <= tol and
-                np.max(np.abs(s1 - s3)) <= tol and
-                np.max(np.abs(s2 - s3)) <= tol)
+    return _spectra_agree(reduced_spectra(psi, tolerances), tol)

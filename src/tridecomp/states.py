@@ -415,11 +415,7 @@ class SumState:
         """The same state in ``space``, whose dims must hold this state's."""
         if space == self.space:
             return self
-        if space.nfactors != self.space.nfactors or any(
-                d < e for d, e in zip(space.dims, self.space.dims)):
-            raise DimensionMismatchError(
-                f"cannot embed dims {self.space.dims} into {space.dims}")
-        return SumState._trusted(space, self.coeffs, self.rows)
+        return self.on_factors(space, range(self.space.nfactors), self.coeffs)
 
 
 def combine(space: ProductSpace, weights, states) -> SumState:
@@ -515,19 +511,14 @@ def _overlap_rows(pack_a, pack_b):
     """
     ia, fa = pack_a
     ib, fb = pack_b
-
-    def zeros(lo, hi):
-        return np.zeros((hi - lo, fb.shape[0]), dtype=np.complex128)
-
-    if ia.size == 0 or ib.size == 0:
-        return zeros
     if ia is ib or (ia.size == ib.size and (ia == ib).all()):
         ca = cb = np.arange(ia.size)
     else:
         common, ca, cb = np.intersect1d(ia, ib, assume_unique=True,
                                         return_indices=True)
         if common.size == 0:
-            return zeros
+            return lambda lo, hi: np.zeros((hi - lo, fb.shape[0]),
+                                           dtype=np.complex128)
     if not (pack_a.has_private and pack_b.has_private):
         if ca.size == fa.shape[1] == fb.shape[1]:  # every column is common
             return lambda lo, hi: fa[lo:hi].conj() @ fb.T
@@ -641,7 +632,8 @@ def _term_blocks(s: SumState, dims: tuple):
     Khatri-Rao rows hold at most max(a tensor of ``dims``, ``_BLOCK_BYTES``)."""
     step = max(16 * math.prod(dims), _BLOCK_BYTES) // (16 * math.prod(dims[1:]))
     for lo in range(0, s.nterms, step):
-        part = s.take(np.arange(lo, min(lo + step, s.nterms)))
+        part = s if step >= s.nterms else s.take(
+            np.arange(lo, min(lo + step, s.nterms)))
         first, *rest = [_dense_factor(part, i, d) for i, d in enumerate(dims)]
         yield part.coeffs[:, None] * first, _khatri_rao(rest)
 
@@ -799,6 +791,11 @@ def _matricize(s: DenseState, keep: tuple, rest: tuple) -> np.ndarray:
     return s.tensor.transpose(keep + rest).reshape(rows, -1)
 
 
+def _gram(mat: np.ndarray) -> np.ndarray:
+    """M M^H, the reduced state on the rows of a matricization M: one GEMM."""
+    return mat @ mat.conj().T
+
+
 def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace of an arbitrary (not necessarily PSD) square matrix.
 
@@ -830,10 +827,8 @@ def partial_trace(s, keep) -> DensityMatrix:
     factor, recorded in the result's ``basis``.
     """
     if isinstance(s, DenseState):
-        # rho = M M^H for the matricization M of the kept factors: one GEMM
         keep, traced = _split_factors(keep, s.space.nfactors)
-        mat = _matricize(s, keep, traced)
-        return DensityMatrix(mat @ mat.conj().T,
+        return DensityMatrix(_gram(_matricize(s, keep, traced)),
                              tuple(s.space.dims[i] for i in keep), keep)
     if isinstance(s, SumState):
         keep, traced = _split_factors(keep, s.space.nfactors)

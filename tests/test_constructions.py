@@ -184,8 +184,9 @@ class TestDftBasis:
             v = dft_basis(n)
             assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
 
-    @pytest.mark.parametrize("n", [2.5, math.nan, 0])
+    @pytest.mark.parametrize("n", [2.5, math.nan, 0, True])
     def test_size_must_be_a_positive_integer(self, n):
+        # dft_basis(True) used to return the 1 x 1 basis
         with pytest.raises(InvalidStateError, match="integer"):
             dft_basis(n)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tridecomp import experiments, states
+from tridecomp import decomp, experiments, states
 from tridecomp.constructions import (
     example31,
     instability_pair,
@@ -742,6 +742,15 @@ class TestExtraction:
         assert isinstance(out, NotTriorthogonal)
         assert "not a product" in out.reason
 
+    def test_long_first_factor(self):
+        # factor 0 is the long side of its 10 x 4 matricization; extraction
+        # rotates by its Gram all the same and drops the null rows
+        d = random_triortho(18, dims=(10, 2, 2), k=2)
+        out = extract_triortho(densify(d.state))
+        assert isinstance(out, OrderedTriortho)
+        assert out.decomposition.certificate.passed
+        assert decompositions_equivalent(out.decomposition, d, 1e-9)
+
     def test_degenerate_block_resolved(self):
         amp = np.zeros((2, 2, 2), dtype=complex)
         amp[0, 0, 0] = amp[1, 1, 1] = INV_SQRT2
@@ -806,6 +815,34 @@ class TestExtraction:
                               np.column_stack(rights)]), Variant.LI_ALL)
         assert verify_tridecomposition(d2, fam.phi_theta).passed
         assert decompositions_equivalent(d, d2, 1e-7)
+
+
+class TestOneGramPerFactor:
+    @pytest.fixture
+    def grams(self, monkeypatch):
+        """The shapes of the matrices whose Gram M M^H is formed."""
+        shapes, original = [], states._gram
+
+        def counting(mat):
+            shapes.append(mat.shape)
+            return original(mat)
+        for module in (states, decomp):  # decomp binds the helper by name
+            monkeypatch.setattr(module, "_gram", counting)
+        return shapes
+
+    def test_extraction_forms_one_gram_per_factor(self, grams):
+        # the reduction the necessary test forms for factor 0 also rotates
+        # the Schmidt SVD across factor 0
+        d = random_triortho(19, dims=(6, 5, 4), k=3)
+        out = extract_triortho(densify(d.state))
+        assert out.decomposition.certificate.passed
+        assert sorted(grams) == [(4, 30), (5, 24), (6, 20)]
+
+    def test_schmidt_forms_its_short_sides_gram(self, grams):
+        psi = densify(random_triortho(20, dims=(6, 5, 4), k=3).state)
+        schmidt(psi, (0, 1))  # 30 x 4: the short side is the adjoint
+        schmidt(psi, (2,))
+        assert grams == [(4, 30), (4, 30)]
 
 
 def _verdict_class_state(kind):

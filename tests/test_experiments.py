@@ -27,9 +27,10 @@ class TestConfig:
             TrialConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["seed", "trials"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, float("nan")])
+    @pytest.mark.parametrize("value", [2.5, 2.0, float("nan"), True, False])
     def test_seed_and_trials_are_integers(self, field, value):
-        # a float used to pass and fail mid-run with a bare TypeError
+        # a float used to pass and fail mid-run with a bare TypeError; a bool
+        # is an int, and trials=True used to run one trial
         with pytest.raises(InvalidStateError, match=f"{field} must be an "):
             TrialConfig(**{field: value})
 

@@ -259,10 +259,10 @@ class TestEntropyTermBound:
         assert not entropy_decomposition_bound(ghz, 2).violated
         assert entropy_decomposition_bound(ghz, 1).violated
 
-    @pytest.mark.parametrize("k", [1.9, 2.0, math.nan, 0, -1])
+    @pytest.mark.parametrize("k", [1.9, 2.0, math.nan, 0, -1, True])
     def test_term_ceiling_must_be_a_positive_integer(self, k):
         # 1.9 used to be read as k = 1 and certify that GHZ has no 1-term
-        # decomposition; NaN escaped as a bare ValueError
+        # decomposition, and so was True; NaN escaped as a bare ValueError
         amp = np.zeros(8)
         amp[0] = amp[7] = 1 / math.sqrt(2)
         ghz = DenseState(ProductSpace((2, 2, 2)), amp, normalized=True)

@@ -232,6 +232,14 @@ class TestFactorOverlap:
             assert np.array_equal(got, self.intersect_overlap(pa, pb))
             assert not got.any()
 
+    def test_term_gram_with_an_empty_operand(self, rng):
+        s = random_sum_state(rng, (3, 4, 5), k=4)
+        empty = SumState(s.space, ())
+        assert states.term_gram(empty, s).shape == (0, 4)
+        assert states.term_gram(s, empty).shape == (4, 0)
+        assert states.term_gram(empty, empty).shape == (0, 0)
+        assert inner(empty, s) == 0 and inner(s, empty) == 0
+
     def test_instability_pair_factors(self):
         from tridecomp.constructions import instability_pair
         pair = instability_pair(haar_random_state(SPACE3, 13), 0.9)
@@ -620,6 +628,16 @@ class TestSumsOfProducts:
         assert inner(dense, empty) == 0 and inner(empty, dense) == 0
         assert not densify(empty).amplitudes.any()
 
+    def test_one_block_walk_reads_the_state_itself(self, rng, monkeypatch):
+        s = random_sum_state(rng, (4, 4, 4), k=3)
+        dense = haar_random_state(s.space, 45)
+        want = np.vdot(dense.tensor, densify(s).tensor)
+
+        def refuse(self, order):
+            raise AssertionError("a one-block walk cut the state")
+        monkeypatch.setattr(SumState, "take", refuse)
+        assert abs(inner(dense, s) - want) < 1e-15
+
     def test_dense_operand_above_the_ceiling(self):
         # the dense operand already exists, so only densify and distance,
         # which would build a new tensor, refuse it
@@ -797,6 +815,16 @@ class TestArrayBackedSumState:
             SumState(space, (term,))
         with pytest.raises(DimensionMismatchError, match=f"index {index}"):
             from_terms_via_rows(space, (term,))
+
+    def test_embedded_shares_built_packs(self, rng):
+        s = random_sum_state(rng, (3, 4, 5), k=4)
+        _ = s._packed
+        big = s.embedded(ProductSpace((5, 4, 6)))
+        assert big._packed is s._packed
+        assert np.array_equal(big.coeffs, s.coeffs)
+        for space in (ProductSpace((3, 4, 5, 2)), ProductSpace((3, 4))):
+            with pytest.raises(DimensionMismatchError):
+                s.embedded(space)
 
     def test_take_embedded_and_with_coeffs(self, rng):
         s = random_sum_state(rng, (3, 4, 5), k=4)
