@@ -23,13 +23,15 @@ def check_tolerance(name: str, value) -> None:
             f"tolerance {name} must be finite and > 0, got {value!r}")
 
 
-def check_integer(name: str, value, minimum: int) -> None:
-    """Raise InvalidStateError unless ``value`` is an integer (``int`` or
-    ``np.integer``, not ``bool``) >= ``minimum``; a float is not truncated."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Integral) and value >= minimum):
-        raise InvalidStateError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
+def check_integer(name: str, value, minimum: int = None) -> int:
+    """``value`` as an ``int``, refused unless it is an integer (``int`` or
+    ``np.integer``, not ``bool``) >= ``minimum`` if given; 2.0 is refused."""
+    if (type(value) is int or not isinstance(value, bool)
+            and isinstance(value, numbers.Integral)) and (
+            minimum is None or value >= minimum):
+        return int(value)
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise InvalidStateError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

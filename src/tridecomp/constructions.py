@@ -529,8 +529,8 @@ class TensorStructurePair:
     space: ProductSpace
 
     def relabeled_overlap(self, i: int, psi_vec, phi_vec, aux) -> complex:
-        i, aux = int(i), tuple(int(x) for x in aux)
-        if not 0 <= i < self.space.nfactors:
+        i, aux = check_integer("factor index", i, 0), tuple(aux)
+        if i >= self.space.nfactors:
             raise InvalidStateError(f"factor index out of range: {i}")
         if len(aux) != self.space.nfactors - 1:
             raise InvalidStateError(
@@ -595,11 +595,10 @@ def structure_mover(phi1, phi2,
 def isolation_witness_3(n1: int, dims: tuple = None) -> DenseState:
     """Three-factor state whose factor-3 entropy is ln(n1 + 1), above the
     ceiling any expansion with n1 independent first-factor components allows."""
-    check_integer("n1", n1, 2)
-    if dims is None:
-        dims = (n1, 2, n1 + 1)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or dims[0] < n1 or dims[1] < 2 or dims[2] < n1 + 1:
+    n1 = check_integer("n1", n1, 2)
+    space = ProductSpace((n1, 2, n1 + 1) if dims is None else dims)
+    dims = space.dims
+    if len(dims) != 3 or dims[0] < n1 or dims[2] < n1 + 1:
         raise InvalidStateError(
             f"dims {dims} too small for the witness with n1 = {n1}")
     amp = _dense_zeros(dims)
@@ -607,24 +606,22 @@ def isolation_witness_3(n1: int, dims: tuple = None) -> DenseState:
     for k in range(n1):
         amp[k, 0, k] = w
     amp[0, 1, n1] = w
-    return DenseState(ProductSpace(dims), amp.ravel(), normalized=True)
+    return DenseState(space, amp.ravel(), normalized=True)
 
 
 def isolation_witness_4(n: int, dims: tuple = None) -> DenseState:
     """Four-factor state whose (2,3)-entropy is ln(n + 1)."""
-    check_integer("n", n, 2)
-    if dims is None:
-        dims = (n, n, n, n)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 4 or any(d < n for d in dims):
-        raise InvalidStateError(
-            f"dims {dims} must all be at least {n} (padding above is fine)")
-    amp = _dense_zeros(dims)
+    n = check_integer("n", n, 2)
+    space = ProductSpace((n,) * 4 if dims is None else dims)
+    if len(space.dims) != 4 or any(d < n for d in space.dims):
+        raise InvalidStateError(f"dims {space.dims} must all be at least "
+                                f"{n} (padding above is fine)")
+    amp = _dense_zeros(space.dims)
     w = 1.0 / math.sqrt(n + 1.0)
     for k in range(n):
         amp[k, k, 0, 0] = w
     amp[0, 0, 1, 1] = w
-    return DenseState(ProductSpace(dims), amp.ravel(), normalized=True)
+    return DenseState(space, amp.ravel(), normalized=True)
 
 
 def _orthogonal_unit(vec: np.ndarray) -> np.ndarray:

@@ -99,18 +99,23 @@ def _degenerate_groups(values, width: float) -> list:
     return groups
 
 
-def _short_side_svd(mat: np.ndarray, gram: np.ndarray,
-                    zero_cut: float) -> tuple:
+def _short_side_svd(mat: np.ndarray, zero_cut: float,
+                    gram: np.ndarray = None) -> tuple:
     """Thin SVD (u, s, vh) of ``mat`` = M, values above ``zero_cut`` only
     (a direct SVD: Halko, Martinsson and Tropp, SIAM Rev. 53 (2011), 5.1).
 
-    The eigenvectors U of ``gram`` = M M^H rotate M into B = U^H M; the
-    smallest rows of B are dropped while their joint norm, exactly
-    ||M - U_k B_k||_F, stays within min(zero_cut, m eps ||M||_F) for M's m
-    rows.  The kept rows B_k = X S Y^H go to LAPACK, so no vector is read off
-    an eigenvector as M^H u / s.  M is cheapest as the short side.
+    The work runs on M's short side: a tall M is decomposed through its
+    adjoint, whose SVD is M's with the sides swapped.  The eigenvectors U of
+    the short side's Gram M M^H (``gram`` when given, which only a wide or
+    square M reads) rotate M into B = U^H M; the smallest rows of B are
+    dropped while their joint norm, exactly ||M - U_k B_k||_F, stays within
+    min(zero_cut, m eps ||M||_F) for M's m rows.  The kept rows B_k = X S Y^H
+    go to LAPACK, so no vector is read off an eigenvector as M^H u / s.
     """
-    rot = np.linalg.eigh(gram)[1]
+    if mat.shape[0] > mat.shape[1]:
+        u, s, vh = _short_side_svd(mat.conj().T, zero_cut)
+        return vh.conj().T, s, u.conj().T
+    rot = np.linalg.eigh(_gram(mat) if gram is None else gram)[1]
     b = rot.conj().T @ mat
     sq = np.linalg.norm(b, axis=1) ** 2
     order = np.argsort(sq)
@@ -137,11 +142,9 @@ def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES
     left, right = _split_factors(left, psi_d.space.nfactors)
     if np.linalg.norm(psi_d.amplitudes) == 0.0:
         raise InvalidStateError("cannot decompose the zero state")
-    mat = _matricize(psi_d, left, right)
-    tall = mat.shape[0] > mat.shape[1]
-    short = mat.conj().T if tall else mat
-    u, s, vh = _short_side_svd(short, _gram(short), tolerances.zero_coeff)
-    u, v = (vh.conj().T, u.conj()) if tall else (u, vh.T)
+    u, s, vh = _short_side_svd(_matricize(psi_d, left, right),
+                               tolerances.zero_coeff)
+    v = vh.T
     lead = _leading_amplitudes(np.arange(s.size).repeat(u.shape[0]),
                                u.T.ravel(), s.size)
     for j in np.nonzero(lead)[0]:
@@ -165,12 +168,11 @@ def schmidt_rank(psi, left, tol: float) -> int:
     return int((s > tol).sum())
 
 
-def linear_independence(vectors, tol: float, dim: int = None):
+def linear_independence(vectors, tol: float):
     """Smallest singular value of the column matrix, and whether it beats tol.
 
-    The vectors are 1-D arrays of one length, coordinates in a space of
-    ``dim`` (default: that length).  More vectors than dimensions or than
-    coordinates is structural dependence: (0.0, False).
+    The vectors are 1-D arrays of one length.  More vectors than that length
+    is structural dependence, decided without an SVD: (0.0, False).
     """
     check_tolerance("tol", tol)
     vectors = list(vectors)
@@ -181,28 +183,26 @@ def linear_independence(vectors, tol: float, dim: int = None):
     length = vectors[0].shape[0]
     if any(v.shape[0] != length for v in vectors):
         raise DimensionMismatchError("vectors have mixed dimensions")
-    if len(vectors) > min(length, length if dim is None else int(dim)):
+    if len(vectors) > length:
         return 0.0, False
     mat = np.column_stack(vectors).astype(np.complex128, copy=False)
     smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
     return smin, smin > tol
 
 
-def _factor_independence(pack: FactorPack, tol: float, dim: int) -> tuple:
+def _factor_independence(pack: FactorPack, tol: float) -> tuple:
     """(sigma_min or a lower bound on it, method) for one factor's components.
 
     Split the packed matrix M as its shared columns S plus the columns only
     one term touches; then M M^H = S S^H + diag(||p_k||^2), so by Weyl
     sigma_min(M) >= min_k ||p_k||.  That O(nnz) bound certifies independence
-    when it clears ``tol``; otherwise the exact SVD decides.
+    when it clears ``tol``; otherwise the exact SVD decides.  With more terms
+    than columns some term owns no private column, so the bound is 0.
     """
-    fmat = pack[1]
-    if fmat.shape[0] <= dim:
-        bound = float(pack.private_norms().min())
-        if bound > tol:
-            return bound, "private_support"
-    sv, _ = linear_independence(list(fmat), tol, dim=dim)
-    return sv, "svd"
+    bound = float(pack.private_norms().min())
+    if bound > tol:
+        return bound, "private_support"
+    return linear_independence(list(pack[1]), tol)[0], "svd"
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +331,8 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     tol_echo = tolerances.as_dict()
     dec = d.state
     min_sv, li_method = [], []
-    for pack, dim in zip(dec._packed if d.nterms else (), d.space.dims):
-        sv, method = _factor_independence(pack, tolerances.li, dim)
+    for pack in dec._packed if d.nterms else ():
+        sv, method = _factor_independence(pack, tolerances.li)
         min_sv.append(sv)
         li_method.append(method)
     # one walk over the factor overlaps' row blocks: running maxima per
@@ -558,14 +558,14 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES):
     n = norm(psi_d)
     if abs(n - 1.0) > tolerances.norm:
         raise InvalidStateError(f"expected a wavefunction, norm = {n!r}")
-    # factor 0's reduction is the Gram of the matrix whose SVD is wanted
+    # factor 0's reduction is the Gram the Schmidt SVD reads if 0 is short
     rhos = [partial_trace(psi_d, (i,)) for i in range(3)]
     if not _spectra_agree(_padded_spectra(rhos, tolerances), tolerances.deg):
         return NotTriorthogonal("reduced spectra disagree across the factors")
 
     d2, d3 = psi_d.space.dims[1:]
     lefts, coeffs, vh = _short_side_svd(_matricize(psi_d, (0,), (1, 2)),
-                                        rhos[0].matrix, tolerances.zero_coeff)
+                                        tolerances.zero_coeff, rhos[0].matrix)
     triples = []
     for i, j in _degenerate_groups(coeffs, tolerances.deg):
         if j - i == 1:

@@ -70,7 +70,7 @@ class TrialConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", ProductSpace(self.dims).dims)
         check_integer("seed", self.seed, 0)
         check_integer("trials", self.trials, 1)
         _check_dense(self.dims)
@@ -337,8 +337,6 @@ def run_stability_campaign(cfg: TrialConfig) -> CampaignReport:
     """Randomized admissible pairs inside each matching hypothesis; every
     conclusion inequality is asserted and the worst margins recorded; only
     product-match trials, which read two dims, run on other factor counts."""
-    if min(cfg.dims) < 2:
-        raise InvalidStateError("factor dimensions must be at least 2")
     if cfg.selector != "product-match":
         _three_factors("stability", cfg.dims)
     records = []

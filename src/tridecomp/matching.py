@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, json_fields
+from .config import DEFAULT_TOLERANCES, Tolerances, check_integer, json_fields
 from .decomp import OrderedTriortho, TriDecomposition, Variant
 from .errors import InvalidStateError, PreconditionError, VerificationError
 from .states import (
@@ -193,8 +193,8 @@ def match_components(psi: OrderedTriortho, phi: TriDecomposition, level: int,
         raise InvalidStateError(
             "matching is defined for orthonormal decompositions")
     _require(0.0 < eps < 0.25, "eps in (0, 1/4)")
-    level = int(level)
-    if not 1 <= level <= psi.nblocks:
+    level = check_integer("level", level, 1)
+    if level > psi.nblocks:
         raise InvalidStateError(
             f"level {level} is not in 1..{psi.nblocks}, the reference's "
             "block count")

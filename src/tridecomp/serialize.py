@@ -120,8 +120,8 @@ def _terms_from_json(space: ProductSpace, terms, key: str) -> SumState:
         if set(map(len, entries)) - {2}:
             raise SchemaError("factor entries must be [index, [re, im]] pairs")
         idx, amps = zip(*entries) if entries else ((), ())
-        rows.append((np.cumsum([0] + [len(f) for f in facs]),
-                     np.array(idx, dtype=np.intp), _complex_array(amps)))
+        rows.append((np.cumsum([0] + [len(f) for f in facs]), idx,
+                     _complex_array(amps)))
     return SumState.from_rows(space, _complex_array([t["coeff"] for t in terms]),
                               rows)
 
@@ -162,7 +162,7 @@ def state_from_json(doc):
         raise SchemaError("state document must be an object")
     v1 = _schema(doc) == "tridecomp/1"
     try:
-        space = ProductSpace(tuple(int(d) for d in doc["dims"]))
+        space = ProductSpace(tuple(doc["dims"]))
         fmt = doc["format"]
         if fmt == "dense":
             amps = doc["amplitudes"]
@@ -221,7 +221,7 @@ def decomposition_from_json(doc) -> TriDecomposition:
     if not v1 and doc.get("format") != "rows":
         raise SchemaError(f"unknown decomposition format {doc.get('format')!r}")
     try:
-        space = ProductSpace(tuple(int(x) for x in doc["dims"]))
+        space = ProductSpace(tuple(doc["dims"]))
         state = (_terms_from_json(space, doc["terms"], "components") if v1
                  else _rows_from_json(space, doc))
         cert = doc.get("certificate")

@@ -168,11 +168,11 @@ def entropy_decomposition_bound(psi, k: int,
         raise InvalidStateError("expected a state")
     if psi.space.nfactors != 3:
         raise InvalidStateError("the term-count bound is stated on 3 factors")
-    check_integer("k", k, 1)
+    k = check_integer("k", k, 1)
     ents = tuple(entropy(partial_trace(psi, (i,)), tolerances).nats
                  for i in range(3))
     ceiling = math.log(k)
-    return EntropyBoundReport(int(k), ents, ceiling,
+    return EntropyBoundReport(k, ents, ceiling,
                               max(ents) > ceiling + LEMMA_4_5_SLACK)
 
 

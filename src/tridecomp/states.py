@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import zgeqrf
 
-from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances
+from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances, check_integer
 from .errors import (
     CapacityError,
     DimensionMismatchError,
@@ -37,13 +37,10 @@ def sparse_vector(data) -> SparseVec:
     if isinstance(data, np.ndarray):
         idx = np.nonzero(data)[0]
         return tuple((int(i), complex(data[i])) for i in idx)
-    if isinstance(data, dict):
-        items = data.items()
-    else:
-        items = data
     merged: dict = {}
-    for i, a in items:
-        merged[int(i)] = merged.get(int(i), 0j) + complex(a)
+    for i, a in data.items() if isinstance(data, dict) else data:
+        i = check_integer("component index", i)
+        merged[i] = merged.get(i, 0j) + complex(a)
     return tuple(sorted((i, a) for i, a in merged.items() if a != 0))
 
 
@@ -64,12 +61,10 @@ class ProductSpace:
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_integer("factor dimension", d, 2) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not 2 <= len(dims) <= 4:
             raise InvalidStateError(f"need 2-4 factors, got {len(dims)}")
-        if any(d < 2 for d in dims):
-            raise InvalidStateError(f"every factor dimension must be >= 2: {dims}")
 
     @property
     def nfactors(self) -> int:
@@ -168,16 +163,24 @@ def _frozen_rows(indptr, indices, data) -> Rows:
     return Rows(indptr, indices, data)
 
 
+def _integer_array(name: str, values) -> np.ndarray:
+    """``values`` as a new intp array; their dtype must be integer, or empty."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InvalidStateError(f"{name} must be integers, got {arr.dtype}")
+    return arr.astype(np.intp)
+
+
 def _canonical_rows(i: int, dim: int, nterms: int, indptr, indices,
                     data) -> Rows:
     """Validate factor ``i`` of every term at once.
 
-    Amplitudes must be finite and indices lie in [0, dim).  Repeated indices
-    of a row are merged and zero amplitudes dropped, as ``sparse_vector``
-    does, and every row must then have unit norm.
+    Positions must be integers, amplitudes finite and indices in [0, dim).
+    Repeated indices of a row are merged and zero amplitudes dropped, as
+    ``sparse_vector`` does, and every row must then have unit norm.
     """
-    indptr = np.array(indptr, dtype=np.intp)
-    indices = np.array(indices, dtype=np.intp)
+    indptr = _integer_array(f"factor {i} indptr", indptr)
+    indices = _integer_array(f"factor {i} indices", indices)
     data = np.array(data, dtype=np.complex128)
     if (indptr.shape != (nterms + 1,) or indices.ndim != 1
             or data.shape != indices.shape or indptr[0] != 0
@@ -379,7 +382,7 @@ class SumState:
 
     def take(self, order) -> SumState:
         """The terms at positions ``order``, in that order."""
-        order = np.asarray(order, dtype=np.intp)
+        order = _integer_array("order", order)
         if order.size == self.nterms and (order == np.arange(order.size)).all():
             return self
         return SumState._trusted(self.space, self.coeffs[order],
@@ -740,7 +743,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_integer("block dimension", d, 1) for d in self.dims)
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise DimensionMismatchError(
@@ -762,11 +765,11 @@ class DensityMatrix:
         object.__setattr__(self, "herm_gap", herm_gap)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "kept_factors",
-                           tuple(int(k) for k in self.kept_factors))
+        object.__setattr__(self, "kept_factors", tuple(
+            check_integer("kept factor", k, 0) for k in self.kept_factors))
         if self.basis is not None:
-            object.__setattr__(self, "basis",
-                               tuple(tuple(int(i) for i in b) for b in self.basis))
+            object.__setattr__(self, "basis", tuple(
+                tuple(_integer_array("basis", b).tolist()) for b in self.basis))
         object.__setattr__(self, "trace", tr)
 
     @property
@@ -776,11 +779,11 @@ class DensityMatrix:
 
 def _split_factors(keep, nfactors: int) -> tuple:
     """(keep, rest): ``keep`` sorted and checked, and the other factors."""
-    keep = tuple(sorted({int(k) for k in keep}))
+    keep = tuple(sorted({check_integer("factor index", k, 0) for k in keep}))
     if not keep or len(keep) >= nfactors:
         raise InvalidStateError(
             "keep must be a nonempty proper subset of the factors")
-    if any(k < 0 or k >= nfactors for k in keep):
+    if keep[-1] >= nfactors:
         raise InvalidStateError(f"factor index out of range: {keep}")
     return keep, tuple(i for i in range(nfactors) if i not in keep)
 
@@ -802,7 +805,7 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     ``mat`` acts on the product space with factor ``dims``; the result acts
     on the factors in ``keep``, a nonempty proper subset, in ascending order.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(check_integer("dimension", d, 1) for d in dims)
     nf = len(dims)
     keep, _ = _split_factors(keep, nf)
     d = math.prod(dims)
@@ -846,9 +849,9 @@ def partial_trace(s, keep) -> DensityMatrix:
         rho = cols @ mix @ cols.conj().T
         rho = (rho + rho.conj().T) / 2.0
         return DensityMatrix(rho, tuple(t.size for t in touched), keep,
-                             basis=tuple(tuple(t.tolist()) for t in touched))
+                             basis=touched)
     if isinstance(s, DensityMatrix):
-        positions = tuple(sorted({int(k) for k in keep}))
+        positions = tuple(sorted({check_integer("factor index", k, 0) for k in keep}))
         if not positions or not set(positions) <= set(s.kept_factors) \
                 or len(positions) >= len(s.kept_factors):
             raise InvalidStateError(
@@ -912,8 +915,8 @@ def project_factor(s, i: int, phi,
 
     The result is generally subnormalized and keeps the input representation.
     """
-    i = int(i)
-    if not 0 <= i < s.space.nfactors:
+    i = check_integer("factor index", i, 0)
+    if i >= s.space.nfactors:
         raise DimensionMismatchError(f"factor index {i} out of range")
     indptr, indices, data = _vector_row(phi)
     n = float(np.linalg.norm(data))
@@ -956,7 +959,7 @@ def trace_norm(a) -> float:
 
 def haar_random_state(space: ProductSpace, seed: int) -> DenseState:
     """Seeded Haar-random wavefunction (normalized complex Gaussian)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer("seed", seed, 0))
     z = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     return DenseState(space, z / np.linalg.norm(z), normalized=True)
 

@@ -233,6 +233,16 @@ class TestExitCodes:
         assert code == 1
         assert "schema" in err
 
+    def test_float_dims_exit_one(self, tmp_path, capsys):
+        # dims [2.5, 2, 2] used to load as (2, 2, 2) and extract with exit 0
+        state = tmp_path / "float_dims.json"
+        dump({"schema": "tridecomp/2", "dims": [2.5, 2, 2], "format": "dense",
+              "amplitudes": PRODUCT_AMPLITUDES["tridecomp/2"]}, str(state))
+        code, out, err = run(capsys, "extract", "--in", str(state))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: factor dimension must be an integer >= 2, got 2.5"]
+
     def test_missing_file_exits_one(self, capsys):
         code, _, _ = run(capsys, "extract", "--in", "/does/not/exist.json")
         assert code == 1

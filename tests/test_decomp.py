@@ -260,19 +260,18 @@ class TestLinearIndependence:
 
     def test_vectors_must_be_one_dimensional_arrays(self):
         with pytest.raises(InvalidStateError, match="1-D arrays"):
-            linear_independence([((0, 1.0 + 0j),), ((5, 1.0 + 0j),)], 1e-8,
-                                dim=10)
+            linear_independence([((0, 1.0 + 0j),), ((5, 1.0 + 0j),)], 1e-8)
         with pytest.raises(InvalidStateError, match="1-D arrays"):
             linear_independence([np.eye(2, dtype=complex)], 1e-8)
 
     def test_entries_of_a_larger_dimension(self):
-        # the rows of a pack: coordinates on the touched columns of dim 10
+        # the rows of a pack: coordinates on the touched columns of a larger
+        # factor, whose count alone bounds an independent set
         vecs = [np.array([1.0, 0.0], dtype=complex),
                 np.array([0.0, 1.0], dtype=complex)]
-        sv, ok = linear_independence(vecs, 1e-8, dim=10)
+        sv, ok = linear_independence(vecs, 1e-8)
         assert ok and sv == pytest.approx(1.0)
-        assert linear_independence(vecs + vecs[:1], 1e-8, dim=10) == (0.0,
-                                                                     False)
+        assert linear_independence(vecs + vecs[:1], 1e-8) == (0.0, False)
 
 
 class TestPrivateSupportBound:
@@ -314,11 +313,16 @@ class TestPrivateSupportBound:
         pack = SumState(ProductSpace((2, 2)), tuple(
             ProductTerm(1.0, (((k, 1.0),), ((0, 1.0),))) for k in range(2))
         )._packed[1]
-        assert _factor_independence(pack, 1e-8, 2) == (0.0, "svd")
-        pack = SumState(ProductSpace((4, 2)), tuple(
-            ProductTerm(1.0, (((k, 1.0),), ((0, 1.0),))) for k in range(3))
-        )._packed[0]
-        assert _factor_independence(pack, 1e-8, 2) == (0.0, "svd")
+        assert _factor_independence(pack, 1e-8) == (0.0, "svd")
+        # three terms on a 2-dimensional factor: e0, e1 and (e0 + e1)/sqrt 2
+        # own no private column, and the length check decides without an SVD
+        e = np.eye(2, dtype=complex)
+        space = ProductSpace((2, 2))
+        pack = SumState.from_columns(space, [1.0, 1.0, 1.0], [
+            np.column_stack([e[0], e[1], (e[0] + e[1]) / math.sqrt(2)]),
+            np.column_stack([e[0]] * 3)])._packed[0]
+        assert pack[1].shape == (3, 2)
+        assert _factor_independence(pack, 1e-8) == (0.0, "svd")
 
 
 class TestVerify:
@@ -744,7 +748,7 @@ class TestExtraction:
 
     def test_long_first_factor(self):
         # factor 0 is the long side of its 10 x 4 matricization; extraction
-        # rotates by its Gram all the same and drops the null rows
+        # rotates by the short side's 4 x 4 Gram instead
         d = random_triortho(18, dims=(10, 2, 2), k=2)
         out = extract_triortho(densify(d.state))
         assert isinstance(out, OrderedTriortho)
@@ -837,6 +841,23 @@ class TestOneGramPerFactor:
         out = extract_triortho(densify(d.state))
         assert out.decomposition.certificate.passed
         assert sorted(grams) == [(4, 30), (5, 24), (6, 20)]
+
+    def test_long_factor_0_rotates_by_the_short_side(self, grams,
+                                                     monkeypatch):
+        # a 24 x 6 matricization: the 6 x 6 Gram of its adjoint rotates the
+        # Schmidt SVD, not the 24 x 24 reduction the necessary test formed
+        eighs, original = [], np.linalg.eigh
+
+        def counting(mat):
+            eighs.append(mat.shape)
+            return original(mat)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        d = random_triortho(21, dims=(24, 3, 2), k=2)
+        out = extract_triortho(densify(d.state))
+        assert out.decomposition.certificate.passed
+        assert decompositions_equivalent(out.decomposition, d, 1e-9)
+        assert eighs == [(6, 6)]
+        assert grams == [(24, 6), (3, 48), (2, 72), (6, 24)]
 
     def test_schmidt_forms_its_short_sides_gram(self, grams):
         psi = densify(random_triortho(20, dims=(6, 5, 4), k=3).state)

@@ -1,3 +1,4 @@
+import base64
 import itertools
 import math
 
@@ -33,6 +34,9 @@ from tridecomp.states import (
     sparsify,
     trace_norm,
 )
+from tridecomp.constructions import isolation_witness_3, structure_mover
+from tridecomp.decomp import TriDecomposition, Variant, ordered_triortho, schmidt
+from tridecomp.matching import match_components
 from tridecomp.serialize import state_from_json, state_to_json
 
 from conftest import (
@@ -83,6 +87,70 @@ class TestSpace:
         sp = ProductSpace((2, 3))
         with pytest.raises(Exception):
             sp.dims = (3, 3)
+
+
+E0 = np.eye(2, dtype=complex)[0]
+
+
+def _ordered():
+    d = TriDecomposition(SPACE3, SumState.from_columns(
+        SPACE3, [1.0], [E0[:, None]] * 3), Variant.ORTHONORMAL)
+    return ordered_triortho(d), d
+
+
+_TERMS_V1 = {"schema": "tridecomp/1", "dims": [2, 2], "format": "product_sum",
+             "terms": [{"coeff": [1.0, 0.0],
+                        "factors": [[[1.7, [1.0, 0.0]]], [[0, [1.0, 0.0]]]]}]}
+_DENSE_V2 = {"schema": "tridecomp/2", "dims": [2.9, 3, 2], "format": "dense",
+             "amplitudes": base64.b64encode(
+                 np.eye(12, dtype="<c16")[0].tobytes()).decode()}
+
+# every caller or document integer that used to be truncated by int()
+INTEGER_INPUTS = {
+    "ProductSpace dims": lambda: ProductSpace((2.5, 2)),
+    "TrialConfig dims": lambda: experiments.TrialConfig(dims=(4.7, 4, 4)),
+    "partial_trace float": lambda: partial_trace(singlet_state(), (1.9,)),
+    "partial_trace bool": lambda: partial_trace(singlet_state(), (True,)),
+    "schmidt": lambda: schmidt(singlet_state(), (0.5,)),
+    "project_factor": lambda: project_factor(singlet_state(), 1.7, E0),
+    "match_components level": lambda: match_components(*_ordered(), 1.5, 0.1),
+    "match_components bool": lambda: match_components(*_ordered(), True, 0.1),
+    "haar_random_state seed": lambda: haar_random_state(SPACE3, True),
+    "witness dims": lambda: isolation_witness_3(3, dims=(3.5, 2, 4)),
+    "from_rows index": lambda: SumState.from_rows(
+        ProductSpace((2, 2)), [1.0], [([0, 1], [1.5], [1.0])] * 2),
+    "from_rows indptr": lambda: SumState.from_rows(
+        ProductSpace((2, 2)), [1.0], [([0, 1.0], [0], [1.0])] * 2),
+    "tridecomp/1 component index": lambda: state_from_json(_TERMS_V1),
+    "tridecomp/2 dims": lambda: state_from_json(_DENSE_V2),
+    "sparse_vector pair": lambda: sparse_vector([(1.5, 1.0)]),
+    "DensityMatrix dims": lambda: DensityMatrix(np.eye(2) / 2, (2.0,), (0,)),
+    "DensityMatrix kept factor": lambda: DensityMatrix(np.eye(2) / 2, (2,),
+                                                       (0.5,)),
+    "DensityMatrix basis": lambda: DensityMatrix(np.eye(2) / 2, (2,), (0,),
+                                                 basis=((0, 1.5),)),
+    "partial_trace of a matrix": lambda: partial_trace(
+        partial_trace(singlet_state(), (0, 1)), (True,)),
+    "partial_trace_matrix dims": lambda: partial_trace_matrix(
+        np.eye(4) / 4, (2.5, 2), (0,)),
+    "relabeled_overlap factor": lambda: _mover().relabeled_overlap(
+        0.5, E0, E0, (0, 0)),
+    "relabeled_overlap aux": lambda: _mover().relabeled_overlap(
+        0, E0, E0, (1.5, 0)),
+    "SumState.take": lambda: sparsify(singlet_state()).take([0.5]),
+}
+
+
+def _mover():
+    return structure_mover(haar_random_state(SPACE3, 8),
+                           haar_random_state(SPACE3, 9))
+
+
+@pytest.mark.parametrize("name", INTEGER_INPUTS)
+def test_integers_are_not_truncated(name):
+    # each of these truncated 2.5 to 2 or True to 1 and went on
+    with pytest.raises(InvalidStateError, match="integer"):
+        INTEGER_INPUTS[name]()
 
 
 class TestInner:
