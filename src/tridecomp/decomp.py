@@ -117,7 +117,7 @@ def _short_side_svd(mat: np.ndarray, zero_cut: float,
         return vh.conj().T, s, u.conj().T
     rot = np.linalg.eigh(_gram(mat) if gram is None else gram)[1]
     b = rot.conj().T @ mat
-    sq = np.linalg.norm(b, axis=1) ** 2
+    sq = np.einsum("ij,ij->i", b.view(float), b.view(float))
     order = np.argsort(sq)
     # ||B||_F = ||M||_F, as U is unitary
     floor = min(zero_cut, mat.shape[0] * np.finfo(float).eps

@@ -19,6 +19,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import zgeqrf
 
 from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances, check_integer
@@ -396,7 +397,9 @@ class SumState:
         """Every term's vectors on the factors ``keep``, in that order, as a
         state on ``space`` under new coefficients.  The rows, and the packs
         when this state has built them, are shared rather than rebuilt."""
-        keep = tuple(keep)
+        keep = tuple(check_integer("factor index", i, 0) for i in keep)
+        if any(i >= self.space.nfactors for i in keep):
+            raise InvalidStateError(f"factor index out of range: {keep}")
         if len(keep) != space.nfactors or any(
                 d < self.space.dims[i] for i, d in zip(keep, space.dims)):
             raise DimensionMismatchError(
@@ -794,9 +797,22 @@ def _matricize(s: DenseState, keep: tuple, rest: tuple) -> np.ndarray:
     return s.tensor.transpose(keep + rest).reshape(rows, -1)
 
 
+_HERK_CELLS = 4096  # below this many cells of M, one GEMM costs less
+
+
 def _gram(mat: np.ndarray) -> np.ndarray:
-    """M M^H, the reduced state on the rows of a matricization M: one GEMM."""
-    return mat @ mat.conj().T
+    """M M^H, the reduced state on the rows of a matricization M: from
+    ``_HERK_CELLS`` cells up, one BLAS ``zherk`` (half a GEMM's flops) on
+    whichever of M and M^T is Fortran-ordered: no contiguous M is copied."""
+    if mat.size < _HERK_CELLS:
+        return mat @ mat.conj().T
+    if mat.flags.f_contiguous:
+        low = zherk(1.0, mat, lower=1)
+    else:
+        low = zherk(1.0, mat.T, trans=2).T  # ((M^T)^H M^T)^T = M M^H
+    gram = low + low.conj().T
+    gram.flat[::mat.shape[0] + 1] *= 0.5  # the diagonal was added twice
+    return gram
 
 
 def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:

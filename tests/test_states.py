@@ -1,6 +1,7 @@
 import base64
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,63 @@ class TestDensePartialTraceKernel:
             assert rho.trace == pytest.approx(norm(psi) ** 2, abs=1e-14)
             ref = einsum_reduction(psi.tensor, keep)
             assert np.max(np.abs(rho.matrix - ref)) <= 1e-14
+
+
+GRAM_SHAPES = [(4, 16), (6, 36), (16, 128), (16, 256), (48, 512)]
+
+
+def _laid_out(mat, layout):
+    """``mat`` in C order, Fortran order, or as a strided (uncontiguous) view."""
+    if layout == "C":
+        return np.ascontiguousarray(mat)
+    if layout == "F":
+        return np.asfortranarray(mat)
+    wide = np.zeros((mat.shape[0], 2 * mat.shape[1]), dtype=complex)
+    wide[:, ::2] = mat
+    return wide[:, ::2]
+
+
+class TestGram:
+    def test_shapes_straddle_the_size_rule(self):
+        cells = [m * n for m, n in GRAM_SHAPES]
+        assert min(cells) < states._HERK_CELLS <= max(cells)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_matches_the_gemm(self, rng, shape, layout):
+        mat = _laid_out(rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape), layout)
+        ref = mat @ mat.conj().T
+        gram = states._gram(mat)
+        assert gram.shape == ref.shape
+        assert np.abs(gram - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("keep", [(0,), (1,), (2,)])
+    def test_rank_k_update_is_exactly_hermitian(self, keep):
+        # 16 x 256 matricizations, at the size rule: factor 0's is a C-ordered
+        # view, factor 1's a C-ordered copy and factor 2's a Fortran view
+        rho = partial_trace(haar_random_state(ProductSpace((16, 16, 16)), 6),
+                            keep)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert not np.diagonal(rho.matrix).imag.any()
+        assert rho.herm_gap == 0.0
+
+    @pytest.mark.parametrize("keep", [(0,), (2,)])
+    def test_factor_views_are_not_copied(self, keep):
+        # a 64 x 4096 matricization holds 4 MiB, so a conjugated copy of it
+        # would peak above that; the 64 x 64 triangle, its conjugate and the
+        # Gram hold 192 KiB
+        psi = haar_random_state(ProductSpace((64, 64, 64)), 5)
+        rest = tuple(i for i in range(3) if i not in keep)
+        mat = states._matricize(psi, keep, rest)
+        assert np.shares_memory(mat, psi.tensor)
+        tracemalloc.start()
+        try:
+            states._gram(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestProjectFactor:
@@ -980,6 +1038,13 @@ class TestArrayBackedSumState:
             s.on_factors(ProductSpace((4, 3)), (2, 0), [1.0, 2.0, 3.0])
         with pytest.raises(InvalidStateError):
             s.on_factors(space, (2, 0), [1.0, 2.0])
+
+    @pytest.mark.parametrize("keep", [(True, 1), (-1, 1), (1.0, 1), (3, 1),
+                                      (1, np.float64(0.0))])
+    def test_on_factors_refuses_other_than_factor_indices(self, keep):
+        s = random_sum_state(np.random.default_rng(4), (2, 3, 2), k=2)
+        with pytest.raises(InvalidStateError):
+            s.on_factors(ProductSpace((3, 3)), keep, [1.0, 2.0])
 
     def test_immutable(self, rng):
         s = random_sum_state(rng)
