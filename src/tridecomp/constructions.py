@@ -357,15 +357,6 @@ def _basis_overlap_min(state: SumState, indices: tuple) -> float:
     return out
 
 
-def _pair_metrics(psi, phi1, phi2, indices1):
-    d1 = math.sqrt(max(2.0 - 2.0 * inner(psi, phi1).real, 0.0))
-    d2 = math.sqrt(max(2.0 - 2.0 * inner(psi, phi2).real, 0.0))
-    basis_min = _basis_overlap_min(phi1, indices1)
-    cross = max(float(np.abs(ov).max())
-                for _, ovs in _overlap_blocks(phi1, phi2) for ov in ovs)
-    return d1, d2, basis_min, cross
-
-
 def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
                      tolerances: Tolerances = DEFAULT_TOLERANCES,
                      term_ceiling: int = 5000) -> InstabilityPair:
@@ -415,15 +406,22 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
     for theta in candidates:
         phi1, idx1 = _perturbed_sum(expansion_u, None, n, theta, space)
         phi2, idx2 = _perturbed_sum(expansion_v, cols, n, theta, space)
-        d1, d2, basis_min, cross = _pair_metrics(psi, phi1, phi2, idx1)
+        # each bound is computed only once the ones before it hold, so a
+        # candidate refused on distance builds no factor pack
+        d1, d2 = (math.sqrt(max(2.0 - 2.0 * inner(psi, phi).real, 0.0))
+                  for phi in (phi1, phi2))
         if not (d1 < bound and d2 < bound):
             failed = f"||psi - phi_j|| < epsilon (got {max(d1, d2):.6f})"
-        elif not basis_min > 1.0 - bound:
+            continue
+        basis_min = _basis_overlap_min(phi1, idx1)
+        if not basis_min > 1.0 - bound:
             failed = f"basis overlap > 1 - epsilon (got {basis_min:.6f})"
-        elif not cross < bound:
-            failed = f"cross overlap < epsilon (got {cross:.6f})"
-        else:
+            continue
+        cross = max(float(np.abs(ov).max())
+                    for _, ovs in _overlap_blocks(phi1, phi2) for ov in ovs)
+        if cross < bound:
             break
+        failed = f"cross overlap < epsilon (got {cross:.6f})"
     else:
         if explicit:
             raise PreconditionError(f"theta too large: {failed}")

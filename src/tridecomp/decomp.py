@@ -26,6 +26,7 @@ from .states import (
     FactorPack,
     ProductSpace,
     SumState,
+    _dense_factor,
     _factor_overlap,
     _frozen_rows,
     _gram,
@@ -99,6 +100,13 @@ def _degenerate_groups(values, width: float) -> list:
     return groups
 
 
+def _lexicographic(vectors: np.ndarray) -> np.ndarray:
+    """Stable order of the rows of ``vectors`` by their entries' real and
+    imaginary parts in index order: the tie rule inside a degeneracy block."""
+    flat = np.ascontiguousarray(vectors, dtype=np.complex128).view(float)
+    return np.lexsort(flat.T[::-1])
+
+
 def _short_side_svd(mat: np.ndarray, zero_cut: float,
                     gram: np.ndarray = None) -> tuple:
     """Thin SVD (u, s, vh) of ``mat`` = M, values above ``zero_cut`` only
@@ -151,10 +159,9 @@ def schmidt(psi, left, tolerances: Tolerances = DEFAULT_TOLERANCES
         phase = lead[j] / abs(lead[j])
         u[:, j], v[:, j] = u[:, j] / phase, v[:, j] * phase
     # deterministic tie-breaking inside degenerate groups
-    order = list(range(s.size))
+    order = np.arange(s.size)
     for i, j in _degenerate_groups(s, tolerances.deg):
-        order[i:j] = sorted(order[i:j], key=lambda k: tuple(
-            x for e in u[:, k] for x in (e.real, e.imag)))
+        order[i:j] = i + _lexicographic(u[:, i:j].T)
     return SchmidtDecomposition(psi_d.space, (left, right), s[order],
                                 u[:, order], v[:, order])
 
@@ -273,8 +280,9 @@ class Block:
 
 @dataclass(frozen=True, eq=False)
 class OrderedTriortho:
-    """Orthonormal-variant decomposition with |a_1| >= |a_2| >= ... and the
-    grouping into strictly decreasing distinct-magnitude blocks."""
+    """Orthonormal-variant decomposition in degeneracy blocks of strictly
+    decreasing magnitude (a block's largest |a|), so |a| is non-increasing
+    across blocks; a block's terms follow their factor-0 components."""
 
     decomposition: TriDecomposition
     blocks: tuple
@@ -294,14 +302,21 @@ def _by_magnitude(state: SumState) -> tuple:
 def ordered_triortho(d: TriDecomposition,
                      tolerances: Tolerances = DEFAULT_TOLERANCES
                      ) -> OrderedTriortho:
-    """Sort terms by descending |a| and group them by ``tolerances.deg``."""
+    """Sort terms by descending |a|, group them by ``tolerances.deg`` and
+    order each block by its factor-0 components, as ``schmidt`` orders a
+    tied block's left vectors."""
     if d.variant is not Variant.ORTHONORMAL:
         raise InvalidStateError("ordering is defined for orthonormal decompositions")
     state, mags = _by_magnitude(d.state)
-    sorted_d = TriDecomposition(d.space, state, d.variant, d.certificate)
+    groups = _degenerate_groups(mags, tolerances.deg)
+    order = np.arange(state.nterms)
+    for i, j in groups:
+        if j - i > 1:  # densify only the block's factor-0 rows
+            order[i:j] = i + _lexicographic(_dense_factor(
+                state.take(order[i:j]), 0, d.space.dims[0]))
     blocks = tuple(Block(float(mags[i]), tuple(range(i, j)))
-                   for i, j in _degenerate_groups(mags, tolerances.deg))
-    return OrderedTriortho(sorted_d, blocks)
+                   for i, j in groups)
+    return OrderedTriortho(replace(d, state=state.take(order)), blocks)
 
 
 def truncate_terms(d: TriDecomposition, delta: float) -> TriDecomposition:
@@ -481,27 +496,14 @@ class Undetermined:
     reason: str
 
 
-def _rank_one_split(block: np.ndarray, tol: float):
-    """Split a bipartite vector (as a matrix) into u (x) v; None if rank > 1."""
-    u, s, vh = np.linalg.svd(block, full_matrices=False)
-    residual = float(s[1]) if s.size > 1 else 0.0
-    if residual > tol:
-        return None, None, residual
-    return u[:, 0], vh[0, :], residual
-
-
-def _resolve_degenerate_block(left_cols, right_cols, svals, d2, d3, tol):
-    """Try to split a degenerate Schmidt block into orthonormal products.
-
-    The right vectors are jointly reduced on factor 2 with a seeded generic
-    positive weight on factor 3; distinct eigenvalues force the candidate
-    components, which are then checked.  Each member keeps its own singular
-    value through the basis rotation, so near-ties inside the grouping width
-    reconstruct exactly.  Returns (coeff, left, mid, right) tuples, or a
-    NotTriorthogonal / Undetermined verdict.
-    """
-    g = right_cols.shape[1]
-    mats = [right_cols[:, j].reshape(d2, d3) for j in range(g)]
+def _tied_products(mats: np.ndarray, tol: float):
+    """Candidate products b_k (x) c_k, as rows (b, c), for a tied Schmidt
+    group whose right vectors are the d2 x d3 matrices ``mats``; or an
+    Undetermined.  The b_k are the eigenvectors of one seeded joint
+    reduction on the middle factor, with distinct leading eigenvalues.  If
+    the group is triorthogonal, b_k^H M_j = w_jk c_k^T with
+    sum_j |w_jk|^2 = 1, so c_k is the largest contraction, normalized."""
+    g, _, d3 = mats.shape
     for attempt in range(3):
         rng = np.random.default_rng([0, attempt])
         b = rng.standard_normal((d3, d3)) + 1j * rng.standard_normal((d3, d3))
@@ -517,33 +519,43 @@ def _resolve_degenerate_block(left_cols, right_cols, svals, d2, d3, tol):
         if (vals[g - 1] - (vals[g] if vals.size > g else 0.0)) < tol or \
                 (gaps.size and gaps.min() < tol):
             continue  # weight collision; retry with a fresh seed
-        mids = [vecs[:, j] for j in range(g)]
-        rights = []
-        for mid in mids:
-            t = np.column_stack([m.conj().T @ mid for m in mats])
-            proj = t @ t.conj().T
-            pv, pw = np.linalg.eigh(proj)
-            if pv.size > 1 and pv[-2] > tol:
-                return NotTriorthogonal(
-                    "degenerate block does not split into products")
-            rights.append(pw[:, -1].conj())
-        gram3 = np.array([[np.vdot(x, y) for y in rights] for x in rights])
-        if np.max(np.abs(gram3 - np.eye(g))) > math.sqrt(tol):
-            return NotTriorthogonal(
-                "degenerate block components are not orthonormal")
-        xs = _khatri_rao([np.array(mids), np.array(rights)]).T
-        unitary = right_cols.conj().T @ xs
-        defect = float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(g))))
-        if defect > math.sqrt(tol):
-            return NotTriorthogonal(
-                "degenerate block products do not span the Schmidt block")
-        weighted = (left_cols * np.asarray(svals)) @ unitary.conj()
-        out = []
-        for j in range(g):
-            coeff = float(np.linalg.norm(weighted[:, j]))
-            out.append((coeff, weighted[:, j] / coeff, mids[j], rights[j]))
-        return out
+        mids = vecs[:, :g].T
+        con = np.einsum("ka,jab->jkb", mids.conj(), mats)  # b_k^H M_j
+        ends = con[np.linalg.norm(con, axis=2).argmax(axis=0), np.arange(g)]
+        return mids, ends / np.linalg.norm(ends, axis=1, keepdims=True)
     return Undetermined("could not separate a degenerate coefficient block")
+
+
+def _split_group(lefts, mats, svals, tolerances: Tolerances):
+    """[coefficients, left, mid, right columns] of one Schmidt group, whose
+    right vectors are the d2 x d3 matrices ``mats``, or a verdict.  A lone
+    vector's candidate is its top singular pair, a tied group's come from
+    ``_tied_products``; either way the products X must span the right
+    vectors R, U = R^H X unitary within sqrt(deg), and the terms are the
+    columns of (L s) conj(U).  A triorthogonal group's candidates are
+    exact, so a failed span certifies absence."""
+    g = svals.size
+    if g == 1:
+        x, s, yh = np.linalg.svd(mats[0], full_matrices=False)
+        residual = float(s[1]) if s.size > 1 else 0.0
+        if residual > 10 * tolerances.orth:
+            return NotTriorthogonal(
+                "a nondegenerate Schmidt vector is not a product "
+                f"(residual {residual:.3e})")
+        mids, ends = x[:, :1].T, yh[:1]
+    else:
+        found = _tied_products(mats, tolerances.deg)
+        if isinstance(found, Undetermined):
+            return found
+        mids, ends = found
+    unitary = mats.reshape(g, -1).conj() @ _khatri_rao([mids, ends]).T
+    if np.abs(unitary.conj().T @ unitary - np.eye(g)).max() > \
+            math.sqrt(tolerances.deg):
+        return NotTriorthogonal(
+            "degenerate block products do not span the Schmidt block")
+    weighted = (lefts * svals) @ unitary.conj()
+    coeffs = np.linalg.norm(weighted, axis=0)
+    return [coeffs, weighted / coeffs, mids.T, ends.T]
 
 
 def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES):
@@ -563,35 +575,21 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES):
     if not _spectra_agree(_padded_spectra(rhos, tolerances), tolerances.deg):
         return NotTriorthogonal("reduced spectra disagree across the factors")
 
-    d2, d3 = psi_d.space.dims[1:]
-    lefts, coeffs, vh = _short_side_svd(_matricize(psi_d, (0,), (1, 2)),
-                                        tolerances.zero_coeff, rhos[0].matrix)
-    triples = []
-    for i, j in _degenerate_groups(coeffs, tolerances.deg):
-        if j - i == 1:
-            mid, right, residual = _rank_one_split(
-                vh[i].reshape(d2, d3), 10 * tolerances.orth)
-            if mid is None:
-                return NotTriorthogonal(
-                    "a nondegenerate Schmidt vector is not a product "
-                    f"(residual {residual:.3e})")
-            triples.append((coeffs[i], lefts[:, i], mid, right))
-        else:
-            resolved = _resolve_degenerate_block(
-                lefts[:, i:j], vh[i:j].T, coeffs[i:j], d2, d3, tolerances.deg)
-            if isinstance(resolved, (NotTriorthogonal, Undetermined)):
-                return resolved
-            triples.extend(resolved)
-
-    coeffs, *comps = zip(*triples)
-    assembled = SumState.from_columns(psi_d.space, coeffs,
-                                      [np.column_stack(c) for c in comps])
+    lefts, svals, vh = _short_side_svd(_matricize(psi_d, (0,), (1, 2)),
+                                       tolerances.zero_coeff, rhos[0].matrix)
+    mats = vh.reshape(-1, *psi_d.space.dims[1:])
+    parts = []
+    for i, j in _degenerate_groups(svals, tolerances.deg):
+        part = _split_group(lefts[:, i:j], mats[i:j], svals[i:j], tolerances)
+        if isinstance(part, (NotTriorthogonal, Undetermined)):
+            return part
+        parts.append(part)
+    coeffs, *comps = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    assembled = SumState.from_columns(psi_d.space, coeffs, comps)
     candidate = canonical_phase(
         TriDecomposition(psi_d.space, assembled, Variant.ORTHONORMAL))
     cert = verify_tridecomposition(candidate, psi_d, tolerances)
     if not cert.passed:
         return NotTriorthogonal(
             f"assembled candidate fails {cert.failed_condition}")
-    certified = TriDecomposition(candidate.space, candidate.state,
-                                 candidate.variant, cert)
-    return ordered_triortho(certified, tolerances)
+    return ordered_triortho(replace(candidate, certificate=cert), tolerances)

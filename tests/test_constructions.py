@@ -265,6 +265,21 @@ class TestInstabilityPair:
                 fresh = math.sqrt(sum_inner(phi, phi).real)
                 assert abs(fresh - 1.0) <= 1e-14
 
+    def test_refused_theta_builds_no_pack(self, monkeypatch):
+        # at eps = 0.7 the grid's first theta, 1/2, fails on distance; only
+        # the accepted theta's two expansions pack their three factors
+        built, original = [], states.FactorPack.__new__
+
+        def counting(cls, rows):
+            built.append(rows)
+            return original(cls, rows)
+        monkeypatch.setattr(states.FactorPack, "__new__", counting)
+        psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
+                         normalized=True)
+        pair = instability_pair(psi, 0.7)
+        assert pair.theta == 0.25
+        assert len(built) == 6
+
     def test_capacity_error_states_the_pack_bytes(self):
         psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
                          normalized=True)

@@ -1,5 +1,6 @@
 import cmath
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from tridecomp.decomp import (
     Variant,
     _degenerate_groups,
     _factor_independence,
-    _resolve_degenerate_block,
+    _tied_products,
     canonical_phase,
     decompositions_equivalent,
     extract_triortho,
@@ -56,6 +57,10 @@ from conftest import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _inversions(perm) -> int:
+    return sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def singlet_state():
@@ -94,6 +99,12 @@ class TestSchmidt:
             sd = schmidt(psi, (1,))
             err = np.linalg.norm(sd.reconstruct().amplitudes - psi.amplitudes)
             assert err <= 1e-8
+
+    def test_sum_state_input_decomposes_as_its_densified_form(self):
+        state = random_triortho(23, dims=(3, 4, 5), k=3).state
+        got, want = schmidt(state, (1,)), schmidt(densify(state), (1,))
+        for name in ("coefficients", "left_vectors", "right_vectors"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_zero_state_rejected(self):
         zero = DenseState(ProductSpace((2, 2)), np.zeros(4, dtype=complex),
@@ -420,6 +431,44 @@ def three_inner_residual(dec, psi):
            - 2.0 * states._sum_inner(psi, dec).real
            + states._sum_inner(dec, dec).real)
     return math.sqrt(max(val, 0.0))
+
+
+class TestFailingReturns:
+    def test_orthonormal_label_on_an_oblique_expansion(self):
+        # example31's phi expansion reconstructs exactly, but its factor-0
+        # components are not orthogonal
+        fam = example31(0.3)
+        d = fam.phi_decomposition
+        cert = verify_tridecomposition(
+            TriDecomposition(d.space, d.state, Variant.ORTHONORMAL),
+            fam.phi_theta)
+        assert not cert.passed
+        assert cert.failed_condition == "orthonormality_factor_0"
+        assert cert.reconstruction_error <= 1e-12
+
+    def test_w_as_three_terms_has_no_independent_pair(self):
+        # every factor repeats e0, so no two factors are independent
+        space = ProductSpace((2, 2, 2))
+        e = np.eye(2)
+        w = SumState.from_columns(space, np.full(3, 1 / math.sqrt(3)),
+                                  [e[:, [1, 0, 0]], e[:, [0, 1, 0]],
+                                   e[:, [0, 0, 1]]])
+        cert = verify_tridecomposition(
+            TriDecomposition(space, w, Variant.LI_TWO_FACTORS), densify(w))
+        assert cert.failed_condition == "two_factor_independence"
+        assert cert.li_factors is None
+        assert cert.max_pairwise_overlaps == (1.0, 1.0, 1.0)
+
+    def test_empty_decomposition(self):
+        space = ProductSpace((2, 2, 2))
+        empty = SumState.from_columns(space, np.zeros(0),
+                                      [np.zeros((2, 0))] * 3)
+        cert = verify_tridecomposition(
+            TriDecomposition(space, empty, Variant.ORTHONORMAL), empty)
+        assert not cert.passed
+        assert cert.failed_condition == "no_terms"
+        assert cert.reconstruction_error == math.inf
+        assert cert.min_singular_values == ()
 
 
 class TestDenseRoundTripTarget:
@@ -792,11 +841,56 @@ class TestExtraction:
         e = np.eye(4, dtype=complex)
         r1 = np.kron(e[:, 0], e[:, 1])
         r2 = np.kron(e[:, 0], e[:, 2])
-        left = np.eye(2, dtype=complex)
-        out = _resolve_degenerate_block(
-            left, np.column_stack([r1, r2]).astype(complex),
-            np.array([0.5, 0.5]), 4, 4, 1e-7)
+        out = _tied_products(np.array([r1, r2]).reshape(2, 4, 4), 1e-7)
         assert isinstance(out, Undetermined)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_flat_three_qutrit_states_rejected_at_the_span(self, sign):
+        # the antisymmetric (sign -1) and symmetric sums over the
+        # permutations of |012> have equal reduced spectra and one tied
+        # Schmidt block of three, which no products span
+        amp = np.zeros((3, 3, 3), dtype=complex)
+        for p in itertools.permutations(range(3)):
+            amp[p] = sign ** _inversions(p) / math.sqrt(6)
+        out = extract_triortho(DenseState(ProductSpace((3, 3, 3)),
+                                          amp.ravel()))
+        assert isinstance(out, NotTriorthogonal)
+        assert out.reason.startswith("degenerate block")
+
+    def test_sum_state_input_extracts_as_its_densified_form(self):
+        d = random_triortho(22, dims=(4, 5, 6), k=3, tie=True)
+        got = extract_triortho(d.state)
+        want = extract_triortho(densify(d.state))
+        assert got.blocks == want.blocks
+        assert np.array_equal(got.decomposition.coefficients,
+                              want.decomposition.coefficients)
+        for a, b in zip(got.decomposition.state.rows,
+                        want.decomposition.state.rows):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("dims,k,seed", [
+        ((4, 4, 4), 3, 0), ((4, 4, 4), 3, 2), ((6, 5, 4), 4, 1),
+        ((5, 5, 5), 4, 3)])
+    def test_tied_term_order_is_independent_of_the_svd(self, monkeypatch,
+                                                       dims, k, seed):
+        # a tied block's terms are unique up to order and phase; the
+        # canonical phase and the factor-0 order inside the block pin both,
+        # whichever SVD found the Schmidt basis
+        def whole_matrix_svd(mat, zero_cut, gram=None):
+            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+            big = s > zero_cut
+            return u[:, big], s[big], vh[big]
+
+        psi = densify(random_triortho(seed, dims=dims, k=k, tie=True).state)
+        short = extract_triortho(psi)
+        monkeypatch.setattr(decomp, "_short_side_svd", whole_matrix_svd)
+        whole = extract_triortho(psi)
+        assert [b.indices for b in short.blocks] == \
+            [b.indices for b in whole.blocks]
+        assert len(short.blocks[0].indices) == 2
+        for a, b in zip(experiments._columns(short.decomposition.state),
+                        experiments._columns(whole.decomposition.state)):
+            assert np.max(np.abs(a - b)) < 1e-10
 
     def test_uniqueness_against_independent_derivation(self):
         # re-derive the verified expansion through the dual basis of the
