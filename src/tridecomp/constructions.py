@@ -643,6 +643,8 @@ def non_triortho_perturb(psi, epsilon: float,
     third component (single-term inputs first get fresh orthogonal
     directions), which splits the top reduced eigenvalue of factor 3 away
     from factors 1 and 2 while moving the state by at most sqrt(2 epsilon).
+    The input must be unit-norm and certified ``ORTHONORMAL`` at the default
+    tolerances (a precondition, not a verdict), else ``InvalidStateError``.
     """
     if isinstance(psi, OrderedTriortho):
         ordered = psi
@@ -653,6 +655,11 @@ def non_triortho_perturb(psi, epsilon: float,
     if not 0.0 < epsilon < 1.0:
         raise InvalidStateError("epsilon must lie in (0, 1)")
     state = ordered.decomposition.state
+    cert = verify_tridecomposition(ordered.decomposition, state)
+    if not cert.passed or abs(norm(state) - 1.0) > DEFAULT_TOLERANCES.norm:
+        raise InvalidStateError(
+            "expected a unit-norm decomposition passing its ORTHONORMAL "
+            f"certificate: {cert.failed_condition or f'norm {norm(state)!r}'}")
     eta = math.sqrt(1.0 - epsilon)
     eta_p = math.sqrt(epsilon)
     coeffs = state.coeffs

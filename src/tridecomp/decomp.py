@@ -28,6 +28,7 @@ from .states import (
     SumState,
     _dense_factor,
     _factor_overlap,
+    _finite_complex,
     _frozen_rows,
     _gram,
     _gram_forms,
@@ -192,7 +193,7 @@ def linear_independence(vectors, tol: float):
         raise DimensionMismatchError("vectors have mixed dimensions")
     if len(vectors) > length:
         return 0.0, False
-    mat = np.column_stack(vectors).astype(np.complex128, copy=False)
+    mat = _finite_complex("vectors", np.column_stack(vectors))
     smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
     return smin, smin > tol
 
@@ -431,6 +432,8 @@ def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None
     positionally), phases are chosen so <component | reference component> >= 0.
     """
     state = d.state
+    if reference is not None and reference.nterms != state.nterms:
+        raise InvalidStateError(f"reference has {reference.nterms} terms")
     coeffs, rows = state.coeffs, []
     for i, r in enumerate(state.rows):
         if reference is None:

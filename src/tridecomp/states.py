@@ -100,12 +100,11 @@ class DenseState:
     normalized: bool = None
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).ravel()
+        amps = np.reshape(self.amplitudes, -1)
         if amps.size != self.space.dim:
             raise DimensionMismatchError(
                 f"{amps.size} amplitudes for a space of dimension {self.space.dim}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise InvalidStateError("amplitudes must be finite")
+        amps = _finite_complex("amplitudes", amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         n = float(np.linalg.norm(amps))
@@ -158,6 +157,17 @@ class Rows(NamedTuple):
             self.indptr[1:] - self.indptr[:-1])
 
 
+def _finite_complex(name: str, values, ndim: int = None) -> np.ndarray:
+    """``values`` as a new C-ordered complex128 array, of rank ``ndim`` when
+    given; every entry must be finite, else ``InvalidStateError``."""
+    arr = np.array(values, dtype=np.complex128, order="C")
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidStateError(f"{name} must have rank {ndim}, got {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise InvalidStateError(f"{name} must be finite")
+    return arr
+
+
 def _frozen_rows(indptr, indices, data) -> Rows:
     for arr in (indptr, indices, data):
         arr.setflags(write=False)
@@ -182,14 +192,12 @@ def _canonical_rows(i: int, dim: int, nterms: int, indptr, indices,
     """
     indptr = _integer_array(f"factor {i} indptr", indptr)
     indices = _integer_array(f"factor {i} indices", indices)
-    data = np.array(data, dtype=np.complex128)
+    data = _finite_complex(f"factor {i} amplitudes", data)
     if (indptr.shape != (nterms + 1,) or indices.ndim != 1
             or data.shape != indices.shape or indptr[0] != 0
             or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any()):
         raise InvalidStateError(
             f"factor {i} is not a set of CSR rows for {nterms} terms")
-    if not np.isfinite(data).all():
-        raise InvalidStateError(f"factor {i} amplitudes must be finite")
     outside = (indices < 0) | (indices >= dim)
     if outside.any():
         raise DimensionMismatchError(
@@ -319,11 +327,7 @@ class SumState:
         """Build from a coefficient vector and one (indptr, indices, data)
         triple of CSR rows per factor, validated as ``_canonical_rows``
         describes."""
-        coeffs = np.array(coeffs, dtype=np.complex128)
-        if coeffs.ndim != 1:
-            raise InvalidStateError("coefficients must form a vector")
-        if not np.isfinite(coeffs).all():
-            raise InvalidStateError("coefficient must be finite")
+        coeffs = _finite_complex("coefficients", coeffs, 1)
         rows = tuple(rows)
         if len(rows) != space.nfactors:
             raise DimensionMismatchError(
@@ -384,6 +388,9 @@ class SumState:
     def take(self, order) -> SumState:
         """The terms at positions ``order``, in that order."""
         order = _integer_array("order", order)
+        if order.ndim != 1 or order.size and (
+                order.min() < 0 or order.max() >= self.nterms):
+            raise InvalidStateError(f"order must index {self.nterms} terms")
         if order.size == self.nterms and (order == np.arange(order.size)).all():
             return self
         return SumState._trusted(self.space, self.coeffs[order],
@@ -405,10 +412,9 @@ class SumState:
             raise DimensionMismatchError(
                 f"factors {keep} of dims {self.space.dims} do not fit "
                 f"{space.dims}")
-        coeffs = np.array(coeffs, dtype=np.complex128)
-        if coeffs.shape != self.coeffs.shape or not np.isfinite(coeffs).all():
-            raise InvalidStateError(
-                f"need {self.nterms} finite coefficients")
+        coeffs = _finite_complex("coefficients", coeffs, 1)
+        if coeffs.size != self.nterms:
+            raise InvalidStateError(f"need {self.nterms} coefficients")
         state = SumState._trusted(space, coeffs, [self.rows[i] for i in keep])
         if "_packed" in self.__dict__:
             packs = self._packed
@@ -745,14 +751,12 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         dims = tuple(check_integer("block dimension", d, 1) for d in self.dims)
         d = math.prod(dims)
-        if mat.shape != (d, d):
-            raise DimensionMismatchError(
-                f"matrix shape {mat.shape} does not match block dims {dims}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise InvalidStateError("density matrix entries must be finite")
+        if np.shape(self.matrix) != (d, d):
+            raise DimensionMismatchError(f"matrix shape {np.shape(self.matrix)} "
+                                         f"does not match block dims {dims}")
+        mat = _finite_complex("density matrix entries", self.matrix)
         herm_gap, eigenvalues = hermitian_eigvalsh(mat)
         if herm_gap > DEFAULT_TOLERANCES.herm:
             raise InvalidStateError(f"not Hermitian: gap {herm_gap!r}")
@@ -825,10 +829,9 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     nf = len(dims)
     keep, _ = _split_factors(keep, nf)
     d = math.prod(dims)
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.shape != (d, d):
-        raise DimensionMismatchError(f"matrix shape {mat.shape} vs dims {dims}")
-    tensor = mat.reshape(dims + dims)
+    if np.shape(mat) != (d, d):
+        raise DimensionMismatchError(f"matrix shape {np.shape(mat)} vs dims {dims}")
+    tensor = _square_matrix(mat).reshape(dims + dims)
     ket_ids = list(range(nf))
     bra_ids = [i if i not in keep else nf + i for i in range(nf)]
     out_ids = [i for i in keep] + [nf + i for i in keep]
@@ -857,9 +860,6 @@ def partial_trace(s, keep) -> DensityMatrix:
         for i in traced:
             mix = mix * _factor_overlap(s._packed[i], s._packed[i]).T
         touched, fmats = zip(*(s._packed[i] for i in keep))
-        for i, idx in zip(keep, touched):
-            if idx.size == 0:
-                raise InvalidStateError(f"kept factor {i} is identically zero")
         # column k of cols is term k on the kept factors' touched indices
         cols = _khatri_rao(fmats).T
         rho = cols @ mix @ cols.conj().T
@@ -890,31 +890,20 @@ def aligned_density_matrices(a: DensityMatrix, b: DensityMatrix):
     """
     if len(a.dims) != len(b.dims):
         raise DimensionMismatchError("reduced states keep different factor counts")
-
-    def bases_of(dm):
-        if dm.basis is not None:
-            return [tuple(bb) for bb in dm.basis]
-        return [tuple(range(d)) for d in dm.dims]
-
-    ba, bb = bases_of(a), bases_of(b)
-    if ba == bb and all(x < y for basis in ba
-                        for x, y in zip(basis, basis[1:])):
+    ba, bb = ([np.arange(d) for d in dm.dims] if dm.basis is None
+              else [np.array(x, dtype=np.intp) for x in dm.basis]
+              for dm in (a, b))
+    if all(np.array_equal(x, y) and (x[1:] > x[:-1]).all()
+           for x, y in zip(ba, bb)):
         return a.matrix, b.matrix
-    unions = [tuple(sorted(set(x) | set(y))) for x, y in zip(ba, bb)]
-    udims = tuple(len(u) for u in unions)
-
-    def embed(dm, bases):
-        flat = None
-        for u, basis in zip(unions, bases):
-            lookup = {label: p for p, label in enumerate(u)}
-            local = np.array([lookup[x] for x in basis], dtype=np.intp)
-            flat = local if flat is None else (
-                flat[:, None] * len(u) + local[None, :]).ravel()
-        out = np.zeros((math.prod(udims), math.prod(udims)), dtype=np.complex128)
-        out[np.ix_(flat, flat)] = dm.matrix
-        return out
-
-    return embed(a, ba), embed(b, bb)
+    unions = [np.union1d(x, y) for x, y in zip(ba, bb)]
+    udims = tuple(u.size for u in unions)
+    out = np.zeros((2,) + (math.prod(udims),) * 2, dtype=np.complex128)
+    for embedded, dm, bases in zip(out, (a, b), (ba, bb)):
+        flat = np.ravel_multi_index(np.ix_(*[
+            u.searchsorted(x) for u, x in zip(unions, bases)]), udims).ravel()
+        embedded[np.ix_(flat, flat)] = dm.matrix
+    return out[0], out[1]
 
 
 def _vector_row(vec) -> tuple:
@@ -959,7 +948,7 @@ def _square_matrix(a) -> np.ndarray:
     """The matrix of a DensityMatrix, or ``a`` as a square complex array."""
     if isinstance(a, DensityMatrix):
         return a.matrix
-    mat = np.asarray(a, dtype=np.complex128)
+    mat = _finite_complex("matrix entries", a)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidStateError(f"expected a square matrix, got shape {mat.shape}")
     return mat
@@ -967,10 +956,7 @@ def _square_matrix(a) -> np.ndarray:
 
 def trace_norm(a) -> float:
     """Sum of singular values (trace-class norm)."""
-    mat = _square_matrix(a)
-    if not np.all(np.isfinite(mat.view(np.float64))):
-        raise InvalidStateError("matrix entries must be finite")
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    return float(np.linalg.svd(_square_matrix(a), compute_uv=False).sum())
 
 
 def haar_random_state(space: ProductSpace, seed: int) -> DenseState:

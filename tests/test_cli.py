@@ -123,6 +123,19 @@ class TestConstructAndRoundTrip:
         perturbed = state_from_json(json.loads(out))
         assert perturbed.normalized
 
+    def test_perturb_refuses_a_decomposition_that_is_not_normalized(
+            self, tmp_path, capsys):
+        # exited 2 with "perturbed state failed to stay normalized"
+        doc = load(str(DATA / "indented_decomposition.json"))
+        doc["terms"] = [dict(t, coeff=[2.0 * t["coeff"][0], 2.0 * t["coeff"][1]])
+                        for t in doc["terms"]]
+        dec = tmp_path / "scaled.json"
+        dump(doc, str(dec))
+        code, out, err = run(capsys, "construct", "perturb", "--in", str(dec))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "norm" in err
+
 
 class TestMatchCommand:
     @staticmethod

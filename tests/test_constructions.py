@@ -568,6 +568,21 @@ class TestPerturbation:
             with pytest.raises(InvalidStateError):
                 non_triortho_perturb(base, bad)
 
+    def test_refuses_an_input_that_is_not_unit_or_orthonormal(self):
+        # coefficients of norm sqrt(5) failed only the output's norm check,
+        # a bound failure, and example31's oblique phi expansion labelled
+        # ORTHONORMAL was perturbed without complaint
+        base = random_triortho(46, dims=(4, 4, 4), k=2)
+        scaled = TriDecomposition(base.space, base.state.with_coeffs(
+            base.state.coeffs * math.sqrt(5)), Variant.ORTHONORMAL)
+        oblique = example31(0.3).phi_decomposition
+        oblique = TriDecomposition(oblique.space, oblique.state,
+                                   Variant.ORTHONORMAL)
+        for bad, reason in ((scaled, "norm 2.236"),
+                            (oblique, "orthonormality_factor_0")):
+            with pytest.raises(InvalidStateError, match=reason):
+                non_triortho_perturb(bad, 0.1)
+
     def test_accepts_ordered_form(self):
         base = random_triortho(46, dims=(4, 4, 4), k=2)
         pert = non_triortho_perturb(ordered_triortho(base), 0.1)

@@ -694,6 +694,13 @@ class TestCanonicalPhase:
                 ov = np.vdot(got[:, k], want[:, k])
                 assert ov.real > 0 and abs(ov.imag) < 1e-10
 
+    def test_reference_of_another_term_count_refused(self):
+        # raised numpy's broadcast ValueError
+        d = random_triortho(9)
+        with pytest.raises(InvalidStateError, match="reference has 2 terms"):
+            canonical_phase(d, reference=truncate_terms(d, abs(
+                d.coefficients).min()))
+
 
 class TestEquivalence:
     def test_permuted_and_rephased(self):
@@ -856,6 +863,31 @@ class TestExtraction:
                                           amp.ravel()))
         assert isinstance(out, NotTriorthogonal)
         assert out.reason.startswith("degenerate block")
+
+    @staticmethod
+    def perturbed_core(seed, delta):
+        """A 3-term triorthogonal 4^3 state whose 3 x 3 x 3 core moved by
+        delta E, E random complex with ||E|| = 1, renormalized."""
+        rng = np.random.default_rng(seed)
+        q = [random_orthonormal(rng, 4, 3) for _ in range(3)]
+        core = np.zeros((3, 3, 3), dtype=complex)
+        core[range(3), range(3), range(3)] = [0.8, 0.5, 0.33]
+        e = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        core += delta * e / np.linalg.norm(e)
+        psi = np.einsum("abc,ia,jb,kc->ijk", core, *q)
+        return DenseState(ProductSpace((4, 4, 4)),
+                          (psi / np.linalg.norm(psi)).ravel())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_assembled_candidate_refused_by_its_certificate(self, seed):
+        # at 3e-8 every group splits within its checks, but the assembled
+        # terms miss the state by more than the reconstruction tolerance;
+        # at 3e-9 the same state still extracts
+        out = extract_triortho(self.perturbed_core(seed, 3e-8))
+        assert isinstance(out, NotTriorthogonal)
+        assert out.reason == "assembled candidate fails reconstruction"
+        assert isinstance(extract_triortho(self.perturbed_core(seed, 3e-9)),
+                          OrderedTriortho)
 
     def test_sum_state_input_extracts_as_its_densified_form(self):
         d = random_triortho(22, dims=(4, 5, 6), k=3, tie=True)

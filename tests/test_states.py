@@ -36,9 +36,16 @@ from tridecomp.states import (
     trace_norm,
 )
 from tridecomp.constructions import isolation_witness_3, structure_mover
-from tridecomp.decomp import TriDecomposition, Variant, ordered_triortho, schmidt
+from tridecomp.decomp import (
+    TriDecomposition,
+    Variant,
+    linear_independence,
+    ordered_triortho,
+    schmidt,
+)
 from tridecomp.matching import match_components
 from tridecomp.serialize import state_from_json, state_to_json
+from tridecomp.spectral import entropy, spectrum, verify_spectral_lemmas
 
 from conftest import (
     private_column_state,
@@ -828,6 +835,103 @@ class TestDensityMatrixInvariants:
         assert np.array_equal(a, np.diag([0.3, 0.2, 0.5]))
         assert np.array_equal(b, a)
 
+    def test_aligned_matrices_merge_two_factor_bases(self, rng):
+        # both kept factors touch different indices in the two states: the
+        # unions are {0, 1, 2, 3} on factor 0 and {0, 1, 3} on factor 1
+        space = ProductSpace((5, 4, 2))
+
+        def state(*supports):
+            columns = []
+            for dim, factor in zip(space.dims, zip(*supports)):
+                mat = np.zeros((dim, len(factor)), dtype=complex)
+                for k, support in enumerate(factor):
+                    mat[list(support), k] = random_unit(rng, len(support))
+                columns.append(mat)
+            return SumState.from_columns(space, [0.8, 0.6], columns)
+
+        sa = state(((0, 2), (1,), (0,)), ((2, 3), (1, 3), (1,)))
+        sb = state(((1, 2), (0, 1), (0, 1)), ((2,), (1,), (1,)))
+        a, b = aligned_density_matrices(partial_trace(sa, (0, 1)),
+                                        partial_trace(sb, (0, 1)))
+        flat = (np.arange(4)[:, None] * 4 + np.array([0, 1, 3])).ravel()
+        for got, s in ((a, sa), (b, sb)):
+            want = partial_trace(densify(s), (0, 1)).matrix
+            assert np.abs(got - want[np.ix_(flat, flat)]).max() <= 1e-15
+            assert np.abs(want).sum() == pytest.approx(
+                np.abs(got).sum(), abs=1e-14)
+
+
+def _diag(*values):
+    return np.diag(np.array(values, dtype=complex))
+
+
+def _one_term(space):
+    return SumState.from_columns(space, [1.0], [np.eye(d)[:, :1]
+                                                for d in space.dims])
+
+
+_NAN_OFF_DIAGONAL = np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)
+_GOOD_ROW = ([0, 1], [0], [1.0])
+
+# Each call hands a complex array holding a NaN or an infinity to a public
+# entry point; none may come back as a spectrum, an entropy or a verdict.
+NON_FINITE_CALLS = {
+    "spectrum nan diagonal": lambda: spectrum(_diag(0.5, math.nan)),
+    "spectrum nan off diagonal": lambda: spectrum(_NAN_OFF_DIAGONAL),
+    "spectrum inf diagonal": lambda: spectrum(_diag(0.5, math.inf)),
+    "entropy nan diagonal": lambda: entropy(_diag(0.5, math.nan)),
+    "entropy nan off diagonal": lambda: entropy(_NAN_OFF_DIAGONAL),
+    "entropy inf diagonal": lambda: entropy(_diag(0.5, math.inf)),
+    "verify_spectral_lemmas": lambda: verify_spectral_lemmas(
+        _diag(0.5, math.nan), _diag(0.5, 0.5)),
+    "partial_trace_matrix": lambda: partial_trace_matrix(
+        _diag(0.5, math.nan, 0.0, 0.5), (2, 2), (0,)),
+    "trace_norm": lambda: trace_norm(_diag(math.inf, 1.0)),
+    "linear_independence inf": lambda: linear_independence(
+        [np.array([math.inf, 0.0]), np.array([0.0, 1.0])], 1e-8),
+    "linear_independence nan": lambda: linear_independence(
+        [np.array([math.nan, 0.0]), np.array([0.0, 1.0])], 1e-8),
+    "DenseState": lambda: DenseState(ProductSpace((2, 2)),
+                                     [0.5, complex(0, math.nan), 0.5, 0.5]),
+    "DensityMatrix": lambda: DensityMatrix(_diag(0.5, math.nan), (2,), (0,)),
+    "from_rows coefficients": lambda: SumState.from_rows(
+        ProductSpace((2, 2)), [math.nan], [_GOOD_ROW, _GOOD_ROW]),
+    "from_rows amplitudes": lambda: SumState.from_rows(
+        ProductSpace((2, 2)), [1.0], [([0, 1], [0], [math.inf]), _GOOD_ROW]),
+    "on_factors coefficients": lambda: _one_term(
+        ProductSpace((2, 2))).with_coeffs([math.inf]),
+}
+
+
+class TestComplexArrayReader:
+    @pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+    def test_non_finite_entries_are_refused(self, call):
+        # spectrum(diag(0.5, nan)) was (0.0, 0.0) with entropy 0 nats, and
+        # linear_independence with an inf entry was (nan, False)
+        with pytest.raises(InvalidStateError, match="finite"):
+            NON_FINITE_CALLS[call]()
+
+    def test_states_do_not_share_the_callers_arrays(self):
+        amps = np.full(4, 0.5, dtype=complex)
+        s = DenseState(ProductSpace((2, 2)), amps)
+        amps[0] = 5.0  # changed the state, which stayed flagged normalized
+        assert np.array_equal(s.amplitudes, np.full(4, 0.5))
+        assert norm(s) == 1.0 and s.normalized
+        mat = _diag(0.5, 0.5)
+        dm = DensityMatrix(mat, (2,), (0,))
+        assert mat.flags.writeable  # was made read-only
+        mat[0, 0] = 5.0
+        assert dm.matrix[0, 0] == 0.5
+        assert not dm.matrix.flags.writeable
+
+    def test_valid_arrays_keep_their_values(self, rng):
+        mat = random_psd(rng, 6, top=1.0 / 6)
+        f_ordered = np.asfortranarray(mat)
+        for given in (mat, f_ordered, mat.real.tolist()):
+            got = DensityMatrix(given, (2, 3), (0, 1)).matrix
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, np.asarray(given, dtype=complex))
+
 
 def rows_of(terms, i):
     """Factor ``i`` of ``terms`` as (indptr, indices, data) lists."""
@@ -951,6 +1055,15 @@ class TestArrayBackedSumState:
         for space in (ProductSpace((3, 4, 5, 2)), ProductSpace((3, 4))):
             with pytest.raises(DimensionMismatchError):
                 s.embedded(space)
+
+    @pytest.mark.parametrize("order", [[-1], [3], [0, 5], [[0, 1]]])
+    def test_take_refuses_positions_outside_the_terms(self, order):
+        # [-1] raised numpy's "negative dimensions" ValueError and [5] an
+        # IndexError
+        s = random_sum_state(np.random.default_rng(5), (2, 3, 2), k=3)
+        with pytest.raises(InvalidStateError, match="3 terms"):
+            s.take(order)
+        assert s.take([]).nterms == 0
 
     def test_take_embedded_and_with_coeffs(self, rng):
         s = random_sum_state(rng, (3, 4, 5), k=4)
