@@ -31,10 +31,9 @@ from .states import (
     _finite_complex,
     _frozen_rows,
     _gram,
-    _gram_forms,
     _khatri_rao,
     _matricize,
-    _split_diagonal,
+    _overlap_summary,
     _split_factors,
     _term_distance,
     as_dense,
@@ -351,25 +350,16 @@ def verify_tridecomposition(d: TriDecomposition, psi,
         sv, method = _factor_independence(pack, tolerances.li)
         min_sv.append(sv)
         li_method.append(method)
-    # one walk over the factor overlaps' row blocks: running maxima per
-    # factor and, for a target on dec's own rows, three quadratic forms of
-    # the term Gram G: both self products, summed as _sum_inner sums them,
-    # and the squared residual (x - y)^H G (x - y), whose one form has no
-    # cancellation to round away a small difference
-    max_pair, max_diag = [0.0] * len(min_sv), [0.0] * len(min_sv)
-
-    def track(lo, ovs):
-        for i, ov in enumerate(ovs):
-            pair, diag = _split_diagonal(ov, lo)
-            max_pair[i] = max(max_pair[i], pair)
-            max_diag[i] = max(max_diag[i], float(np.abs(diag - 1.0).max()))
-
+    # one walk over the factor overlaps: maxima, diagonals and, for a target
+    # on dec's own rows, both self products (as _sum_inner sums them) and the
+    # residual's form (x - y)^H G (x - y), which has no cancellation to round
     pairs = ()
     if _on_own_rows(dec, psi):
         x, y = psi.coeffs, dec.coeffs
         pairs = ((x, x), (y, y), (x - y, x - y))
-    forms = _gram_forms(dec, dec, pairs, track)
-    max_off = [max(p, q) for p, q in zip(max_pair, max_diag)]
+    max_pair, diagonals, forms = _overlap_summary(dec, dec, pairs)
+    max_off = [max(p, float(np.abs(g - 1.0).max()))
+               for p, g in zip(max_pair, diagonals)]
 
     def certificate(failed, recon, min_coeff, li_factors=None):
         return TriCertificate(
@@ -401,26 +391,21 @@ def verify_tridecomposition(d: TriDecomposition, psi,
     if recon > tolerances.recon:
         return certificate("reconstruction", recon, min_coeff)
 
-    if d.variant is Variant.LI_ALL:
-        for i in range(3):
-            if min_sv[i] <= tolerances.li:
-                return certificate(f"linear_independence_factor_{i}",
-                                   recon, min_coeff)
-        return certificate(None, recon, min_coeff)
-    if d.variant is Variant.ORTHONORMAL:
-        for i in range(3):
-            if max_off[i] >= tolerances.orth:
-                return certificate(f"orthonormality_factor_{i}",
-                                   recon, min_coeff)
-        return certificate(None, recon, min_coeff)
-    # LI_TWO_FACTORS: some pair independent, remaining factor free of
-    # collinear pairs
-    for third in (2, 1, 0):
-        pair = tuple(i for i in range(3) if i != third)
-        if all(min_sv[i] > tolerances.li for i in pair) and \
-                max_pair[third] < 1.0 - tolerances.orth:
-            return certificate(None, recon, min_coeff, li_factors=pair)
-    return certificate("two_factor_independence", recon, min_coeff)
+    if d.variant is Variant.LI_TWO_FACTORS:
+        # some pair independent, remaining factor free of collinear pairs
+        for third in (2, 1, 0):
+            pair = tuple(i for i in range(3) if i != third)
+            if all(min_sv[i] > tolerances.li for i in pair) and \
+                    max_pair[third] < 1.0 - tolerances.orth:
+                return certificate(None, recon, min_coeff, li_factors=pair)
+        return certificate("two_factor_independence", recon, min_coeff)
+    # LI_ALL and ORTHONORMAL: the first factor to fail names the condition
+    li_all = d.variant is Variant.LI_ALL
+    fails = (np.less_equal(min_sv, tolerances.li) if li_all
+             else np.greater_equal(max_off, tolerances.orth))
+    name = "linear_independence" if li_all else "orthonormality"
+    failed = f"{name}_factor_{fails.argmax()}" if fails.any() else None
+    return certificate(failed, recon, min_coeff)
 
 
 def canonical_phase(d: TriDecomposition, reference: TriDecomposition = None

@@ -23,7 +23,7 @@ from .states import (
     ProductSpace,
     SumState,
     _factor_overlap,
-    _split_diagonal,
+    _overlap_summary,
     _term_distance,
     aligned_density_matrices,
     distance,
@@ -60,14 +60,6 @@ class ProductMatchReport:
         return json_fields(self)
 
 
-def _check_orthonormal_factors(phi: SumState, tol: float):
-    for i, pack in enumerate(phi._packed):
-        if _split_diagonal(_factor_overlap(pack, pack), 0)[0] >= tol:
-            raise PreconditionError(
-                f"precondition failed: factor {i} sequence of the "
-                "product sum is not orthonormal")
-
-
 def match_single_product(psi: SumState, phi: SumState, eps: float,
                          eps_prime: float,
                          tolerances: Tolerances = DEFAULT_TOLERANCES
@@ -86,7 +78,9 @@ def match_single_product(psi: SumState, phi: SumState, eps: float,
         raise PreconditionError("precondition failed: psi must be a single product")
     if not phi.nterms:
         raise PreconditionError("precondition failed: phi has no terms")
-    _check_orthonormal_factors(phi, max(10 * tolerances.orth, 1e-7))
+    for i, off in enumerate(_overlap_summary(phi, phi)[0]):
+        _require(off < max(10 * tolerances.orth, 1e-7),
+                 f"factor {i} sequence of the product sum is not orthonormal")
 
     a = complex(psi.coeffs[0])
     _require(eps_prime > 0.0, "eps_prime > 0")

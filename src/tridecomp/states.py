@@ -587,27 +587,30 @@ def _block_form(x: np.ndarray, gram_rows: np.ndarray, y: np.ndarray,
     return complex(x[lo:lo + gram_rows.shape[0]].conj() @ gram_rows @ y)
 
 
-def _gram_forms(a: SumState, b: SumState, pairs, each=None) -> list:
-    """[x^H G y for x, y in pairs], G the term Gram of ``a`` against ``b``,
-    summed over the row blocks of ``_overlap_blocks``; ``each(lo, ovs)`` is
-    first shown every block's factor overlaps."""
-    sums = [0j] * len(pairs)
+def _overlap_summary(a: SumState, b: SumState, pairs=()) -> tuple:
+    """(off, diagonals, forms) from one walk over ``_overlap_blocks``: per
+    factor, the largest |O[k, l]| with k != l and the diagonal O[k, k] for
+    k < min(K_a, K_b), with no factors when a side has no terms; and x^H G y
+    for each (x, y) in ``pairs``, G the term Gram, summed in row order."""
+    forms = [0j] * len(pairs)
+    if not (a.nterms and b.nterms):
+        return (), (), forms
+    off = [0.0] * a.space.nfactors
+    diagonals = np.empty((len(off), min(a.nterms, b.nterms)), np.complex128)
     for lo, ovs in _overlap_blocks(a, b):
-        if each is not None:
-            each(lo, ovs)
+        height, width = ovs[0].shape
+        stop = min(height, max(width - lo, 0)) * (width + 1)
+        for i, ov in enumerate(ovs):
+            mags = np.abs(ov, order="C")  # so reshape(-1) is a view
+            mags.reshape(-1)[lo:stop:width + 1] = 0.0  # entries (j, lo + j)
+            off[i] = max(off[i], float(mags.max()))
+            del mags  # free before the next abs, which can reuse its memory
+            diagonals[i, lo:lo + height] = ov.diagonal(lo)
         if pairs:
             g = reduce(np.multiply, ovs)
-            sums = [s + _block_form(x, g, y, lo)
-                    for s, (x, y) in zip(sums, pairs)]
-    return sums
-
-
-def _split_diagonal(rows: np.ndarray, lo: int) -> tuple:
-    """(largest |entry| off the diagonal, the diagonal) of rows lo: of a
-    square overlap."""
-    off = np.abs(rows, order="C")  # so reshape(-1) is a view
-    off.reshape(-1)[lo::rows.shape[1] + 1] = 0.0  # entries (j, lo + j)
-    return float(off.max()), np.diagonal(rows, offset=lo)
+            forms = [s + _block_form(x, g, y, lo)
+                     for s, (x, y) in zip(forms, pairs)]
+    return tuple(off), diagonals, forms
 
 
 def term_gram(a: SumState, b: SumState) -> np.ndarray:
@@ -683,14 +686,15 @@ def _columns(s: SumState) -> list:
 
 
 def _sum_inner(a: SumState, b: SumState) -> complex:
-    """c_a^H (G_1 o G_2 o G_3) c_b.  A term Gram that fits in one row block
-    is built whole by ``term_gram``, which spares the many tiny calls the
-    walk's set-up; a larger one is summed block by block by ``_gram_forms``."""
+    """c_a^H (G_1 o G_2 o G_3) c_b: whole by ``term_gram`` when it fits one
+    row block (sparing many tiny calls the walk's set-up), else summed over
+    ``_overlap_blocks`` as ``_overlap_summary`` sums a form, without maxima."""
     if not a.nterms or not b.nterms:
         return 0j
     if _nblocks(a, b) == 1:
         return _block_form(a.coeffs, term_gram(a, b), b.coeffs, 0)
-    return _gram_forms(a, b, [(a.coeffs, b.coeffs)])[0]
+    return sum((_block_form(a.coeffs, reduce(np.multiply, ovs), b.coeffs, lo)
+                for lo, ovs in _overlap_blocks(a, b)), 0j)
 
 
 def inner(a, b) -> complex:
@@ -752,6 +756,15 @@ class DensityMatrix:
 
     def __post_init__(self):
         dims = tuple(check_integer("block dimension", d, 1) for d in self.dims)
+        kept = tuple(check_integer("kept factor", k, 0) for k in self.kept_factors)
+        basis = None if self.basis is None else tuple(
+            tuple(_integer_array("basis", b).tolist()) for b in self.basis)
+        sizes = dims if basis is None else tuple(map(len, basis))
+        if len(kept) != len(dims) or sizes != dims:
+            raise DimensionMismatchError(f"block dims {dims} do not fit kept "
+                                         f"factors {kept} and basis {basis}")
+        if len({*kept}) < len(kept) or any(len({*x}) < len(x) for x in basis or ()):
+            raise InvalidStateError(f"kept factors {kept} or basis {basis} repeat")
         d = math.prod(dims)
         if np.shape(self.matrix) != (d, d):
             raise DimensionMismatchError(f"matrix shape {np.shape(self.matrix)} "
@@ -772,11 +785,8 @@ class DensityMatrix:
         object.__setattr__(self, "herm_gap", herm_gap)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "kept_factors", tuple(
-            check_integer("kept factor", k, 0) for k in self.kept_factors))
-        if self.basis is not None:
-            object.__setattr__(self, "basis", tuple(
-                tuple(_integer_array("basis", b).tolist()) for b in self.basis))
+        object.__setattr__(self, "kept_factors", kept)
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "trace", tr)
 
     @property

@@ -283,6 +283,22 @@ class TestExitCodes:
         assert code == 1
         assert err
 
+    def test_pair_from_an_input_state(self, tmp_path, capsys):
+        # the state the installed-script check writes: a pair built from
+        # it certifies both expansions, as the library's own call does
+        psi = states.haar_random_state(ProductSpace((2, 3, 2)), 1)
+        path, out = tmp_path / "haar.json", tmp_path / "pair.json"
+        dump(state_to_json(psi), str(path))
+        code, _, err = run(capsys, "construct", "pair", "--in", str(path),
+                           "--epsilon", "0.9", "-o", str(out))
+        assert code == 0, err
+        doc = load(str(out))
+        assert [doc["decompositions"][k]["certificate"]["passed"]
+                for k in ("phi1", "phi2")] == [True, True]
+        pair = instability_pair(psi, 0.9)
+        assert doc["provenance"]["theta"] == pair.theta
+        assert doc["cross_overlap_max"] == pair.cross_overlap_max
+
     def test_mover_of_one_state_given_twice_is_the_identity(self, tmp_path,
                                                              capsys):
         # <s|s> of this state rounds to 0.9999999999999998

@@ -362,6 +362,14 @@ class TestMover:
             with pytest.raises(InvalidStateError, match="collinear"):
                 structure_mover(psi, turned)
 
+    def test_identity_mover_moves_nothing(self):
+        psi = haar_random_state(ProductSpace((2, 2, 2)), 3)
+        other = haar_random_state(ProductSpace((2, 2, 2)), 4)
+        mover = structure_mover(psi, psi).mover
+        assert mover.identity
+        assert mover.apply(other) is other
+        assert mover.moved_inner(psi, other) == inner(psi, other)
+
     def test_trace_norm_closed_form(self):
         a = haar_random_state(ProductSpace((2, 3)), 4)
         b = haar_random_state(ProductSpace((2, 3)), 5)
@@ -582,6 +590,36 @@ class TestPerturbation:
                             (oblique, "orthonormality_factor_0")):
             with pytest.raises(InvalidStateError, match=reason):
                 non_triortho_perturb(bad, 0.1)
+
+    def test_near_unit_input_keeps_its_norm(self):
+        # the precondition admits a norm 5e-12 above 1, which the output
+        # keeps; comparing the output with 1 to 1e-12 refused it (exit 2)
+        base = random_triortho(47, dims=(4, 4, 4), k=2)
+        near = TriDecomposition(base.space, base.state.with_coeffs(
+            base.state.coeffs * (1 + 5e-12)), Variant.ORTHONORMAL)
+        for eps in (0.05, 0.2):
+            pert = non_triortho_perturb(near, eps)
+            assert norm(pert) == pytest.approx(norm(near.state), abs=1e-14)
+            assert abs(norm(pert) - 1.0) > 1e-12
+
+    def test_broken_construction_fails_its_norm_check(self, monkeypatch):
+        # fresh directions with an imaginary overlap 1e-3 with each factor
+        # vector keep every row a unit vector, but the two terms are no
+        # longer orthogonal: the norm moves by about 2e-7, above 3 orth
+        def leaning(vec):
+            fresh = orthogonal_unit(vec) + 1e-3j * vec
+            return fresh / np.linalg.norm(fresh)
+
+        orthogonal_unit = constructions._orthogonal_unit
+        single = extract_triortho(densify(SumState(
+            ProductSpace((2, 2, 2)),
+            (ProductTerm(1.0, (((0, 1.0),), ((1, 1.0),), ((0, 1.0),))),)
+        ))).decomposition
+        assert norm(non_triortho_perturb(single, 0.1)) == pytest.approx(
+            1.0, abs=1e-15)
+        monkeypatch.setattr(constructions, "_orthogonal_unit", leaning)
+        with pytest.raises(VerificationError, match="norm"):
+            non_triortho_perturb(single, 0.1)
 
     def test_accepts_ordered_form(self):
         base = random_triortho(46, dims=(4, 4, 4), k=2)

@@ -470,6 +470,39 @@ class TestFailingReturns:
         assert cert.reconstruction_error == math.inf
         assert cert.min_singular_values == ()
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_empty_certificate_has_no_factor_numbers(self, variant):
+        # no terms, no factors: the per-factor fields stay empty rather
+        # than reading as maxima over nothing
+        space = ProductSpace((2, 2, 2))
+        empty = random_triortho(5, dims=(2, 2, 2), k=2).state.take([])
+        for target in (empty, densify(empty)):
+            cert = verify_tridecomposition(
+                TriDecomposition(space, empty, variant), target)
+            assert cert.failed_condition == "no_terms"
+            assert (cert.min_singular_values, cert.li_method,
+                    cert.max_offdiag_overlaps, cert.max_pairwise_overlaps) \
+                == ((), (), (), ())
+
+    @pytest.mark.parametrize("variant, bad, condition", [
+        (Variant.LI_ALL, (1, 2), "linear_independence_factor_1"),
+        (Variant.LI_ALL, (2,), "linear_independence_factor_2"),
+        (Variant.ORTHONORMAL, (0, 2), "orthonormality_factor_0"),
+        (Variant.ORTHONORMAL, (1,), "orthonormality_factor_1"),
+    ])
+    def test_first_failing_factor_names_the_condition(self, variant, bad,
+                                                      condition):
+        # factors in ``bad`` repeat one component across both terms, which
+        # is neither independent nor orthonormal
+        space = ProductSpace((3, 3, 3))
+        e = np.eye(3)
+        cols = [e[:, [0, 0]] if i in bad else e[:, [0, 1]] for i in range(3)]
+        state = SumState.from_columns(space, [0.8, 0.6], cols)
+        cert = verify_tridecomposition(
+            TriDecomposition(space, state, variant), state)
+        assert cert.failed_condition == condition
+        assert cert.reconstruction_error == 0.0
+
 
 class TestDenseRoundTripTarget:
     def test_correct_decompositions_certify(self):
@@ -735,6 +768,26 @@ class TestEquivalence:
         assert truncate_terms(d, 0.0).nterms == 3
         with pytest.raises(InvalidStateError, match="delta"):
             truncate_terms(d, delta)
+
+    def test_no_terms_are_equivalent(self):
+        empty = random_triortho(14).state.take([])
+        d = TriDecomposition(empty.space, empty, Variant.ORTHONORMAL)
+        assert decompositions_equivalent(d, d, 1e-7)
+
+    def test_tied_group_pairs_terms_by_overlap_then_checks_magnitudes(self):
+        # d2 swaps the two tied magnitudes between the same term tensors:
+        # the sorted magnitudes agree, but the assignment pairs each term
+        # with its own tensor, whose magnitude is 5e-8 away
+        d = random_triortho(15, k=3)
+        coeffs = d.state.coeffs.copy()
+        coeffs[1] = coeffs[0] / abs(coeffs[0]) * (abs(coeffs[0]) - 5e-8)
+        d1 = TriDecomposition(d.space, d.state.with_coeffs(coeffs), d.variant)
+        swapped = coeffs.copy()
+        swapped[:2] = coeffs[:2] / np.abs(coeffs[:2]) * np.abs(coeffs[1::-1])
+        d2 = TriDecomposition(d.space, d.state.with_coeffs(swapped), d.variant)
+        assert decompositions_equivalent(d1, d1, 1e-8)
+        assert not decompositions_equivalent(d1, d2, 1e-8)
+        assert decompositions_equivalent(d1, d2, 1e-7)
 
     def test_degenerate_blocks_matched_by_assignment(self):
         d = random_triortho(13, k=3, tie=True)

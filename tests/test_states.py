@@ -804,6 +804,19 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.diag([1.0, -0.1]).astype(complex), (2,), (0,))
 
+    @pytest.mark.parametrize("dims, kept, basis, error", [
+        ((2,), (0,), ((0, 1, 2),), DimensionMismatchError),
+        ((2, 2), (0, 1), ((0, 1),), DimensionMismatchError),
+        ((4,), (0, 1), None, DimensionMismatchError),
+        ((2, 2), (0,), None, DimensionMismatchError),
+        ((2, 3), (0, 1), ((0, 0), (1, 2, 3)), InvalidStateError),
+        ((2, 2), (1, 1), None, InvalidStateError),
+    ])
+    def test_fields_must_agree(self, dims, kept, basis, error):
+        d = math.prod(dims)
+        with pytest.raises(error):
+            DensityMatrix(np.eye(d) / d, dims, kept, basis=basis)
+
     def test_unit_factor_enforced_on_terms(self):
         with pytest.raises(InvalidStateError):
             ProductTerm(1.0, (((0, 0.5),), ((0, 1.0),), ((0, 1.0),)))
@@ -1324,5 +1337,62 @@ class TestBlockedOverlaps:
         a, b = self.pair(rng)
         assert states._nblocks(a, b) == 1
         for x, y in ((a, b), (a, a)):
-            walked = states._gram_forms(x, y, [(x.coeffs, y.coeffs)])[0]
-            assert states._sum_inner(x, y) == walked
+            walked = states._overlap_summary(x, y, [(x.coeffs, y.coeffs)])[2]
+            assert states._sum_inner(x, y) == walked[0]
+
+    def test_blocked_sum_inner_has_the_walks_bits(self, rng, monkeypatch):
+        a, b = self.pair(rng)
+        assert len(self.walk(monkeypatch, a, b, 12)) >= 3
+        for x, y in ((a, b), (a, a)):
+            walked = states._overlap_summary(x, y, [(x.coeffs, y.coeffs)])[2]
+            assert states._sum_inner(x, y) == walked[0]
+
+    @staticmethod
+    def basis_state(columns):
+        """A SumState on (4, 4) whose term k has factor vectors e_j for j
+        in ``columns[k]``."""
+        eye = np.eye(4)
+        return SumState.from_columns(
+            ProductSpace((4, 4)), np.ones(len(columns)),
+            [eye[:, [c[i] for c in columns]] for i in range(2)])
+
+    @pytest.mark.parametrize("rows_per_block", [None, 2])
+    def test_summary_of_a_tall_overlap(self, monkeypatch, rows_per_block):
+        # O_0 = [[1, 0], [0, 1], [0, 0], [1, 0]]: its one off-diagonal 1 at
+        # (3, 0) is where a flat stride of 3 from (0, 0), or of 3 from the
+        # second block's start, would land after the diagonal ends
+        a = self.basis_state([(0, 0), (1, 1), (2, 2), (0, 3)])
+        b = self.basis_state([(0, 0), (1, 1)])
+        if rows_per_block:
+            assert len(self.walk(monkeypatch, a, b, rows_per_block)) == 2
+        x, y = np.arange(1.0, 5.0), np.array([1.0, 1j])
+        off, diagonals, forms = states._overlap_summary(a, b, [(x, y)])
+        assert off == (1.0, 0.0)
+        assert np.array_equal(diagonals, np.ones((2, 2)))
+        assert forms == [complex(x @ states.term_gram(a, b) @ y)]
+        off, diagonals, _ = states._overlap_summary(b, a)
+        assert off == (1.0, 0.0)
+        assert np.array_equal(diagonals, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("k_a, k_b", [(49, 20), (20, 49), (30, 30)])
+    def test_summary_matches_the_whole_overlaps(self, rng, monkeypatch, k_a,
+                                                k_b):
+        a, b = private_column_state(rng, k_a), private_column_state(rng, k_b)
+        b = b.embedded(a.space) if k_b < k_a else b
+        a = a.embedded(b.space)
+        whole = [_factor_overlap(p, q) for p, q in zip(a._packed, b._packed)]
+        assert len(self.walk(monkeypatch, a, b, 6)) >= 3
+        off, diagonals, _ = states._overlap_summary(a, b)
+        n = min(k_a, k_b)
+        for i, ov in enumerate(whole):
+            mags = np.abs(ov)
+            mags[np.arange(n), np.arange(n)] = 0.0
+            assert off[i] == float(mags.max())  # bitwise
+            assert np.array_equal(diagonals[i], np.diagonal(ov))
+
+    def test_summary_of_no_terms_has_no_factors(self, rng):
+        s = random_sum_state(rng)
+        empty = s.take([])
+        pairs = [(s.coeffs, s.coeffs)]
+        for a, b in ((empty, s), (s, empty), (empty, empty)):
+            assert states._overlap_summary(a, b, pairs) == ((), (), [0j])
