@@ -387,12 +387,12 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
         psi, n, tolerances.zero_coeff)
     sizes = (len(expansion_u[1]), len(expansion_v[1]))
     if sum(sizes) > term_ceiling:
-        # each factor of the larger expansion packs K terms by its n base
-        # and K fresh columns, dense
+        # each factor of the larger expansion: K terms on n shared columns,
+        # one private entry each and per-column indices, under n + 4 cells
         k = max(sizes)
         raise CapacityError(
-            f"expansion would carry {sum(sizes)} terms, with dense packs of "
-            f"about {3 * k * (n + k) * 16:,} bytes (3 x {k} x {n + k} x "
+            f"expansion would carry {sum(sizes)} terms, with split packs of "
+            f"about {3 * k * (n + 4) * 16:,} bytes (3 x {k} x ({n} + 4) x "
             "16 B); raise term_ceiling to proceed")
     ambient = n + max(sizes) + 1
     space = ProductSpace((ambient,) * 3)
@@ -669,7 +669,10 @@ def non_triortho_perturb(psi, epsilon: float,
         cols = [np.column_stack((c[:, 0], _orthogonal_unit(c[:, 0])))
                 for c in cols]
     cols[2][:, 0] = eta * cols[2][:, 0] + eta_p * cols[2][:, 1]
-    out = densify(SumState.from_columns(state.space, coeffs, cols))
+    try:
+        out = densify(SumState.from_columns(state.space, coeffs, cols))
+    except InvalidStateError as exc:  # the input was certified: our fault
+        raise VerificationError(f"perturbed terms were refused: {exc}") from exc
     # only z_0 (term 0, factor 2) moves: ||out||^2 - ||psi||^2 = |c_0|^2 (eta'^2
     # (||z_1||^2 - ||z_0||^2) + 2 eta eta' Re<z_0|z_1>) + O(orth^2) < 3 orth, as
     # the certificate holds both gaps below orth, |c_0| <= 1, and the eta sum < 1.62

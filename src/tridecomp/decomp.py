@@ -209,7 +209,7 @@ def _factor_independence(pack: FactorPack, tol: float) -> tuple:
     bound = float(pack.private_norms().min())
     if bound > tol:
         return bound, "private_support"
-    return linear_independence(list(pack[1]), tol)[0], "svd"
+    return linear_independence(list(pack.matrix()), tol)[0], "svd"
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,13 @@ def entropy(rho, tolerances: Tolerances = DEFAULT_TOLERANCES) -> EntropyValue:
     dim = vals.size
     vals = vals[vals > 0.0]
     nats = max(float(-(vals * np.log(vals)).sum()) if vals.size else 0.0, 0.0)
-    # the ln(dim) ceiling is a trace-1 statement; subnormalized reductions
-    # may sit slightly above it
-    if dim and abs(spec.source_trace - 1.0) <= tolerances.norm and \
-            nats > math.log(dim) + 1e-9:
-        raise InvalidStateError(
-            f"entropy {nats!r} exceeds ln(dim) = {math.log(dim)!r}")
+    # a spectrum of trace t on dim values has entropy at most t ln(dim / t),
+    # checked near trace 1, where the spectrum's trace slack is below 1e-9
+    t = spec.source_trace
+    if dim and abs(t - 1.0) <= tolerances.norm and \
+            nats > t * math.log(dim / t) + 1e-9:
+        raise InvalidStateError(f"entropy {nats!r} exceeds t ln(dim / t) = "
+                                f"{t * math.log(dim / t)!r} at trace {t!r}")
     return EntropyValue(nats)
 
 

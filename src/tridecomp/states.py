@@ -245,20 +245,27 @@ def _concat_rows(parts) -> Rows:
                         np.concatenate([p.data for p in parts]))
 
 
-class FactorPack(tuple):
-    """(sorted touched indices, terms-by-touched matrix) of one factor.
-
-    ``owner[c]`` is the only term touching column ``c``, or -1 when several
-    terms share it.  A column private on both sides of an overlap adds one
-    entry, so only the shared columns need a dense product.  A single term
-    has no cross entries to skip, so ``has_private`` is False for it.
+class FactorPack:
+    """One factor of a term list: ``touched``, the sorted indices some term
+    touches; ``owner[c]``, the only term touching column c, or -1 when
+    several share it; ``shared``, the terms-by-shared-columns matrix; and
+    ``private``, the (column, owner, value) vectors of the other columns.  A
+    column private on both sides of an overlap adds one entry, so only the
+    shared columns need a dense product.  Without a private column (as for a
+    single term, which has no cross entries to skip) ``shared`` is the whole
+    terms-by-touched matrix.  ``slot[c]`` is column c's position in its part.
     """
 
-    def __new__(cls, rows: Rows):
-        if rows.indptr.size == 2:  # one term: its sorted row is the pack
-            touched, fmat = rows.indices, rows.data[None, :]
+    __slots__ = ("touched", "owner", "has_private", "shared", "private",
+                 "slot")
+
+    def __init__(self, rows: Rows):
+        nterms = rows.indptr.size - 1
+        self.has_private, self.slot = False, None
+        if nterms == 1:  # one term: its sorted row is the pack
+            touched, shared = rows.indices, rows.data[None, :]
             owner = np.zeros(touched.size, dtype=np.intp)
-            has_private = False
+            self.private = (np.arange(touched.size), owner, rows.data)
         else:
             term = rows.entry_terms()
             touched = np.sort(rows.indices)
@@ -268,29 +275,57 @@ class FactorPack(tuple):
                 np.not_equal(touched[1:], touched[:-1], out=first[1:])
                 touched = touched[first]
             col = touched.searchsorted(rows.indices)
-            fmat = np.zeros((rows.indptr.size - 1, max(touched.size, 1)),
-                            dtype=np.complex128)
-            fmat[term, col] = rows.data
-            fmat.setflags(write=False)
             private = np.bincount(col, minlength=touched.size) == 1
             last = np.empty(touched.size, dtype=np.intp)
             last[col] = term  # the owner, where a column has one term
             owner = np.where(private, last, -1)
-            has_private = bool(private.any())
-        owner.setflags(write=False)
-        pack = super().__new__(cls, (touched, fmat))
-        pack.owner = owner
-        pack.has_private = has_private
-        return pack
+            if private.any():
+                self.has_private, cols = True, np.nonzero(private)[0]
+                self.slot = np.where(private, private.cumsum(),
+                                     (~private).cumsum()) - 1
+                value = np.empty(touched.size, dtype=np.complex128)
+                value[col] = rows.data  # the entry, where a column has one
+                self.private = (cols, owner[cols], value[cols])
+                mine = ~private[col]
+                shared = np.zeros((nterms, touched.size - cols.size),
+                                  dtype=np.complex128)
+                shared[term[mine], self.slot[col[mine]]] = rows.data[mine]
+            else:
+                self.private = (owner[:0], owner[:0], rows.data[:0])
+                shared = np.zeros((nterms, max(touched.size, 1)),
+                                  dtype=np.complex128)
+                shared[term, col] = rows.data
+        for arr in (owner, shared, *self.private):
+            arr.setflags(write=False)
+        self.touched, self.owner, self.shared = touched, owner, shared
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The terms-by-touched matrix at column positions ``cols`` (sorted,
+        no repeats), read from the two parts."""
+        if not self.has_private:
+            return self.shared if cols.size == self.shared.shape[1] \
+                else self.shared.take(cols, axis=1)
+        own, at = self.owner[cols], self.slot[cols]
+        held = own < 0
+        out = np.zeros((self.shared.shape[0], cols.size), np.complex128)
+        out[:, held] = self.shared.take(at[held], axis=1)
+        out[own[~held], np.nonzero(~held)[0]] = self.private[2][at[~held]]
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """The whole terms-by-touched matrix, built on each call."""
+        return self.columns(np.arange(self.touched.size)) \
+            if self.has_private else self.shared
+
+    def __iter__(self):
+        """Unpacks as (touched, ``matrix()``)."""
+        return iter((self.touched, self.matrix()))
 
     def private_norms(self) -> np.ndarray:
         """||p_k|| per term: the norm of its part on its private columns."""
-        fmat = self[1]
-        cols = np.nonzero(self.owner >= 0)[0]
-        rows = self.owner[cols]
-        sq = np.bincount(rows, weights=np.abs(fmat[rows, cols]) ** 2,
-                         minlength=fmat.shape[0])
-        return np.sqrt(sq)
+        _, rows, values = self.private
+        return np.sqrt(np.bincount(rows, weights=np.abs(values) ** 2,
+                                   minlength=self.shared.shape[0]))
 
 
 class SumState:
@@ -454,7 +489,8 @@ def distance(a, b) -> float:
     """
     _check_same_nfactors(a, b)
     if isinstance(a, SumState) and isinstance(b, SumState):
-        core = _difference_core(zip(a._packed, b._packed),
+        core = _difference_core(zip(map(tuple, a._packed),
+                                    map(tuple, b._packed)),
                                 np.concatenate([a.coeffs, -b.coeffs]))
         if core is not None:
             return float(np.linalg.norm(core))
@@ -512,48 +548,48 @@ def _difference_core(factors, weights: np.ndarray):
     return (coords[0] * weights) @ _khatri_rao([c.T for c in coords[1:]])
 
 
-def _overlap_rows(pack_a, pack_b):
-    """rows(lo, hi): rows lo:hi of O[k, l] = <a_k | b_l> for one factor of
-    two packed term lists.
-
-    The common columns, b's block on the shared ones and the entries of
-    columns private on both sides are found once, so a caller can walk the
-    rows in blocks; a private-private entry lands in the block holding its
-    owner row.
-    """
-    ia, fa = pack_a
-    ib, fb = pack_b
+def _column_split(pack_a, pack_b) -> tuple:
+    """(left, right, private) of one factor of two packed term lists:
+    O[k, l] = <a_k | b_l> is left[k]^* . right[:, l] over the common columns
+    that need a dense product, plus v for each (k, l, v) of ``private``, one
+    per column private on both sides (None if a side has no private one)."""
+    ia, ib = pack_a.touched, pack_b.touched
     if ia is ib or (ia.size == ib.size and (ia == ib).all()):
         ca = cb = np.arange(ia.size)
     else:
-        common, ca, cb = np.intersect1d(ia, ib, assume_unique=True,
-                                        return_indices=True)
-        if common.size == 0:
-            return lambda lo, hi: np.zeros((hi - lo, fb.shape[0]),
-                                           dtype=np.complex128)
+        _, ca, cb = np.intersect1d(ia, ib, assume_unique=True,
+                                   return_indices=True)
     if not (pack_a.has_private and pack_b.has_private):
-        if ca.size == fa.shape[1] == fb.shape[1]:  # every column is common
-            return lambda lo, hi: fa[lo:hi].conj() @ fb.T
-        right = fb.take(cb, axis=1).T
-        return lambda lo, hi: fa[lo:hi].take(ca, axis=1).conj() @ right
+        return pack_a.columns(ca), pack_b.columns(cb).T, None
     ra, rb = pack_a.owner[ca], pack_b.owner[cb]
     both = (ra >= 0) & (rb >= 0)
-    shared = ~both
-    left, right = ca[shared], fb.take(cb[shared], axis=1).T
-    ra, rb = ra[both], rb[both]
-    private = fa[ra, ca[both]].conj() * fb[rb, cb[both]]
+    va, vb = (p.private[2][p.slot[c[both]]] for p, c in ((pack_a, ca),
+                                                         (pack_b, cb)))
+    return (pack_a.columns(ca[~both]), pack_b.columns(cb[~both]).T,
+            (ra[both], rb[both], va.conj() * vb))
+
+
+def _overlap_rows(split):
+    """rows(lo, hi): rows lo:hi of the overlap O of a ``_column_split``,
+    so a caller can walk the rows in blocks; a private-private entry lands
+    in the block holding its owner row."""
+    left, right, private = split
+    if private is None:
+        return lambda lo, hi: left[lo:hi].conj() @ right
+    ra, rb, values = private
 
     def rows(lo, hi):
-        out = fa[lo:hi].take(left, axis=1).conj() @ right
+        out = left[lo:hi].conj() @ right
         inside = (ra >= lo) & (ra < hi)
-        np.add.at(out, (ra[inside] - lo, rb[inside]), private[inside])
+        np.add.at(out, (ra[inside] - lo, rb[inside]), values[inside])
         return out
     return rows
 
 
 def _factor_overlap(pack_a, pack_b) -> np.ndarray:
     """O[k, l] = <a_k | b_l> for one factor of two packed term lists."""
-    return _overlap_rows(pack_a, pack_b)(0, pack_a[1].shape[0])
+    return _overlap_rows(_column_split(pack_a, pack_b))(
+        0, pack_a.shared.shape[0])
 
 
 # Row blocks of an overlap walk hold about this many bytes per factor.
@@ -567,7 +603,8 @@ def _overlap_blocks(a: SumState, b: SumState):
     of the factor overlaps, and each block of its rows needs only theirs)."""
     if not a.nterms:
         return
-    plans = [_overlap_rows(pa, pb) for pa, pb in zip(a._packed, b._packed)]
+    plans = [_overlap_rows(_column_split(pa, pb))
+             for pa, pb in zip(a._packed, b._packed)]
     nblocks = _nblocks(a, b)
     edges = [a.nterms * j // nblocks for j in range(nblocks + 1)]
     for lo, hi in zip(edges, edges[1:]):
@@ -587,17 +624,93 @@ def _block_form(x: np.ndarray, gram_rows: np.ndarray, y: np.ndarray,
     return complex(x[lo:lo + gram_rows.shape[0]].conj() @ gram_rows @ y)
 
 
+def _distinct_rows(mat: np.ndarray) -> tuple:
+    """(the distinct rows of ``mat``, told apart by their exact bytes, and
+    the position of each row of ``mat`` among them)."""
+    mat = np.ascontiguousarray(mat)
+    if not mat.shape[1]:
+        return mat[:1], np.zeros(mat.shape[0], dtype=np.intp)
+    keys = mat.view(np.dtype((np.void, mat.itemsize * mat.shape[1])))
+    _, first, where = np.unique(keys.ravel(), return_index=True,
+                                return_inverse=True)
+    return mat[first], where
+
+
+def _core_summary(a: SumState, b: SumState, splits, pairs) -> tuple:
+    """``_overlap_summary`` through each factor's dictionary of distinct
+    rows, or None when a side's dictionary tensor has more cells than that
+    side has terms (then the walk costs less).  Term k's row of a split's
+    ``left`` is row u_k of its dictionary D_a, and term l's column of
+    ``right`` row v_l of D_b, so O[k, l] = T[u_k, v_l], T = D_a^* D_b^T,
+    plus the private entries at (k, l) in the walk's order.  A maximum reads
+    |T| where a pair k != l without private entries falls, and x^H G y is
+    <X| T_1 (x) ... (x) T_n |Y> (a Tucker core; Kolda and Bader, section 4)
+    plus the private entries' change to G, X summing x onto the dictionary
+    multi-indices."""
+    cells, maps = [1, 1], []
+    for left, right, private in splits:
+        (da, u), (db, v) = _distinct_rows(left), _distinct_rows(right.T)
+        cells = [cells[0] * da.shape[0], cells[1] * db.shape[0]]
+        if cells[0] > a.nterms or cells[1] > b.nterms:
+            return None
+        maps.append((da, u, db, v, private))
+    width, m = b.nterms, min(a.nterms, b.nterms)
+    keys = np.unique(np.concatenate([np.empty(0, np.intp)] + [
+        p[0] * width + p[1] for _, _, p in splits if p is not None]))
+    k, l = np.divmod(keys, width)  # every (k, l) with a private entry
+    mid = k == l
+    off, cores, base, whole = [], [], [], []
+    diagonals = np.empty((len(splits), m), np.complex128)
+    for i, (da, u, db, v, private) in enumerate(maps):
+        t = da.conj() @ db.T
+        base.append(t[u[k], v[l]])
+        whole.append(base[-1].copy())
+        if private is not None:
+            ra, rb, values = private
+            np.add.at(whole[-1], keys.searchsorted(ra * width + rb), values)
+        diagonals[i] = t[u[:m], v[:m]]
+        diagonals[i, k[mid]] = whole[-1][mid]
+        count = np.outer(np.bincount(u), np.bincount(v))
+        np.subtract.at(count, (np.append(u[:m], u[k[~mid]]),
+                               np.append(v[:m], v[l[~mid]])), 1)
+        off.append(max(float(np.abs(t[count > 0]).max(initial=0.0)),
+                       float(np.abs(whole[-1][~mid]).max(initial=0.0))))
+        cores.append(t)
+    change = reduce(np.multiply, whole) - reduce(np.multiply, base)
+    shapes = [[p[side].shape[0] for p in maps] for side in (0, 2)]
+    index = [np.ravel_multi_index([p[side + 1] for p in maps], shape)
+             for side, shape in zip((0, 2), shapes)]
+    forms = []
+    for x, y in pairs:
+        xs, ys = (np.bincount(at, z.real, c) + 1j * np.bincount(at, z.imag, c)
+                  for at, z, c in zip(index, (x, y), cells))
+        w = ys.reshape(shapes[1])
+        for i, t in enumerate(cores):
+            w = np.moveaxis(np.tensordot(t, w, axes=(1, i)), 0, i)
+        forms.append(complex(np.vdot(xs, w) + x[k].conj() @ (change * y[l])))
+    return tuple(off), diagonals, forms
+
+
 def _overlap_summary(a: SumState, b: SumState, pairs=()) -> tuple:
-    """(off, diagonals, forms) from one walk over ``_overlap_blocks``: per
-    factor, the largest |O[k, l]| with k != l and the diagonal O[k, k] for
-    k < min(K_a, K_b), with no factors when a side has no terms; and x^H G y
-    for each (x, y) in ``pairs``, G the term Gram, summed in row order."""
+    """(off, diagonals, forms): per factor, the largest |O[k, l]| with
+    k != l and the diagonal O[k, k] for k < min(K_a, K_b), with no factors
+    when a side has no terms; and x^H G y for each (x, y) in ``pairs``, G
+    the term Gram.  One row block is read whole; more go through
+    ``_core_summary`` if it accepts them, else through ``_overlap_blocks``."""
     forms = [0j] * len(pairs)
     if not (a.nterms and b.nterms):
         return (), (), forms
+    splits = [_column_split(pa, pb) for pa, pb in zip(a._packed, b._packed)]
+    if _nblocks(a, b) == 1:
+        blocks = [(0, [_overlap_rows(s)(0, a.nterms) for s in splits])]
+    else:
+        core = _core_summary(a, b, splits, pairs)
+        if core is not None:
+            return core
+        blocks = _overlap_blocks(a, b)
     off = [0.0] * a.space.nfactors
     diagonals = np.empty((len(off), min(a.nterms, b.nterms)), np.complex128)
-    for lo, ovs in _overlap_blocks(a, b):
+    for lo, ovs in blocks:
         height, width = ovs[0].shape
         stop = min(height, max(width - lo, 0)) * (width + 1)
         for i, ov in enumerate(ovs):
@@ -687,14 +800,17 @@ def _columns(s: SumState) -> list:
 
 def _sum_inner(a: SumState, b: SumState) -> complex:
     """c_a^H (G_1 o G_2 o G_3) c_b: whole by ``term_gram`` when it fits one
-    row block (sparing many tiny calls the walk's set-up), else summed over
-    ``_overlap_blocks`` as ``_overlap_summary`` sums a form, without maxima."""
+    row block (sparing many tiny calls the walk's set-up), else as
+    ``_overlap_summary`` sums a form, but walking without maxima."""
     if not a.nterms or not b.nterms:
         return 0j
     if _nblocks(a, b) == 1:
         return _block_form(a.coeffs, term_gram(a, b), b.coeffs, 0)
-    return sum((_block_form(a.coeffs, reduce(np.multiply, ovs), b.coeffs, lo)
-                for lo, ovs in _overlap_blocks(a, b)), 0j)
+    core = _core_summary(a, b, [_column_split(pa, pb) for pa, pb in zip(
+        a._packed, b._packed)], [(a.coeffs, b.coeffs)])
+    return core[2][0] if core else sum(
+        (_block_form(a.coeffs, reduce(np.multiply, ovs), b.coeffs, lo)
+         for lo, ovs in _overlap_blocks(a, b)), 0j)
 
 
 def inner(a, b) -> complex:

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -447,39 +448,50 @@ class TestDocuments:
 class TestVerifyBuildsOneGram:
     def test_pair_documents_take_one_overlap_per_factor(self, tmp_path,
                                                         capsys, monkeypatch):
-        # phi2 and its decomposition carry the same 729 rows: the certificate
-        # walks each factor's overlap rows once, in blocks, and builds no
-        # separate term Gram
+        # phi2 and its decomposition carry the same 729 rows, 9 distinct per
+        # factor on the shared columns: the certificate reads every number
+        # from one 9 x 9 dictionary overlap per factor, walks no overlap
+        # row, builds no term Gram and no terms-by-touched matrix, and holds
+        # no 729 x 729 (or 729 x 738) array at any time
         psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
                          normalized=True)
         pair = instability_pair(psi, 0.7)
         state, dec = tmp_path / "phi2.json", tmp_path / "dec.json"
         dump(state_to_json(pair.phi2), str(state))
         dump(decomposition_to_json(pair.decomposition2), str(dec))
-        rows_per_factor, blocks, grams = [], [], []
-        overlap_rows = states._overlap_rows
+        walked, grams, matrices, cores = [], [], [], []
+        overlap_rows, core_summary = states._overlap_rows, states._core_summary
 
-        def counted_plan(pack_a, pack_b):
-            rows = overlap_rows(pack_a, pack_b)
-            slot = len(rows_per_factor)
-            rows_per_factor.append(0)
+        def counted_plan(split):
+            rows = overlap_rows(split)
 
             def counted_rows(lo, hi):
-                rows_per_factor[slot] += hi - lo
-                blocks.append(lo)
+                walked.append(hi - lo)
                 return rows(lo, hi)
             return counted_rows
 
+        def counted_core(*args):
+            cores.append(core_summary(*args))
+            return cores[-1]
+
         monkeypatch.setattr(states, "_overlap_rows", counted_plan)
+        monkeypatch.setattr(states, "_core_summary", counted_core)
+        monkeypatch.setattr(states.FactorPack, "matrix",
+                            lambda pack: matrices.append(pack))
         for module in (states, decomp):
             monkeypatch.setattr(module, "term_gram",
                                 lambda *args: grams.append(args))
-        code, out, _ = run(capsys, "verify", "--decomposition", str(dec),
-                           "--state", str(state))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "verify", "--decomposition", str(dec),
+                               "--state", str(state))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 0 and json.loads(out)["passed"] is True
-        assert rows_per_factor == [729] * 3
-        assert len(set(blocks)) > 1
-        assert not grams
+        assert len(cores) == 1 and cores[0] is not None
+        assert not walked and not grams and not matrices
+        assert peak < 729 * 729 * 16
 
 
 class TestParserBuiltOnce:

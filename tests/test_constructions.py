@@ -268,12 +268,12 @@ class TestInstabilityPair:
     def test_refused_theta_builds_no_pack(self, monkeypatch):
         # at eps = 0.7 the grid's first theta, 1/2, fails on distance; only
         # the accepted theta's two expansions pack their three factors
-        built, original = [], states.FactorPack.__new__
+        built, original = [], states.FactorPack.__init__
 
-        def counting(cls, rows):
+        def counting(pack, rows):
             built.append(rows)
-            return original(cls, rows)
-        monkeypatch.setattr(states.FactorPack, "__new__", counting)
+            original(pack, rows)
+        monkeypatch.setattr(states.FactorPack, "__init__", counting)
         psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
                          normalized=True)
         pair = instability_pair(psi, 0.7)
@@ -285,11 +285,17 @@ class TestInstabilityPair:
                          normalized=True)
         # eps = 0.48 needs n = 18 and 18^3 = 5,832 flat-basis terms
         with pytest.raises(CapacityError, match=(
-                r"5833 terms, with dense packs of about 1,637,625,600 bytes "
-                r"\(3 x 5832 x 5850 x 16 B\)")):
+                r"5833 terms, with split packs of about 6,158,592 bytes "
+                r"\(3 x 5832 x \(18 \+ 4\) x 16 B\)")):
             instability_pair(psi, 0.48)
-        with pytest.raises(CapacityError, match=r"\(3 x 729 x 738 x 16 B\)"):
+        with pytest.raises(CapacityError,
+                           match=r"\(3 x 729 x \(9 \+ 4\) x 16 B\)"):
             instability_pair(psi, 0.7, term_ceiling=729)
+        # the quoted size bounds every array of the packs it describes
+        phi2 = instability_pair(psi, 0.7).phi2
+        held = sum(arr.nbytes for pack in phi2._packed for arr in (
+            pack.touched, pack.owner, pack.shared, pack.slot, *pack.private))
+        assert 0.85 * 3 * 729 * 13 * 16 < held <= 3 * 729 * 13 * 16
 
     @pytest.mark.parametrize("ceiling", [math.nan, math.inf, 0, -5, 125.0])
     def test_term_ceiling_must_be_a_positive_integer(self, monkeypatch,
@@ -619,6 +625,24 @@ class TestPerturbation:
             1.0, abs=1e-15)
         monkeypatch.setattr(constructions, "_orthogonal_unit", leaning)
         with pytest.raises(VerificationError, match="norm"):
+            non_triortho_perturb(single, 0.1)
+
+    def test_refused_perturbed_terms_are_a_construction_fault(self,
+                                                              monkeypatch):
+        # a fresh direction leaning by a real 1e-5 toward the factor vector
+        # tilts z_0 off unit norm by about 3e-6, so the rows check refuses
+        # the construction's own terms: a bound failure, not bad input
+        def leaning(vec):
+            fresh = orthogonal_unit(vec) + 1e-5 * vec
+            return fresh / np.linalg.norm(fresh)
+
+        orthogonal_unit = constructions._orthogonal_unit
+        single = extract_triortho(densify(SumState(
+            ProductSpace((2, 2, 2)),
+            (ProductTerm(1.0, (((0, 1.0),), ((1, 1.0),), ((0, 1.0),))),)
+        ))).decomposition
+        monkeypatch.setattr(constructions, "_orthogonal_unit", leaning)
+        with pytest.raises(VerificationError, match="refused: factor 2"):
             non_triortho_perturb(single, 0.1)
 
     def test_accepts_ordered_form(self):

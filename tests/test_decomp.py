@@ -298,7 +298,7 @@ class TestPrivateSupportBound:
                 v[support] = random_unit(rng, size)
                 terms.append(ProductTerm(1.0, (sparse_vector(v),) * 3))
             pack = SumState(ProductSpace((d, d, d)), tuple(terms))._packed[0]
-            fmat = pack[1]
+            fmat = pack.matrix()
             if fmat.shape[0] > fmat.shape[1]:
                 continue
             smin = np.linalg.svd(fmat, compute_uv=False)[-1]
@@ -332,7 +332,7 @@ class TestPrivateSupportBound:
         pack = SumState.from_columns(space, [1.0, 1.0, 1.0], [
             np.column_stack([e[0], e[1], (e[0] + e[1]) / math.sqrt(2)]),
             np.column_stack([e[0]] * 3)])._packed[0]
-        assert pack[1].shape == (3, 2)
+        assert pack.matrix().shape == (3, 2)
         assert _factor_independence(pack, 1e-8) == (0.0, "svd")
 
 

@@ -12,6 +12,7 @@ from tridecomp.constructions import (
 from tridecomp.config import Tolerances
 from tridecomp.errors import DimensionMismatchError, InvalidStateError
 from tridecomp.spectral import (
+    Spectrum,
     entropy,
     entropy_decomposition_bound,
     reduced_spectra,
@@ -177,6 +178,33 @@ class TestEntropy:
 
     def test_records_log_base(self):
         assert entropy(np.eye(2, dtype=complex) / 2).base_note == "natural log"
+
+    def test_flat_spectrum_above_unit_trace_is_valid(self):
+        # trace t = 1 + 9e-10 is within tolerances.norm; the entropy ceiling
+        # at trace t is t ln(dim / t), which sits above ln(dim) + 1e-9 here
+        t = 1.0 + 9e-10
+        nats = entropy(np.eye(64) * t / 64).nats
+        assert nats == pytest.approx(t * math.log(64 / t), abs=1e-14)
+        assert nats > math.log(64) + 1e-9
+
+    def test_maximally_entangled_state_a_little_above_norm_one(self):
+        d = 16
+        amps = np.eye(d).ravel() * (1.0 + 4.5e-10) / math.sqrt(d)
+        psi = DenseState(ProductSpace((d, d)), amps)
+        assert psi.normalized
+        t = float(np.vdot(amps, amps).real)
+        nats = entropy(partial_trace(psi, (0,))).nats
+        assert nats == pytest.approx(t * math.log(d / t), abs=1e-14)
+
+    def test_spectrum_above_its_trace_ceiling_raises(self):
+        # a validated Spectrum cannot exceed the ceiling beyond rounding, so
+        # reach the guard with values that do not sum to the declared trace
+        bad = object.__new__(Spectrum)
+        object.__setattr__(bad, "values", (0.3,) * 4)
+        object.__setattr__(bad, "source_trace", 1.0)
+        object.__setattr__(bad, "clamped_dust", 0.0)
+        with pytest.raises(InvalidStateError, match="exceeds t ln"):
+            entropy(bad)
 
 
 class TestEigenvalueShiftBound:

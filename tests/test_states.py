@@ -290,7 +290,7 @@ class TestFactorOverlap:
                 pack = st._packed[i]
                 # an equal copy: equal touched indices in another array
                 copy = FactorPack(Rows(*(a.copy() for a in st.rows[i])))
-                assert copy[0] is not pack[0]
+                assert copy.touched is not pack.touched
                 for a, b in ((pack, pack), (pack, copy), (copy, pack)):
                     assert np.array_equal(_factor_overlap(a, b),
                                           self.intersect_overlap(a, b)), kind
@@ -993,8 +993,8 @@ class TestArrayBackedSumState:
             b = from_terms_via_rows(space, terms)
             assert np.array_equal(a.coeffs, b.coeffs)
             for pa, pb in zip(a._packed, b._packed):
-                assert np.array_equal(pa[0], pb[0])
-                assert np.array_equal(pa[1], pb[1])
+                assert np.array_equal(pa.touched, pb.touched)
+                assert np.array_equal(pa.matrix(), pb.matrix())
                 assert np.array_equal(pa.owner, pb.owner)
                 assert pa.has_private == pb.has_private
             other = random_sum_state(rng, self.DIMS, k=3)
@@ -1316,7 +1316,7 @@ class TestBlockedOverlaps:
             # both rows at the first block edge own columns private on both
             # sides, so their entries are added in different blocks
             private = (pack_a.owner >= 0) & np.isin(
-                pack_a[0], pack_b[0][pack_b.owner >= 0])
+                pack_a.touched, pack_b.touched[pack_b.owner >= 0])
             assert {11, 12} <= set(pack_a.owner[private].tolist())
             rows = np.concatenate([ovs[i] for _, ovs in blocks])
             assert np.array_equal(rows, whole[i])  # bitwise
@@ -1396,3 +1396,125 @@ class TestBlockedOverlaps:
         pairs = [(s.coeffs, s.coeffs)]
         for a, b in ((empty, s), (s, empty), (empty, empty)):
             assert states._overlap_summary(a, b, pairs) == ((), (), [0j])
+
+
+def dictionary_state(rng, words, owners, shared=3, theta=0.4, vocab=None):
+    """One term per entry of ``owners``: on factor i, term j's row is
+    cos(theta) times word ``words[i][j]`` of ``vocab[i]`` (by default seeded
+    unit vectors on the first ``shared`` columns) plus sin(theta) on column
+    shared + owners[j], so repeated words give repeated rows, and a column
+    is private unless two terms name the same owner."""
+    k, dim = len(owners), shared + max(owners) + 1
+    columns = []
+    for i, index in enumerate(words):
+        vocab_i = vocab[i] if vocab else [random_unit(rng, shared)
+                                          for _ in range(max(index) + 1)]
+        mat = np.zeros((dim, k), dtype=complex)
+        for j, (w, o) in enumerate(zip(index, owners)):
+            mat[:shared, j] = math.cos(theta) * vocab_i[w]
+            mat[shared + o, j] = math.sin(theta)
+        columns.append(mat)
+    coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return SumState.from_columns(ProductSpace((dim,) * 3), coeffs, columns)
+
+
+class TestCoreRoute:
+    """``_overlap_summary`` through the dictionaries of distinct rows
+    against the walk over the row blocks, on inputs both accept."""
+
+    @staticmethod
+    def both_routes(monkeypatch, a, b, pairs):
+        # two rows per block, so the walk has more than one
+        monkeypatch.setattr(states, "_BLOCK_BYTES", 16 * b.nterms * 2)
+        assert states._nblocks(a, b) > 1
+        taken = []
+        core_summary = states._core_summary
+
+        def counted(*args):
+            taken.append(core_summary(*args))
+            return taken[-1]
+        with monkeypatch.context() as m:
+            m.setattr(states, "_core_summary", counted)
+            core = states._overlap_summary(a, b, pairs)
+            inner_core = states._sum_inner(a, b)
+        assert len(taken) == 2 and None not in taken
+        with monkeypatch.context() as m:
+            m.setattr(states, "_core_summary", lambda *args: None)
+            walk = states._overlap_summary(a, b, pairs)
+            inner_walk = states._sum_inner(a, b)
+        return core, walk, inner_core, inner_walk
+
+    def check(self, monkeypatch, rng, a, b):
+        x = rng.standard_normal(a.nterms) + 1j * rng.standard_normal(a.nterms)
+        y = rng.standard_normal(b.nterms)
+        pairs = [(a.coeffs, b.coeffs),
+                 (x / np.linalg.norm(x), y / np.linalg.norm(y))]
+        (off, diag, forms), (w_off, w_diag, w_forms), inner_core, inner_walk \
+            = self.both_routes(monkeypatch, a, b, pairs)
+        assert np.max(np.abs(np.subtract(off, w_off))) <= 1e-15
+        assert np.max(np.abs(diag - w_diag)) <= 1e-15
+        assert np.max(np.abs(np.subtract(forms, w_forms))) <= 1e-14
+        assert abs(inner_core - inner_walk) <= 1e-14
+        assert abs(inner_core - forms[0]) <= 1e-14
+        return off, w_off
+
+    @pytest.mark.parametrize("epsilon", [0.9, 0.8, 0.7])
+    def test_instability_pair_self_and_cross(self, monkeypatch, epsilon):
+        from tridecomp.constructions import instability_pair
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            pair = instability_pair(haar_random_state(SPACE3, seed), epsilon)
+            for a, b in ((pair.phi2, pair.phi2), (pair.phi1, pair.phi2),
+                         (pair.phi2, pair.phi1)):
+                self.check(monkeypatch, rng, a, b)
+
+    def test_column_private_on_both_sides_owned_by_other_terms(
+            self, monkeypatch, rng):
+        # K_a = 16 and K_b = 13; b's private columns are a's first 13,
+        # owned by a permutation of the terms.  On factor 0, a's term 0
+        # holds word w and b's term l, owner of that term's column, holds -w:
+        # |T| is largest at that pair, which only the corrected entry
+        # (k, l) = (0, l) reaches, so the maximum must skip |T| there
+        perm = rng.permutation(13)
+        assert (perm != np.arange(13)).any()
+        l = int(np.argmax(perm == 0))
+        w = random_unit(rng, 3)
+        vocab_a = [[random_unit(rng, 3) for _ in range(2)] + [w]
+                   for _ in range(3)]
+        vocab_b = [[random_unit(rng, 3) for _ in range(2)] + [-w]
+                   for _ in range(3)]
+        words_a = [[j % 2 for j in range(16)] for _ in range(3)]
+        words_b = [[j % 2 for j in range(13)] for _ in range(3)]
+        words_a[0][0], words_b[0][l] = 2, 2
+        a = dictionary_state(rng, words_a, list(range(16)), vocab=vocab_a)
+        b = dictionary_state(rng, words_b, list(perm), vocab=vocab_b)
+        b = b.embedded(a.space)
+        for x, y in ((b, a), (a, a)):
+            self.check(monkeypatch, rng, x, y)
+        off, _ = self.check(monkeypatch, rng, a, b)
+        assert off[0] < math.cos(0.4) ** 2 - 1e-3
+
+    def test_column_private_on_one_side_shared_on_the_other(
+            self, monkeypatch, rng):
+        # b's terms 0 and 1 both touch column 3, which only a's term 0
+        # does: that column needs a dense product, and its entries give
+        # both sides more distinct rows (3 and 4 per factor; 70 terms)
+        words = [[j % 2 for j in range(70)]] * 3
+        a = dictionary_state(rng, words, list(range(70)))
+        b = dictionary_state(rng, words, [0, 0] + list(range(1, 69)))
+        assert b._packed[0].owner[3] == -1 and a._packed[0].owner[3] == 0
+        for x, y in ((a, b), (b, a)):
+            self.check(monkeypatch, rng, x, y)
+
+    def test_entry_repeated_on_one_factor_only(self, monkeypatch, rng):
+        # factor 0 repeats one of its seven words; the other factors have
+        # one word each.  A lone word's dictionary overlap with itself sits
+        # on the diagonal only, the repeated word's also off it
+        words = [[0, 1, 2, 3, 4, 5, 6, 6], [0] * 8, [0] * 8]
+        a = dictionary_state(rng, words, list(range(8)))
+        off, _ = self.check(monkeypatch, rng, a, a)
+        assert off[0] == pytest.approx(math.cos(0.4) ** 2, abs=1e-15)
+        words[0][-1] = 7  # no repeat: factor 0's maximum is off the words
+        b = dictionary_state(rng, words, list(range(8)))
+        off, _ = self.check(monkeypatch, rng, b, b)
+        assert off[0] < math.cos(0.4) ** 2 - 1e-3
