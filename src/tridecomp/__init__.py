@@ -43,6 +43,7 @@ from .spectral import (
     Spectrum,
     entropy,
     entropy_decomposition_bound,
+    isolation_radii,
     reduced_spectra,
     spectrum,
     triortho_necessary_test,

@@ -328,8 +328,7 @@ _CAMPAIGNS = {
     "instability": ({}, lambda cfg: run_instability_sweep(cfg.tolerances)),
     "stability": ({"trials": 100, "seed": 0, "dims": (6, 6, 6),
                    "selector": "all"}, run_stability_campaign),
-    "isolation": ({"trials": 100, "seed": 0, "dims": (4, 4, 4)},
-                  run_isolation_scan),
+    "isolation": ({"seed": 0, "dims": (4, 4, 4)}, run_isolation_scan),
     "closure": ({"seed": 0, "dims": (4, 4, 4)}, run_closure_test),
 }
 

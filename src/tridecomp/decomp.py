@@ -479,7 +479,7 @@ class NotTriorthogonal:
 
 @dataclass(frozen=True)
 class Undetermined:
-    """Extraction could not certify either way (degenerate block unresolved)."""
+    """Extraction could not certify either way; ``reason`` says why."""
 
     reason: str
 
@@ -514,22 +514,26 @@ def _tied_products(mats: np.ndarray, tol: float):
     return Undetermined("could not separate a degenerate coefficient block")
 
 
-def _split_group(lefts, mats, svals, tolerances: Tolerances):
+def _split_group(lefts, mats, svals, floor: float, tolerances: Tolerances):
     """[coefficients, left, mid, right columns] of one Schmidt group, whose
     right vectors are the d2 x d3 matrices ``mats``, or a verdict.  A lone
     vector's candidate is its top singular pair, a tied group's come from
     ``_tied_products``; either way the products X must span the right
     vectors R, U = R^H X unitary within sqrt(deg), and the terms are the
     columns of (L s) conj(U).  A triorthogonal group's candidates are
-    exact, so a failed span certifies absence."""
+    exact to its rounding ``floor``, so a failed span certifies absence."""
     g = svals.size
     if g == 1:
         x, s, yh = np.linalg.svd(mats[0], full_matrices=False)
         residual = float(s[1]) if s.size > 1 else 0.0
-        if residual > 10 * tolerances.orth:
+        if residual > max(10 * tolerances.orth, floor):
             return NotTriorthogonal(
-                "a nondegenerate Schmidt vector is not a product "
-                f"(residual {residual:.3e})")
+                "a nondegenerate Schmidt vector is not a product (residual "
+                f"{residual:.3e} above its rounding floor {floor:.3e})")
+        if residual > 10 * tolerances.orth:
+            return Undetermined(
+                "a nondegenerate Schmidt vector's product residual "
+                f"{residual:.3e} is within its rounding floor {floor:.3e}")
         mids, ends = x[:, :1].T, yh[:1]
     else:
         found = _tied_products(mats, tolerances.deg)
@@ -550,7 +554,7 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Extract the triorthogonal decomposition of a three-factor wavefunction.
 
     Returns an OrderedTriortho on success, NotTriorthogonal when absence is
-    certified, and Undetermined when a degenerate block resists resolution.
+    certified, and Undetermined when it can certify neither.
     """
     psi_d = as_dense(psi)
     if psi_d.space.nfactors != 3:
@@ -566,9 +570,13 @@ def extract_triortho(psi, tolerances: Tolerances = DEFAULT_TOLERANCES):
     lefts, svals, vh = _short_side_svd(_matricize(psi_d, (0,), (1, 2)),
                                        tolerances.zero_coeff, rhos[0].matrix)
     mats = vh.reshape(-1, *psi_d.space.dims[1:])
+    # a group's vectors are known to n eps s_1 / gap (Wedin, BIT 12 (1972))
+    gaps = -np.diff(np.concatenate([[np.inf], svals, [0.0]]))
+    scale = min(lefts.shape[0], mats[0].size) * np.finfo(float).eps * svals[0]
     parts = []
     for i, j in _degenerate_groups(svals, tolerances.deg):
-        part = _split_group(lefts[:, i:j], mats[i:j], svals[i:j], tolerances)
+        part = _split_group(lefts[:, i:j], mats[i:j], svals[i:j],
+                            scale / min(gaps[i], gaps[j]), tolerances)
         if isinstance(part, (NotTriorthogonal, Undetermined)):
             return part
         parts.append(part)

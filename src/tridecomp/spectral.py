@@ -192,6 +192,27 @@ def reduced_spectra(psi, tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     return tuple(_padded_spectra(rhos, tolerances))
 
 
+def isolation_radii(spectra, terms: int,
+                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """(r, g/2) for a unit state whose reductions have the eigenvalue rows
+    ``spectra``, zero-padded as ``reduced_spectra`` gives them.  No sum of
+    at most R = ``terms`` products, whose flattenings have rank <= R, lies
+    within r = max_i (sum_{n>R} lambda_n(rho_i))^(1/2) (Eckart and Young,
+    Psychometrika 1 (1936)).  No triorthogonal state lies within g/2,
+    g = max_n ptp_i lambda_n(rho_i): its reductions share one spectrum, and
+    each lambda_n moves by at most ||psi - phi|| (Weyl, as the partial trace
+    contracts the trace norm; Bhatia, Matrix Analysis, III.2).  Both radii
+    subtract the eigenvalues' rounding, ``tolerances.psd`` each, to >= 0."""
+    terms = check_integer("terms", terms, 1)
+    lam = np.atleast_2d(np.asarray(spectra, dtype=float))
+    if not np.isfinite(lam).all():
+        raise InvalidStateError("spectra must be finite")
+    tail = lam[:, terms:]
+    mass = float(tail.sum(axis=1).max()) - tail.shape[1] * tolerances.psd
+    gap = float(np.ptp(lam, axis=0).max())
+    return math.sqrt(max(mass, 0.0)), max(gap / 2.0 - tolerances.psd, 0.0)
+
+
 def _spectra_agree(spectra, tol: float) -> bool:
     """Whether the rows agree elementwise within ``tol`` (max - min)."""
     return bool(np.ptp(spectra, axis=0).max() <= tol)

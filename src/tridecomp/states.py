@@ -596,15 +596,13 @@ def _factor_overlap(pack_a, pack_b) -> np.ndarray:
 _BLOCK_BYTES = 1 << 20
 
 
-def _overlap_blocks(a: SumState, b: SumState):
-    """Yield (lo, each factor's overlap rows from lo) of ``a`` against ``b``
-    in row blocks of about ``_BLOCK_BYTES`` each, so no K x K matrix is held
-    whole (Kolda and Bader, section 3: the term Gram is the Hadamard product
-    of the factor overlaps, and each block of its rows needs only theirs)."""
-    if not a.nterms:
-        return
-    plans = [_overlap_rows(_column_split(pa, pb))
-             for pa, pb in zip(a._packed, b._packed)]
+def _overlap_blocks(a: SumState, b: SumState, splits):
+    """Yield (lo, each factor's overlap rows from lo) of ``a`` against ``b``,
+    whose factors' ``_column_split`` are ``splits``, in row blocks of about
+    ``_BLOCK_BYTES`` each, so no K x K matrix is held whole (Kolda and
+    Bader, section 3: the term Gram is the Hadamard product of the factor
+    overlaps, and each block of its rows needs only theirs)."""
+    plans = [_overlap_rows(split) for split in splits]
     nblocks = _nblocks(a, b)
     edges = [a.nterms * j // nblocks for j in range(nblocks + 1)]
     for lo, hi in zip(edges, edges[1:]):
@@ -707,7 +705,7 @@ def _overlap_summary(a: SumState, b: SumState, pairs=()) -> tuple:
         core = _core_summary(a, b, splits, pairs)
         if core is not None:
             return core
-        blocks = _overlap_blocks(a, b)
+        blocks = _overlap_blocks(a, b, splits)
     off = [0.0] * a.space.nfactors
     diagonals = np.empty((len(off), min(a.nterms, b.nterms)), np.complex128)
     for lo, ovs in blocks:
@@ -800,17 +798,11 @@ def _columns(s: SumState) -> list:
 
 def _sum_inner(a: SumState, b: SumState) -> complex:
     """c_a^H (G_1 o G_2 o G_3) c_b: whole by ``term_gram`` when it fits one
-    row block (sparing many tiny calls the walk's set-up), else as
-    ``_overlap_summary`` sums a form, but walking without maxima."""
-    if not a.nterms or not b.nterms:
-        return 0j
-    if _nblocks(a, b) == 1:
+    row block (sparing many tiny calls the walk's set-up), else as the one
+    form of ``_overlap_summary``."""
+    if a.nterms and b.nterms and _nblocks(a, b) == 1:
         return _block_form(a.coeffs, term_gram(a, b), b.coeffs, 0)
-    core = _core_summary(a, b, [_column_split(pa, pb) for pa, pb in zip(
-        a._packed, b._packed)], [(a.coeffs, b.coeffs)])
-    return core[2][0] if core else sum(
-        (_block_form(a.coeffs, reduce(np.multiply, ovs), b.coeffs, lo)
-         for lo, ovs in _overlap_blocks(a, b)), 0j)
+    return _overlap_summary(a, b, [(a.coeffs, b.coeffs)])[2][0]
 
 
 def inner(a, b) -> complex:

@@ -543,7 +543,7 @@ READS = {
     ("construct", "witness4"): {"--n1", "--dims"},
     ("campaign", "instability"): set(),
     ("campaign", "stability"): {"--trials", "--seed", "--dims", "--selector"},
-    ("campaign", "isolation"): {"--trials", "--seed", "--dims"},
+    ("campaign", "isolation"): {"--seed", "--dims"},
     ("campaign", "closure"): {"--seed", "--dims"},
 }
 VALUES = {"--theta": "0.3", "--epsilon": "0.5", "--dims": "3,3,3",

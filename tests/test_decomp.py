@@ -625,7 +625,7 @@ class TestBlockedCertificate:
                             float(np.abs(np.diagonal(g) - 1.0).max())))
         target = state.with_coeffs(state.coeffs * 1.01)
         monkeypatch.setattr(states, "_BLOCK_BYTES", 16 * 50 * 12)
-        assert len(list(states._overlap_blocks(state, state))) >= 3
+        assert states._nblocks(state, state) >= 3
         for psi in (state, target):
             cert = verify_tridecomposition(d, psi)
             assert cert.max_pairwise_overlaps == tuple(pairs)  # bitwise
@@ -854,6 +854,26 @@ class TestExtraction:
         out = extract_triortho(w)
         assert isinstance(out, NotTriorthogonal)
         assert "not a product" in out.reason
+        assert "above its rounding floor" in out.reason
+
+    @pytest.mark.parametrize("d", [8, 32, 96])
+    def test_split_inside_its_rounding_floor_certifies_nothing(self, d):
+        # a third coefficient of 1e-x pins its Schmidt vector only to about
+        # d eps s_1 / 1e-x (Wedin), so its product residual read 1.2e-7 to
+        # 3.2e-6 at x = 10 and 11, above 10 orth, and absence was certified
+        for x in range(8, 18):
+            rng = np.random.default_rng(x)
+            c = np.array([0.8, 0.6, 10.0 ** -x])
+            comps = [experiments._random_orthonormal(rng, d, 3)
+                     for _ in range(3)]
+            psi = densify(SumState.from_columns(
+                ProductSpace((d, d, d)), c / np.linalg.norm(c), comps))
+            out = extract_triortho(psi)
+            assert not isinstance(out, NotTriorthogonal), (x, out.reason)
+            if isinstance(out, Undetermined):
+                assert "within its rounding floor" in out.reason
+            else:
+                assert out.decomposition.nterms == (3 if x < 12 else 2)
 
     def test_long_first_factor(self):
         # factor 0 is the long side of its 10 x 4 matricization; extraction

@@ -41,8 +41,8 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["theta_grid", "delta_scan",
                                       "witness_size", "epsilon_grid"])
     def test_theta_grid_is_the_instability_sweeps_alone(self, name):
-        # the sweep's grid and the isolation scan's witness size, radius and
-        # epsilons are constants; only the sweep's report echoes its grid
+        # the sweep's grid and the isolation scan's witness size and epsilons
+        # are constants; only the sweep's report echoes its grid
         with pytest.raises(TypeError):
             TrialConfig(**{name: 3})
         assert name not in TrialConfig().as_dict()
@@ -111,18 +111,43 @@ class TestStabilityCampaign:
 
 class TestIsolationScan:
     def test_scan_passes(self):
-        cfg = TrialConfig(seed=9, trials=60, dims=(4, 4, 4))
-        rep = run_isolation_scan(cfg)
-        assert rep.pass_rate == 1.0
-        witness = next(r for r in rep.records if r["kind"] == "witness-3")
-        assert witness["entropy"] == pytest.approx(math.log(4), abs=1e-10)
-        assert witness["margin"] > 0
-        mismatches = [r for r in rep.records if r["kind"].startswith("mismatch")]
-        assert len(mismatches) == 6  # two cases across the epsilon grid
-        for r in mismatches:
-            assert r["distance_sq"] <= r["budget"] + 1e-12
-            assert r["r1_gap_13"] > 1e-6
-            assert r["neighbourhood_stays_non_triortho"]
+        for seed in (0, 1, 2, 7, 9):
+            rep = run_isolation_scan(TrialConfig(seed=seed, dims=(4, 4, 4)))
+            assert rep.pass_rate == 1.0
+            witness = next(r for r in rep.records if r["kind"] == "witness-3")
+            assert witness["entropy"] == pytest.approx(math.log(4), abs=1e-10)
+            # no 3-term product sum within 0.5; the 3-term truncation lies
+            # at (2 - sqrt(3))^(1/2) = 0.5176
+            assert witness["radius"] == pytest.approx(0.5, abs=1e-9)
+            assert witness["truncation_distance"] == pytest.approx(
+                math.sqrt(2.0 - math.sqrt(3.0)), abs=1e-12)
+            mismatches = [r for r in rep.records
+                          if r["kind"].startswith("mismatch")]
+            assert len(mismatches) == 6  # two cases across the epsilon grid
+            for r in mismatches:
+                assert r["distance_sq"] <= r["budget"] + 1e-12
+                assert r["r1_gap_13"] > 1e-6
+                # no triorthogonal state within the radius, and the
+                # triorthogonal psi0 the perturbation left lies at
+                # sqrt(distance_sq)
+                assert 0.0 < r["radius"] <= math.sqrt(r["distance_sq"])
+
+    def test_scan_proves_rather_than_samples(self):
+        # the radii come from the spectra, so the trial count changes nothing
+        one, many = (run_isolation_scan(TrialConfig(seed=3, trials=t,
+                                                    dims=(4, 4, 4)))
+                     for t in (1, 100))
+        assert one.records == many.records
+        for name in ("_perturbed_within", "ISOLATION_RADIUS"):
+            assert not hasattr(experiments, name)
+
+    def test_a_radius_beyond_its_known_state_fails(self, monkeypatch):
+        # the sandwich can fail: a radius of 1 reaches past the truncation
+        # and every psi0, all within 0.64; witness 4 reads no radius
+        monkeypatch.setattr(experiments, "isolation_radii",
+                            lambda *args: (1.0, 1.0))
+        rep = run_isolation_scan(TrialConfig(seed=1, dims=(4, 4, 4)))
+        assert [r["pass"] for r in rep.records] == [False, True] + [False] * 6
 
     def test_uniform_levels_read_the_zero_cut(self):
         # witness 4 at n1 = 3 has four levels of 0.25, all below this cut

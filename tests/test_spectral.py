@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from tridecomp import experiments
 from tridecomp.constructions import (
     example31,
     isolation_witness_3,
+    isolation_witness_4,
     non_triortho_perturb,
 )
 from tridecomp.config import Tolerances
@@ -15,6 +17,7 @@ from tridecomp.spectral import (
     Spectrum,
     entropy,
     entropy_decomposition_bound,
+    isolation_radii,
     reduced_spectra,
     spectrum,
     triortho_necessary_test,
@@ -27,6 +30,7 @@ from tridecomp.states import (
     ProductTerm,
     SumState,
     densify,
+    distance,
     haar_random_state,
     partial_trace,
     sparse_vector,
@@ -325,6 +329,57 @@ class TestNecessaryCondition:
         d = random_triortho(12, dims=(4, 4, 4), k=2)
         pert = non_triortho_perturb(d, 0.1)
         assert not triortho_necessary_test(pert, 1e-6)
+
+
+class TestIsolationRadii:
+    def test_witness_3_has_no_n1_term_sum_within_half(self):
+        # factor 2's spectrum is (1/4, 1/4, 1/4, 1/4): its tail past 3 terms
+        # holds 1/4, and the 3-term truncation lies 0.5176 away
+        rho = partial_trace(isolation_witness_3(3), (2,))
+        r, _ = isolation_radii([spectrum(rho).values], 3)
+        assert r == pytest.approx(0.5, abs=1e-9) and r < 0.5
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_witness_4_on_its_pair_reduction(self, n):
+        rho = partial_trace(isolation_witness_4(n), (1, 2))
+        r, _ = isolation_radii([spectrum(rho).values], n)
+        assert r == pytest.approx(1.0 / math.sqrt(n + 1.0), abs=1e-8)
+        assert r < 1.0 / math.sqrt(n + 1.0)
+
+    def test_product_and_triorthogonal_states_give_zero(self, rng):
+        product = DenseState(ProductSpace((3, 4, 5)), np.kron(
+            np.kron(random_unit(rng, 3), random_unit(rng, 4)),
+            random_unit(rng, 5)))
+        assert isolation_radii(reduced_spectra(product), 1) == (0.0, 0.0)
+        tri = densify(random_triortho(9, dims=(4, 5, 6), k=3).state)
+        assert isolation_radii(reduced_spectra(tri), 3) == (0.0, 0.0)
+
+    def test_ball_around_a_near_triorthogonal_state(self):
+        # the scan's seed-1, trial-1003 base tilted by epsilon = 1e-5: every
+        # one of 100 sampled neighbours within 0.01 failed the necessary
+        # test, yet the certified triorthogonal base lies 0.0027 away; the
+        # proven radius stays below that distance
+        base = experiments._random_triortho(experiments._rng(1, 1003),
+                                            (4, 4, 4), 3)
+        psi0 = densify(base.state)
+        pert = non_triortho_perturb(base, 1e-5)
+        assert triortho_necessary_test(psi0, 1e-8)
+        assert not triortho_necessary_test(pert, 1e-6)
+        radius = isolation_radii(reduced_spectra(pert), 1)[1]
+        assert 0.0 < radius <= distance(psi0, pert) < 0.0027 < 0.01
+
+    def test_rounding_is_subtracted(self):
+        # a gap or tail within the eigenvalues' rounding proves nothing
+        tol = Tolerances()
+        rows = [[0.5, 0.5, 0.0], [0.5, 0.5 - tol.psd, tol.psd]]
+        assert isolation_radii(rows, 2, tol) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [{"terms": 0}, {"terms": 1.0},
+                                     {"spectra": [[1.0, math.nan]]}])
+    def test_refuses_bad_input(self, bad):
+        args = {"spectra": [[1.0, 0.0]], "terms": 1, **bad}
+        with pytest.raises(InvalidStateError):
+            isolation_radii(**args)
 
 
 class TestContinuityForms:

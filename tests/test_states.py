@@ -1302,7 +1302,9 @@ class TestBlockedOverlaps:
     def walk(monkeypatch, a, b, rows_per_block):
         monkeypatch.setattr(states, "_BLOCK_BYTES",
                             16 * b.nterms * rows_per_block)
-        return list(states._overlap_blocks(a, b))
+        splits = [states._column_split(p, q)
+                  for p, q in zip(a._packed, b._packed)]
+        return list(states._overlap_blocks(a, b, splits))
 
     def test_blocks_are_rows_of_the_whole_overlap(self, rng, monkeypatch):
         # 49 rows in steps of 12 would leave a one-row block, whose product
