@@ -39,7 +39,8 @@ from .decomp import (
     extract_triortho,
     verify_tridecomposition,
 )
-from .errors import PreconditionError, TridecompError, VerificationError
+from .errors import (InvalidStateError, PreconditionError, TridecompError,
+                     VerificationError)
 from .experiments import (
     TrialConfig,
     run_closure_test,
@@ -236,6 +237,9 @@ def _example33(args, tol, provenance):
 
 
 def _pair(args, tol, provenance):
+    if args.infile and args.dims:
+        raise InvalidStateError("give --in or --dims, not both: --dims sizes "
+                                "the default |0...0>")
     if args.infile:
         psi = state_from_json(load(args.infile))
     else:
@@ -322,8 +326,8 @@ def cmd_match(args) -> int:
 
 
 # campaign: (flags it reads with their defaults, runner).  Every runner
-# takes a TrialConfig, so a flag a campaign does not read keeps the
-# TrialConfig default in its report's config.
+# takes a TrialConfig; a flag a campaign does not read keeps its TrialConfig
+# default, which the report's config does not echo.
 _CAMPAIGNS = {
     "instability": ({}, lambda cfg: run_instability_sweep(cfg.tolerances)),
     "stability": ({"trials": 100, "seed": 0, "dims": (6, 6, 6),

@@ -55,7 +55,7 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-# Largest product dimension a SumState may be densified into.
+# Most entries one array may hold: a dense state, a core buffer, a pair factor.
 DENSIFY_CEILING = 1 << 22
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, check_integer
+from .config import DEFAULT_TOLERANCES, DENSIFY_CEILING, Tolerances, check_integer
 from .decomp import (
     TriDecomposition,
     Variant,
@@ -305,7 +305,9 @@ def _flat_expansion_entries(psi: DenseState, n: int, zero: float):
     a[sl] = psi.tensor[sl]
     a /= np.linalg.norm(a)
     cols = dft_basis(n)
-    b = np.einsum("ai,bj,ck,abc->ijk", cols.conj(), cols.conj(), cols.conj(), a)
+    b = a
+    for _ in range(3):  # n-mode products (Kolda and Bader, section 2.5)
+        b = np.tensordot(b, cols.conj(), axes=(0, 0))
     multi_u = np.argwhere(np.abs(a) > zero)
     multi_v = np.argwhere(np.abs(b) > zero)
     return ((multi_u, a[tuple(multi_u.T)]), (multi_v, b[tuple(multi_v.T)]),
@@ -358,8 +360,8 @@ def _basis_overlap_min(state: SumState, indices: tuple) -> float:
 
 
 def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES,
-                     term_ceiling: int = 5000) -> InstabilityPair:
+                     tolerances: Tolerances = DEFAULT_TOLERANCES
+                     ) -> InstabilityPair:
     """Two wavefunctions within epsilon of ``psi`` whose unique expansions
     have mutually far components.
 
@@ -367,7 +369,9 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
     and in the flat-overlap basis, every component is tilted by theta into a
     fresh direction to restore independence, and both expansions are
     certified.  When ``theta`` is omitted, the largest value on a 1/2^j grid
-    keeping all conclusion inequalities with 10% slack is selected.
+    keeping all conclusion inequalities with 10% slack is selected.  An
+    epsilon whose phi2 could hold more than ``DENSIFY_CEILING`` entries on a
+    factor is refused with ``CapacityError`` before anything is built.
     """
     if not isinstance(psi, DenseState):
         raise InvalidStateError("the construction expands a dense state")
@@ -377,24 +381,19 @@ def instability_pair(psi: DenseState, epsilon: float, theta: float = None,
         raise InvalidStateError("epsilon must lie in (0, 1)")
     if abs(norm(psi) - 1.0) > tolerances.norm:
         raise InvalidStateError("psi must be a wavefunction")
-    check_integer("term_ceiling", term_ceiling, 1)
 
-    n0 = _truncation_size(psi, epsilon)
-    n = n0
+    n = _truncation_size(psi, epsilon)
     while 1.0 / math.sqrt(n) >= epsilon / 2.0:
         n += 1
+    # at most n^3 terms per expansion, phi2's with n + 1 entries per factor
+    if n ** 3 * (n + 1) > DENSIFY_CEILING:
+        raise CapacityError(
+            f"epsilon {epsilon} needs n = {n}: a factor of up to n^3 (n + 1) "
+            f"= {n ** 3 * (n + 1):,} entries exceeds the ceiling "
+            f"{DENSIFY_CEILING:,}")
     expansion_u, expansion_v, cols = _flat_expansion_entries(
         psi, n, tolerances.zero_coeff)
-    sizes = (len(expansion_u[1]), len(expansion_v[1]))
-    if sum(sizes) > term_ceiling:
-        # each factor of the larger expansion: K terms on n shared columns,
-        # one private entry each and per-column indices, under n + 4 cells
-        k = max(sizes)
-        raise CapacityError(
-            f"expansion would carry {sum(sizes)} terms, with split packs of "
-            f"about {3 * k * (n + 4) * 16:,} bytes (3 x {k} x ({n} + 4) x "
-            "16 B); raise term_ceiling to proceed")
-    ambient = n + max(sizes) + 1
+    ambient = n + max(len(expansion_u[1]), len(expansion_v[1])) + 1
     space = ProductSpace((ambient,) * 3)
 
     explicit = theta is not None

@@ -70,8 +70,10 @@ class TrialConfig:
         check_integer("trials", self.trials, 1)
         _check_dense(self.dims)
 
-    def as_dict(self) -> dict:
-        return json_fields(self)
+    def as_dict(self, *names) -> dict:
+        """The fields as JSON, or only ``names``: those a campaign reads."""
+        out = json_fields(self)
+        return {k: out[k] for k in names} if names else out
 
 
 @dataclass(frozen=True)
@@ -430,7 +432,8 @@ def run_isolation_scan(cfg: TrialConfig) -> CampaignReport:
                              and radius <= math.sqrt(dist_sq)),
             })
             trial_id += 1
-    return _finish("isolation", cfg.as_dict(), records, tolerances)
+    return _finish("isolation", cfg.as_dict("seed", "dims", "tolerances"),
+                   records, tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -517,5 +520,5 @@ def run_closure_test(cfg: TrialConfig) -> CampaignReport:
         "coefficients_vs_spectrum": coeff_gap,
         "pass": bool(ok and equivalent and coeff_gap <= 1e-8),
     })
-    return _finish("closure", cfg.as_dict(), records, tolerances,
-                   {"coefficients_vs_spectrum": coeff_gap})
+    return _finish("closure", cfg.as_dict("seed", "dims", "tolerances"),
+                   records, tolerances, {"coefficients_vs_spectrum": coeff_gap})

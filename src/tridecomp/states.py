@@ -596,22 +596,9 @@ def _factor_overlap(pack_a, pack_b) -> np.ndarray:
 _BLOCK_BYTES = 1 << 20
 
 
-def _overlap_blocks(a: SumState, b: SumState, splits):
-    """Yield (lo, each factor's overlap rows from lo) of ``a`` against ``b``,
-    whose factors' ``_column_split`` are ``splits``, in row blocks of about
-    ``_BLOCK_BYTES`` each, so no K x K matrix is held whole (Kolda and
-    Bader, section 3: the term Gram is the Hadamard product of the factor
-    overlaps, and each block of its rows needs only theirs)."""
-    plans = [_overlap_rows(split) for split in splits]
-    nblocks = _nblocks(a, b)
-    edges = [a.nterms * j // nblocks for j in range(nblocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        yield lo, [rows(lo, hi) for rows in plans]
-
-
 def _nblocks(a: SumState, b: SumState) -> int:
-    """How many equal row blocks ``_overlap_blocks`` splits ``a``'s terms
-    into."""
+    """How many equal row blocks the walk of ``_overlap_summary`` splits
+    ``a``'s terms into."""
     step = max(1, _BLOCK_BYTES // (16 * max(b.nterms, 1)))
     return max(1, a.nterms // step)
 
@@ -693,22 +680,26 @@ def _overlap_summary(a: SumState, b: SumState, pairs=()) -> tuple:
     """(off, diagonals, forms): per factor, the largest |O[k, l]| with
     k != l and the diagonal O[k, k] for k < min(K_a, K_b), with no factors
     when a side has no terms; and x^H G y for each (x, y) in ``pairs``, G
-    the term Gram.  One row block is read whole; more go through
-    ``_core_summary`` if it accepts them, else through ``_overlap_blocks``."""
+    the term Gram.  More than one row block goes through ``_core_summary``
+    if it accepts them; otherwise the rows are walked in equal blocks of
+    about ``_BLOCK_BYTES`` per factor, so no K x K matrix is held whole
+    (Kolda and Bader, section 3: the term Gram is the Hadamard product of
+    the factor overlaps, and each block of its rows needs only theirs)."""
     forms = [0j] * len(pairs)
     if not (a.nterms and b.nterms):
         return (), (), forms
     splits = [_column_split(pa, pb) for pa, pb in zip(a._packed, b._packed)]
-    if _nblocks(a, b) == 1:
-        blocks = [(0, [_overlap_rows(s)(0, a.nterms) for s in splits])]
-    else:
+    nblocks = _nblocks(a, b)
+    if nblocks > 1:
         core = _core_summary(a, b, splits, pairs)
         if core is not None:
             return core
-        blocks = _overlap_blocks(a, b, splits)
+    plans = [_overlap_rows(split) for split in splits]
+    edges = [a.nterms * j // nblocks for j in range(nblocks + 1)]
     off = [0.0] * a.space.nfactors
     diagonals = np.empty((len(off), min(a.nterms, b.nterms)), np.complex128)
-    for lo, ovs in blocks:
+    for lo, hi in zip(edges, edges[1:]):
+        ovs = [rows(lo, hi) for rows in plans]
         height, width = ovs[0].shape
         stop = min(height, max(width - lo, 0)) * (width + 1)
         for i, ov in enumerate(ovs):

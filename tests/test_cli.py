@@ -300,6 +300,16 @@ class TestExitCodes:
         assert doc["provenance"]["theta"] == pair.theta
         assert doc["cross_overlap_max"] == pair.cross_overlap_max
 
+    def test_pair_refuses_an_input_state_with_dims(self, tmp_path, capsys):
+        # --dims sizes the default |0...0>; next to --in it was ignored
+        path = tmp_path / "haar.json"
+        dump(state_to_json(states.haar_random_state(ProductSpace((2, 3, 2)),
+                                                    1)), str(path))
+        code, out, err = run(capsys, "construct", "pair", "--in", str(path),
+                             "--dims", "3,3,3")
+        assert code == 1 and not out
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_mover_of_one_state_given_twice_is_the_identity(self, tmp_path,
                                                              capsys):
         # <s|s> of this state rounds to 0.9999999999999998
@@ -598,12 +608,14 @@ class TestFlagsPerCommand:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_closure_config_keeps_trial_defaults(self, capsys):
+    def test_closure_config_names_only_what_it_reads(self, capsys):
+        # the closure test reads no trial count or selector, so its report
+        # echoes neither default
         code, out, _ = run(capsys, "campaign", "closure", "--seed", "1")
         assert code == 0
         config = json.loads(out)["config"]
-        assert config["trials"] == 100 and config["selector"] == "all"
-        assert config["dims"] == [4, 4, 4]
+        assert list(config) == ["seed", "dims", "tolerances"]
+        assert config["seed"] == 1 and config["dims"] == [4, 4, 4]
 
 
 @pytest.fixture

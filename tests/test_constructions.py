@@ -16,6 +16,7 @@ from tridecomp.constructions import (
     schmidt_rotation,
     structure_mover,
 )
+from tridecomp.config import DEFAULT_TOLERANCES
 from tridecomp.decomp import (
     TriDecomposition,
     Variant,
@@ -283,24 +284,26 @@ class TestInstabilityPair:
     def test_capacity_error_states_the_pack_bytes(self):
         psi = DenseState(ProductSpace((2, 2, 2)), np.eye(8)[0],
                          normalized=True)
-        # eps = 0.48 needs n = 18 and 18^3 = 5,832 flat-basis terms
+        # eps = 0.29 needs n = 48, and phi2 could hold 48^3 terms with 49
+        # entries each on a factor
         with pytest.raises(CapacityError, match=(
-                r"5833 terms, with split packs of about 6,158,592 bytes "
-                r"\(3 x 5832 x \(18 \+ 4\) x 16 B\)")):
-            instability_pair(psi, 0.48)
-        with pytest.raises(CapacityError,
-                           match=r"\(3 x 729 x \(9 \+ 4\) x 16 B\)"):
-            instability_pair(psi, 0.7, term_ceiling=729)
-        # the quoted size bounds every array of the packs it describes
-        phi2 = instability_pair(psi, 0.7).phi2
-        held = sum(arr.nbytes for pack in phi2._packed for arr in (
-            pack.touched, pack.owner, pack.shared, pack.slot, *pack.private))
-        assert 0.85 * 3 * 729 * 13 * 16 < held <= 3 * 729 * 13 * 16
+                r"epsilon 0\.29 needs n = 48: a factor of up to n\^3 "
+                r"\(n \+ 1\) = 5,419,008 entries exceeds the ceiling "
+                r"4,194,304")):
+            instability_pair(psi, 0.29)
+        # the quoted count bounds every factor of a pair it admits, and
+        # phi2 of |000> meets it
+        pair = instability_pair(psi, 0.7)
+        n = pair.truncation_size
+        for phi in (pair.phi1, pair.phi2):
+            assert all(r.indices.size <= n ** 3 * (n + 1) for r in phi.rows)
+        assert [r.indices.size for r in pair.phi2.rows] \
+            == [n ** 3 * (n + 1)] * 3
 
-    @pytest.mark.parametrize("ceiling", [math.nan, math.inf, 0, -5, 125.0])
-    def test_term_ceiling_must_be_a_positive_integer(self, monkeypatch,
-                                                     ceiling):
-        # a NaN ceiling passed the capacity guard: sum(sizes) > nan is False
+    @pytest.mark.parametrize("eps, n", [(0.29, 48), (0.25, 65), (0.1, 401)])
+    def test_oversized_epsilon_is_refused_before_the_expansion(
+            self, monkeypatch, eps, n):
+        # the size follows from n alone, so no n^3 tensor is built first
         def no_expansion(*args):
             raise AssertionError("the expansion was built")
 
@@ -308,8 +311,30 @@ class TestInstabilityPair:
                          normalized=True)
         monkeypatch.setattr(constructions, "_flat_expansion_entries",
                             no_expansion)
-        with pytest.raises(InvalidStateError, match="term_ceiling"):
-            instability_pair(psi, 0.9, term_ceiling=ceiling)
+        with pytest.raises(CapacityError, match=f"needs n = {n}: "):
+            instability_pair(psi, eps)
+
+    @pytest.mark.parametrize("seed", [None, 3, 11])
+    def test_mode_products_match_the_einsum(self, seed):
+        # the flat-basis coefficients b[i, j, k] = sum conj(v_ai) conj(v_bj)
+        # conj(v_ck) a[a, b, c], by this formula, on truncations that cut
+        # and that pad the 5 x 6 x 7 state
+        space = ProductSpace((5, 6, 7))
+        psi = (DenseState(space, np.eye(space.dim)[0], normalized=True)
+               if seed is None else haar_random_state(space, seed))
+        zero = DEFAULT_TOLERANCES.zero_coeff
+        for n in range(1, 10):
+            a = np.zeros((n, n, n), dtype=complex)
+            cut = tuple(slice(0, min(n, d)) for d in space.dims)
+            a[cut] = psi.tensor[cut]
+            a /= np.linalg.norm(a)
+            v = dft_basis(n).conj()
+            ref = np.einsum("ai,bj,ck,abc->ijk", v, v, v, a)
+            kept = np.argwhere(np.abs(ref) > zero)
+            _, (multi, coeffs), _ = constructions._flat_expansion_entries(
+                psi, n, zero)
+            assert np.array_equal(multi, kept)
+            assert np.max(np.abs(coeffs - ref[tuple(kept.T)])) <= 1e-14
 
     def test_explicit_theta_too_large(self, desk_pair):
         psi, _ = desk_pair

@@ -223,6 +223,16 @@ class TestReportPlumbing:
         fresh["instability"] = run_instability_sweep().to_json()
         assert_matches_pin(fresh, pinned, "")
 
+    def test_config_holds_the_fields_each_campaign_reads(self):
+        cfg = TrialConfig(seed=3, trials=2, dims=(4, 4, 4))
+        scanned = ["seed", "dims", "tolerances"]
+        assert list(run_isolation_scan(cfg).config) == scanned
+        assert list(run_closure_test(cfg).config) == scanned
+        assert list(run_stability_campaign(cfg).config) == [
+            "seed", "trials", "dims", "selector", "tolerances"]
+        assert list(run_instability_sweep().config) == [
+            "theta_grid", "tolerances"]
+
     def test_environment_block(self):
         rep = run_instability_sweep()
         env = rep.to_json()["environment"]

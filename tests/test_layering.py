@@ -9,7 +9,7 @@ from pathlib import Path
 import tridecomp
 
 ALLOWED = {"states.py", "__init__.py"}
-WALK = {"_overlap_blocks", "_gram_forms", "_split_diagonal"}
+WALK = {"_overlap_rows", "_nblocks", "_gram_forms", "_split_diagonal"}
 
 
 def used_names(path: Path) -> set:

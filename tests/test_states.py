@@ -1300,11 +1300,25 @@ class TestBlockedOverlaps:
 
     @staticmethod
     def walk(monkeypatch, a, b, rows_per_block):
+        """(lo, each factor's overlap rows from lo) for every row block that
+        ``_overlap_summary`` walks, with blocks of ``rows_per_block`` rows
+        (kept for the rest of the test) and the core route declined."""
         monkeypatch.setattr(states, "_BLOCK_BYTES",
                             16 * b.nterms * rows_per_block)
-        splits = [states._column_split(p, q)
-                  for p, q in zip(a._packed, b._packed)]
-        return list(states._overlap_blocks(a, b, splits))
+        blocks, overlap_rows = {}, states._overlap_rows
+
+        def recorded(split):
+            rows = overlap_rows(split)
+
+            def recorded_rows(lo, hi):
+                blocks.setdefault(lo, []).append(rows(lo, hi))
+                return blocks[lo][-1]
+            return recorded_rows
+        with monkeypatch.context() as m:
+            m.setattr(states, "_overlap_rows", recorded)
+            m.setattr(states, "_core_summary", lambda *args: None)
+            states._overlap_summary(a, b)
+        return sorted(blocks.items())
 
     def test_blocks_are_rows_of_the_whole_overlap(self, rng, monkeypatch):
         # 49 rows in steps of 12 would leave a one-row block, whose product
